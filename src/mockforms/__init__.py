@@ -28,11 +28,11 @@ from .characters import (
     coeff_table,
     decomposition_residual,
     half_period_numerator,
-    half_period_series,
     identity_check,
     multiplicity_series,
 )
 from .errors import (
+    BesselOverflow,
     BeyondTruncation,
     CacheCorrupt,
     DenominatorVanishes,

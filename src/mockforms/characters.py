@@ -5,17 +5,17 @@ Lambert-type sums at the three half-periods:
 
     h_2 = mu(1/2; tau)/eta,  h_3 = mu((1+tau)/2; tau)/eta,  h_4 = mu(tau/2; tau)/eta,
 
-each expanded exactly as (numerator sum)/(eta * theta constant).  The
-numerators pair the summation index with its reflection so that only
+each exactly N_label/(eta theta_label) with N_label a Lambert numerator sum.
+The numerators pair the summation index with its reflection so that only
 geometric expansions in positive powers of q occur; for h_2 the fixed point
-n = 0 contributes the exact rational 1/2.  Then
+n = 0 contributes the exact rational 1/2.  The eta cancels, so
 
-    Sigma       = 8 eta (h_2 + h_3 + h_4) = q^{-1/8} (2 - sum A_n q^n)
-    Sigma^circ  = 8 eta h_2               = q^{-1/8} (2 - sum A_n^circ q^n)
+    Sigma      = 8 eta (h_2 + h_3 + h_4) = 8 sum N_label/theta_label = q^{-1/8} (2 - sum A_n q^n)
+    Sigma^circ = 8 eta h_2               = 8 N_2/theta_10            = q^{-1/8} (2 - sum A_n^circ q^n)
 
-and the integer tables are read off (kind "ale" extracts (A_n - A_n^circ)/16).
-All arithmetic is rational; integrality of the extracted coefficients is
-asserted, never rounded.
+and each table is a few exact divisions by theta constants of O(sqrt N) terms
+(kind "ale" extracts (A_n - A_n^circ)/16).  All arithmetic is rational;
+integrality and the leading 2 are asserted, never rounded.
 """
 
 from __future__ import annotations
@@ -32,21 +32,20 @@ from .qseries import (
     ExponentLike,
     FracExp,
     QSeries,
-    eta_series,
     theta_constant_series,
 )
 
 __all__ = [
     "CoeffTable",
     "half_period_numerator",
-    "half_period_series",
     "multiplicity_series",
     "coeff_table",
     "decomposition_residual",
     "identity_check",
 ]
 
-_THETA_FOR_LABEL = {2: "10", 3: "00", 4: "01"}
+# (numerator label, theta constant) of each quotient N_label/theta_label
+_QUOTIENTS = {"k3": ((2, "10"), (3, "00"), (4, "01")), "noncompact": ((2, "10"),)}
 
 
 def half_period_numerator(label: int, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
@@ -90,39 +89,27 @@ def half_period_numerator(label: int, truncation: ExponentLike = DEFAULT_TRUNCAT
     return QSeries._raw(coeffs, trunc)
 
 
-def half_period_series(label: int, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """Exact q-expansion of h_label = mu(half-period)/eta.
-
-    Built as (Lambert numerator) / (eta * theta constant); coefficients are
-    rationals with dyadic denominators from the leading 2 of theta_10.
-    """
-    if label not in _THETA_FOR_LABEL:
-        raise UnknownName(f"no half-period series labelled {label!r}")
-    num = half_period_numerator(label, truncation)
-    den = eta_series(truncation) * theta_constant_series(_THETA_FOR_LABEL[label], truncation)
-    return num * den.invert()
-
-
 def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
     """The generating function q^{-1/8}(2 - sum A_n q^n).
 
-    kind "k3" sums all three half-period series, kind "noncompact" keeps only
-    the h_2 piece.  Every coefficient must come out an exact integer and sit
-    at an exponent n - 1/8; anything else raises NonIntegralCoefficient.
+    kind "k3" sums all three half-period quotients N_label/theta_label, kind
+    "noncompact" keeps only the label-2 piece.  Every coefficient must come
+    out an exact integer and sit at an exponent n - 1/8, and the leading one
+    must be 2; anything else raises NonIntegralCoefficient.
     """
-    if kind == "k3":
-        h = half_period_series(2, truncation) + half_period_series(3, truncation) \
-            + half_period_series(4, truncation)
-    elif kind == "noncompact":
-        h = half_period_series(2, truncation)
-    else:
+    if kind not in _QUOTIENTS:
         raise UnknownName(f"no multiplicity series of kind {kind!r}")
-    sigma = 8 * (eta_series(truncation) * h)
+    sigma = QSeries.zero(truncation)
+    for label, theta in _QUOTIENTS[kind]:
+        sigma += half_period_numerator(label, truncation) / theta_constant_series(theta, truncation)
+    sigma = 8 * sigma
     for exp, value in sigma.items():
         if value.denominator != 1:
             raise NonIntegralCoefficient(f"coefficient {value} at q^({exp}) is not an integer")
         if exp.units24 % 24 != 21:
             raise NonIntegralCoefficient(f"unexpected exponent q^({exp}) escaped cancellation")
+    if sigma.truncation > FracExp(-3) and (lead := sigma.coefficient(FracExp(-3))) != 2:
+        raise NonIntegralCoefficient(f"coefficient {lead} at q^(-1/8) is not 2")
     return sigma
 
 

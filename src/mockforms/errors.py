@@ -41,6 +41,10 @@ class QuadratureNonConvergence(MockformsError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class BesselOverflow(MockformsError):
+    """A Bessel closed form exceeds the range of a double at this argument."""
+
+
 # --- exact coefficient pipeline ----------------------------------------------
 
 class NonIntegralCoefficient(MockformsError):

@@ -4,9 +4,9 @@ Every exponent that occurs in this problem (1/24 from eta, 1/8 from theta
 characteristics and the q^{-1/8} prefactor, half-integers from theta
 constants, integers from Lambert sums) is a multiple of 1/24, so exponents
 are stored as integer counts of 1/24 units and never touch floating point.
-Coefficients are `fractions.Fraction`: intermediate divisions by the theta
-constant 2q^{1/8}(1 + q + ...) introduce dyadic denominators even though the
-final extracted coefficients are integers.
+Coefficients are `fractions.Fraction`: exact long division (`f / g`, and
+`invert` as `1 / g`) by the theta constant 2q^{1/8}(1 + q + ...) introduces
+dyadic denominators even though the final extracted coefficients are integers.
 
 A series carries an explicit truncation: it represents its stored terms plus
 an unknown tail O(q^truncation).  Arithmetic propagates the tightest
@@ -227,31 +227,42 @@ class QSeries:
             result = result * self
         return result
 
+    def __truediv__(self, other: "QSeries") -> "QSeries":
+        """Exact long division; the divisor needs a nonzero leading coefficient.
+
+        The quotient is known to the smaller relative precision of the two
+        operands: for offsets of, og and truncations Tf, Tg of dividend and
+        divisor, below min(Tf - og, Tg + of - 2*og).
+        """
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        if not other._coeffs:
+            raise ZeroLeadingCoefficient("cannot divide by the zero series")
+        of, og = self._offset, other._offset
+        lead = other._coeffs[og]
+        support = sorted((u - og, c) for u, c in other._coeffs.items() if u > og)
+        num = {u - of: c for u, c in self._coeffs.items()}
+        n_rel = min(self._trunc - of, other._trunc - og)
+        quot: dict[int, Fraction] = {}
+        for step in range(n_rel):
+            acc = num.get(step, 0)
+            for k, c in support:
+                if k > step:
+                    break
+                b = quot.get(step - k)
+                if b is not None:
+                    acc -= c * b
+            if acc:
+                quot[step] = acc / lead
+        return QSeries._raw({u + of - og: c for u, c in quot.items()}, n_rel + of - og)
+
     def invert(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient.
 
         If self is known to relative precision N past its offset, so is the
         inverse, i.e. the truncation drops to T - 2*offset.
         """
-        if not self._coeffs:
-            raise ZeroLeadingCoefficient("cannot invert the zero series")
-        off = self._offset
-        lead = self._coeffs[off]
-        rel = {u - off: c for u, c in self._coeffs.items()}
-        n_rel = self._trunc - off
-        inv: dict[int, Fraction] = {0: 1 / lead}
-        support = sorted(u for u in rel if u > 0)
-        for step in range(1, n_rel):
-            acc = Fraction(0)
-            for k in support:
-                if k > step:
-                    break
-                b = inv.get(step - k)
-                if b is not None:
-                    acc += rel[k] * b
-            if acc:
-                inv[step] = -acc / lead
-        return QSeries._raw({u - off: c for u, c in inv.items()}, n_rel - off)
+        return QSeries.one(FracExp(self._trunc - self._offset)) / self
 
     def substitute_qm(self, m: int) -> "QSeries":
         """Replace q by q^m; exponents and truncation scale exactly."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
+from .errors import BesselOverflow, CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
 
 __all__ = [
     "DedekindSumValue",
@@ -256,14 +256,20 @@ def bessel_i_half(x: float) -> float:
     """I_{1/2}(x) = sqrt(2/(pi x)) sinh(x), x > 0."""
     if x <= 0:
         raise NonPositiveArgument("bessel argument must be positive")
-    return math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
+    try:
+        return math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
+    except OverflowError:
+        raise BesselOverflow(f"I_1/2({x}) exceeds the range of a double") from None
 
 
 def bessel_i_three_half(x: float) -> float:
     """I_{3/2}(x) = sqrt(2/(pi x)) (cosh(x) - sinh(x)/x), x > 0."""
     if x <= 0:
         raise NonPositiveArgument("bessel argument must be positive")
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cosh(x) - math.sinh(x) / x)
+    try:
+        return math.sqrt(2.0 / (math.pi * x)) * (math.cosh(x) - math.sinh(x) / x)
+    except OverflowError:
+        raise BesselOverflow(f"I_3/2({x}) exceeds the range of a double") from None
 
 
 # -- exact coefficient series -----------------------------------------------

@@ -145,11 +145,13 @@ class TestLerchSum:
         assert abs(value - lerch_sum_fixed(0.5, 1.2j, 400)) < 1e-12
 
     def test_half_period_combination_matches_series(self):
-        # 8 eta(tau) (h2 + h3 + h4)(q) = 8 sum_w mu(w; tau)
-        from mockforms.characters import half_period_series
-        t = 0.05 + 1.25j
-        total = half_period_series(2, 24 * 25) + half_period_series(3, 24 * 25) + half_period_series(4, 24 * 25)
-        lhs = 8.0 * dedekind_eta(t) * total.evaluate(t)
+        # 8 sum_label N_label/theta_label (q) = 8 sum_w mu(w; tau)
+        from mockforms.characters import half_period_numerator
+        t, n = 0.05 + 1.25j, 24 * 25
+        total = half_period_numerator(2, n) / theta_constant_series("10", n) \
+            + half_period_numerator(3, n) / theta_constant_series("00", n) \
+            + half_period_numerator(4, n) / theta_constant_series("01", n)
+        lhs = 8.0 * total.evaluate(t)
         rhs = 8.0 * (lerch_sum(0.5, t) + lerch_sum((1 + t) / 2, t) + lerch_sum(t / 2, t))
         assert abs(lhs - rhs) < 1e-10
 

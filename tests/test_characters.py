@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from mockforms.analytic import dedekind_eta, lerch_sum
+from mockforms import characters
+from mockforms.analytic import lerch_sum
 from mockforms.characters import (
     CoeffTable,
     coeff_table,
     decomposition_residual,
     half_period_numerator,
-    half_period_series,
     identity_check,
     multiplicity_series,
 )
 from mockforms.errors import BeyondTruncation, NonIntegralCoefficient, PoleAtArgument, UnknownName
-from mockforms.qseries import FracExp
+from mockforms.qseries import FracExp, QSeries, eta_series, theta_constant_series
 from mockforms.rademacher import exact_coefficient
 
 F = Fraction
@@ -31,14 +31,15 @@ class TestHalfPeriodSeries:
         assert half_period_numerator(2, 24 * 6).coefficient(0) == F(1, 2)
 
     def test_series_match_lerch_quotients_numerically(self):
+        # N_label / theta_label = mu(w; tau): the eta of h_label = mu/eta cancels
         t = 1.3j
-        for label, w in ((2, 0.5), (3, (1 + t) / 2), (4, t / 2)):
-            series = half_period_series(label, 24 * 22)
-            assert abs(series.evaluate(t) - lerch_sum(w, t) / dedekind_eta(t)) < 1e-9
+        for label, theta, w in ((2, "10", 0.5), (3, "00", (1 + t) / 2), (4, "01", t / 2)):
+            series = half_period_numerator(label, 24 * 22) / theta_constant_series(theta, 24 * 22)
+            assert abs(series.evaluate(t) - lerch_sum(w, t)) < 1e-9
 
     def test_unknown_label(self):
         with pytest.raises(UnknownName):
-            half_period_series(5, 24)
+            half_period_numerator(5, 24)
 
 
 class TestMultiplicitySeries:
@@ -46,6 +47,23 @@ class TestMultiplicitySeries:
         sigma = multiplicity_series("k3", 24 * 6)
         assert sigma.coefficient(F(-1, 8)) == 2
         assert sigma.offset == FracExp(-3)
+
+    @pytest.mark.parametrize("kind, labels", [("k3", ((2, "10"), (3, "00"), (4, "01"))),
+                                              ("noncompact", ((2, "10"),))])
+    def test_matches_eta_times_inverted_eta_theta(self, kind, labels):
+        # the construction before the eta cancellation: 8 eta sum N_label (eta theta_label)^{-1}
+        t = FracExp(24 * 40)
+        eta = eta_series(t)
+        h = QSeries.zero(t)
+        for label, theta in labels:
+            h = h + half_period_numerator(label, t) * (eta * theta_constant_series(theta, t)).invert()
+        assert multiplicity_series(kind, t) == 8 * (eta * h)
+
+    def test_leading_coefficient_must_be_two(self, monkeypatch):
+        unscaled = half_period_numerator
+        monkeypatch.setattr(characters, "half_period_numerator", lambda label, t: 3 * unscaled(label, t))
+        with pytest.raises(NonIntegralCoefficient, match="not 2"):
+            multiplicity_series("noncompact", FracExp(24 * 4))
 
     def test_first_coefficients_match_table(self):
         sigma = multiplicity_series("k3", 24 * 12)

@@ -93,6 +93,12 @@ class TestRademacher:
     def test_invalid_c_max(self, capsys):
         assert main(["rademacher", "--kind", "k3", "--n", "2", "--c-max", "5,zero"]) == 2
 
+    def test_bessel_overflow_is_a_clean_error(self, capsys):
+        assert main(["rademacher", "--n", "26000", "--c-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: I_1/2(") and "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_fast_suites_pass(self, capsys):

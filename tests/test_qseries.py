@@ -1,4 +1,4 @@
-"""Exact q-series arithmetic: ring laws, inversion, named expansions."""
+"""Exact q-series arithmetic: ring laws, division and inversion, named expansions."""
 
 import random
 from fractions import Fraction
@@ -109,6 +109,27 @@ class TestArithmetic:
             f = random_series(rng, allow_zero=False)
             product = f * f.invert()
             assert product == QSeries.one(product.truncation)
+
+    def test_divide_roundtrip_randomised(self):
+        rng = random.Random(78)
+        for _ in range(100):
+            f, g = random_series(rng), random_series(rng, allow_zero=False)
+            product = (f / g) * g
+            assert product == f.truncate(product.truncation)
+
+    def test_divide_matches_multiplying_by_inverse(self):
+        rng = random.Random(79)
+        for _ in range(100):
+            f, g = random_series(rng), random_series(rng, allow_zero=False)
+            assert f / g == f * g.invert()
+
+    def test_divide_by_zero_raises(self):
+        with pytest.raises(ZeroLeadingCoefficient):
+            QSeries.one(10) / QSeries.zero(10)
+
+    def test_divide_by_non_series_is_type_error(self):
+        with pytest.raises(TypeError):
+            QSeries.one(10) / 2
 
     def test_invert_one(self):
         one = QSeries.one(10)

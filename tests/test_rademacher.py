@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mockforms.characters import coeff_table
-from mockforms.errors import CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
+from mockforms.errors import BesselOverflow, CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
 from mockforms.qseries import FracExp, partition_series
 from mockforms.rademacher import (
     DedekindSumValue,
@@ -249,6 +249,18 @@ class TestBesselClosedForms:
     def test_reference_combination(self):
         value = 4 * math.pi / 15 ** 0.25 * bessel_i_half(math.pi * math.sqrt(15) / 2)
         assert value == pytest.approx(453.018, abs=0.01)
+
+    def test_overflow_is_typed(self):
+        # sinh and cosh leave the double range just above x = 710.47
+        assert math.isfinite(bessel_i_half(710.0)) and math.isfinite(bessel_i_three_half(710.0))
+        for bessel in (bessel_i_half, bessel_i_three_half):
+            with pytest.raises(BesselOverflow):
+                bessel(711.0)
+
+    def test_exact_coefficient_overflow_is_typed(self):
+        # the c = 1 argument pi sqrt(8n - 1)/2 passes 710.47 just above n = 25573
+        with pytest.raises(BesselOverflow):
+            exact_coefficient("k3", 26000, 3, cache=None)
 
 
 class TestEntropy:
