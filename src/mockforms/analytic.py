@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import (
+    BesselOverflow,
     DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
@@ -291,12 +292,16 @@ def bessel_half(kind: str, x: float) -> float:
     if x <= 0:
         raise NonPositiveArgument("bessel argument must be positive")
     factor = math.sqrt(2.0 / (math.pi * x))
-    if kind == "I":
-        return factor * math.sinh(x)
     if kind == "J":
         return factor * math.sin(x)
-    if kind == "I_three_half":
-        return factor * (math.cosh(x) - math.sinh(x) / x)
+    try:
+        if kind == "I":
+            return factor * math.sinh(x)
+        if kind == "I_three_half":
+            return factor * (math.cosh(x) - math.sinh(x) / x)
+    except OverflowError:
+        order = "1/2" if kind == "I" else "3/2"
+        raise BesselOverflow(f"I_{order}({x}) exceeds the range of a double") from None
     raise UnknownName(f"no half-integer bessel kind {kind!r}")
 
 

@@ -6,9 +6,18 @@ The convergent series computed here have the shape
 
 where K(n, c) is a Kloosterman-type sum over residues d mod c, gcd(d, c) = 1,
 with phase e^{-3 pi i s(d,c) + 2 pi i d n / c} built from the Dedekind sum
-s(d, c).  The phase is reduced modulo 2 in exact rational arithmetic before
-any conversion to floating point: s(d, c) has denominator up to 6c and a
-naive double conversion loses the phase already for c around 1e5.
+s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
+[1, 4c] with k^2 = 1 - 8n (mod 8c), and that is how every series here
+computes it: the square roots are found per prime power of 8c (Tonelli-Shanks
+and Hensel lifting) and joined by the Chinese remainder theorem, which costs
+O(2^omega(c) log c) integer steps per modulus instead of phi(c) exact
+Dedekind sums.  The partition-number and shadow series use the same roots.
+
+The Dedekind-phase form (multiplier_phases) is kept as the reference the
+quadratic form is checked against.  Its phase is reduced modulo 2 in exact
+rational arithmetic before any conversion to floating point: s(d, c) has
+denominator up to 6c and a naive double conversion loses the phase already
+for c around 1e5.
 
 Summation over c is always in ascending order and totals use compensated
 summation (math.fsum), so results are reproducible bit-for-bit.
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -107,13 +117,17 @@ def dedekind_sum(d: int, c: int, method: str = "euclid") -> DedekindSumValue:
 
 # -- multiplier phase tables ----------------------------------------------
 
-# Per-modulus tables of (d, e^{-3 pi i s(d,c)}); every Kloosterman-type sum
-# at modulus c reuses them, so the Dedekind sums are computed once per c.
+# Per-modulus tables of (d, e^{-3 pi i s(d,c)}) for the Dedekind-phase
+# reference form.  No series reads them; only verification fills them.
 _phase_rows: dict[int, tuple[tuple[int, complex], ...]] = {}
 
 
 def multiplier_phases(c: int) -> tuple[tuple[int, complex], ...]:
-    """Unit phases e^{-3 pi i s(d, c)} for d in [0, c), gcd(d, c) = 1."""
+    """Unit phases e^{-3 pi i s(d, c)} for d in [0, c), gcd(d, c) = 1.
+
+    The reference form of the multiplier sums:
+    sum_d phase * e^{2 pi i d n / c} equals kloosterman_quadratic(n, c).
+    """
     row = _phase_rows.get(c)
     if row is None:
         entries = []
@@ -169,11 +183,19 @@ class KloostermanCache:
     # one record per line: family,c,n_mod_c,re,im (shortest round-trip floats)
 
     def dump(self, path: Union[str, Path]) -> None:
+        """Write every record; a reader sees the old file or the new one, never a part."""
         lines = []
         for key in sorted(self._data, key=lambda k: (k.family, k.c, k.n_mod_c)):
             v = self._data[key]
             lines.append(f"{key.family},{key.c},{key.n_mod_c},{v.real!r},{v.imag!r}")
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self, path: Union[str, Path]) -> int:
         count = 0
@@ -205,9 +227,9 @@ def kloosterman_sum(family: str, n: int, c: int,
                     cache: Optional[KloostermanCache] = DEFAULT_CACHE) -> complex:
     """sum_{d mod c, gcd(d,c)=1} e^{-3 pi i s(d,c) + 2 pi i d n / c}.
 
-    The pairing d <-> c - d (under which s flips sign) makes the sum real;
-    the imaginary part only carries rounding noise below 1e-9.  For the
-    "gamma0_2" family the modulus must be even; the inner sum is the same.
+    Computed in its quadratic form, kloosterman_quadratic, so the value is
+    exactly real.  For the "gamma0_2" family the modulus must be even; the
+    inner sum is the same.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
@@ -220,33 +242,119 @@ def kloosterman_sum(family: str, n: int, c: int,
         hit = cache.lookup(key)
         if hit is not None:
             return hit
-    re_parts, im_parts = [], []
-    for d, phase in multiplier_phases(c):
-        term = phase * cmath.exp(2j * math.pi * ((d * key.n_mod_c) % c) / c)
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    value = complex(math.fsum(re_parts), math.fsum(im_parts))
+    value = kloosterman_quadratic(key.n_mod_c, c)
     if cache is not None:
         cache.insert(key, value)
     return value
 
 
+# -- square roots modulo m ----------------------------------------------------
+
+
+def _factor(m: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing m >= 1, by trial division."""
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A root of x^2 = a (mod p) for an odd prime p and a quadratic residue a (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _unit_roots(a: int, p: int, e: int) -> list[int]:
+    """The roots of x^2 = a (mod p^e) for a unit a: none, or 2 (p odd), or 1, 2 or 4 (p = 2)."""
+    q = p ** e
+    if p == 2:
+        if e == 1:
+            return [1]
+        if a % (4 if e == 2 else 8) != 1:
+            return []
+        if e == 2:
+            return [1, 3]
+        r = 1  # a root mod 8, lifted one bit at a time: r or r + 2^{j-1} works mod 2^{j+1}
+        for j in range(3, e):
+            if (r * r - a) % (1 << (j + 1)):
+                r += 1 << (j - 1)
+        return [r, q - r, (r + q // 2) % q, (q // 2 - r) % q]
+    if pow(a, (p - 1) // 2, p) != 1:
+        return []
+    r = _sqrt_mod_prime(a % p, p)
+    for _ in range(e.bit_length()):  # Newton (Hensel) steps double the precision
+        r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
+    return [r, q - r]
+
+
+def _prime_power_roots(a: int, p: int, e: int) -> list[int]:
+    """Every x mod p^e with x^2 = a (mod p^e)."""
+    q = p ** e
+    a %= q
+    if a == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return []
+    # x = p^{v/2} y with y^2 = a / p^v (mod p^{e-v}); y is free mod p^{e-v/2}
+    h, k = v // 2, e - v
+    return [p ** h * (y + t * p ** k) % q for y in _unit_roots(a, p, k) for t in range(p ** h)]
+
+
+def _square_roots(a: int, m: int) -> list[int]:
+    """Every x in [0, m) with x^2 = a (mod m), ascending: prime-power roots joined by CRT."""
+    roots, modulus = [0], 1
+    for p, e in _factor(m):
+        q = p ** e
+        local = _prime_power_roots(a, p, e)
+        inverse = pow(modulus, -1, q)
+        roots = [r + modulus * ((s - r) * inverse % q) for r in roots for s in local]
+        modulus *= q
+    return sorted(roots)
+
+
 def kloosterman_quadratic(n: int, c: int) -> complex:
-    """Quadratic-form rewriting of kloosterman_sum("full_gamma1", n, c):
+    """kloosterman_sum("full_gamma1", n, c) in its quadratic form:
 
         -(i sqrt(c) / 2) sum_{k odd in [1, 4c], k^2 = 1 - 8n mod 8c} (-4/k) e^{pi i k/(2c)}
 
-    with (-4/k) = +1 for k = 1 mod 4 and -1 for k = 3 mod 4.
+    with (-4/k) = +1 for k = 1 mod 4 and -1 for k = 3 mod 4.  The pairing
+    k <-> 4c - k cancels the cosines, so the value is exactly real:
+    (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)), summed over ascending k.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    target = (1 - 8 * n) % (8 * c)
-    total = 0j
-    for k in range(1, 4 * c + 1, 2):
-        if (k * k) % (8 * c) == target:
-            sign = 1 if k % 4 == 1 else -1
-            total += sign * cmath.exp(1j * math.pi * k / (2 * c))
-    return -0.5j * math.sqrt(c) * total
+    sines = [(1 if k % 4 == 1 else -1) * math.sin(math.pi * k / (2 * c))
+             for k in _square_roots(1 - 8 * n, 8 * c) if k < 4 * c]
+    return complex(math.sqrt(c) / 2 * math.fsum(sines), 0.0)
 
 
 # -- Bessel closed forms -----------------------------------------------------
@@ -350,15 +458,14 @@ def _kronecker12(d: int) -> int:
 def partition_multiplier_sum(n: int, c: int) -> complex:
     """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
 
-    Real by the pairing d <-> 24c - d; residues are normalised to [1, 24c]
-    before the symbol is evaluated.
+    The roots d come from the same square-root enumeration as
+    kloosterman_quadratic.  The pairing d <-> 24c - d cancels the sines, so
+    the value is exactly real: sum (12/d) cos(pi d / (6c)) over ascending d.
     """
-    target = (1 - 24 * n) % (24 * c)
-    total = 0j
-    for d in range(1, 24 * c + 1):
-        if (d * d) % (24 * c) == target:
-            total += _kronecker12(d) * cmath.exp(1j * math.pi * d / (6 * c))
-    return total
+    if c < 1:
+        raise ValueError("modulus c must be positive")
+    cosines = [_kronecker12(d) * math.cos(math.pi * d / (6 * c)) for d in _square_roots(1 - 24 * n, 24 * c)]
+    return complex(math.fsum(cosines), 0.0)
 
 
 def rademacher_partition(n: int, c_max: int = 20) -> float:

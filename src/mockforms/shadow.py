@@ -36,7 +36,7 @@ from .analytic import (
 )
 from .errors import UnknownName
 from .qseries import FracExp, eta_cubed_series
-from .rademacher import _dedekind_euclid, multiplier_phases
+from .rademacher import _dedekind_euclid, kloosterman_quadratic
 
 __all__ = [
     "ShadowCoeff",
@@ -59,23 +59,16 @@ class ShadowCoeff:
     value: float
 
 
-def _conjugate_multiplier_sum(n: int, c: int) -> float:
-    """sum_{d mod c, gcd=1} e^{+3 pi i s(d,c) + 2 pi i d n / c}, real by d <-> c-d."""
-    parts = []
-    for d, phase in multiplier_phases(c):
-        term = phase.conjugate() * cmath.exp(2j * math.pi * ((d * n) % c) / c)
-        parts.append(term.real)
-    return math.fsum(parts)
-
-
 def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     """Coefficient of q^{8n+1} in the anti-holomorphic derivative series:
 
         2 delta_{n,0} + (8n+1)^{1/4} sum_{c<=c_max} (4 pi / c)
             J_{1/2}(pi sqrt(8n+1) / (2c)) sum_d e^{3 pi i s(d,c) + 2 pi i d n / c}.
 
-    Converges to the exact reference (a multiple of 24) at square exponents
-    and to zero elsewhere, though noticeably slower than the I-Bessel series.
+    The inner sum is the conjugate of the multiplier sum at -n, which is
+    real, so it is kloosterman_quadratic(-n, c).  Converges to the exact
+    reference (a multiple of 24) at square exponents and to zero elsewhere,
+    though noticeably slower than the I-Bessel series.
     """
     if n < 0 or c_max < 1:
         raise ValueError("n must be nonnegative and c_max positive")
@@ -83,7 +76,7 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     terms = []
     for c in range(1, c_max + 1):
         bessel = bessel_half("J", root / (2.0 * c))
-        terms.append(4.0 * math.pi / c * bessel * _conjugate_multiplier_sum(n % c, c))
+        terms.append(4.0 * math.pi / c * bessel * kloosterman_quadratic(-n, c).real)
     value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
     return ShadowCoeff(n=n, c_max=c_max, value=value)
 

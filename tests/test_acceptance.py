@@ -34,7 +34,6 @@ from mockforms.rademacher import (
     dedekind_sum,
     exact_coefficient,
     kloosterman_quadratic,
-    kloosterman_sum,
     leading_asymptotic,
     rademacher_partition,
 )
@@ -46,6 +45,8 @@ from mockforms.shadow import (
     shadow_coefficient,
     shadow_reference_coefficients,
 )
+
+from oracles import dedekind_phase_sum
 
 F = Fraction
 
@@ -218,10 +219,10 @@ def test_criterion_8_dedekind_kloosterman_suite():
     worst = 0.0
     for c in range(1, 26):
         for n in range(0, 26):
-            worst = max(worst, abs(kloosterman_quadratic(n, c) - kloosterman_sum("full_gamma1", n, c)))
+            worst = max(worst, abs(kloosterman_quadratic(n, c) - dedekind_phase_sum(n, c)))
     ok = worst < 1e-9
     report(8, ok, f"reciprocity (500 pairs), direct==euclid (c <= 200), "
-                  f"quadratic identity worst {worst:.2e} (< 1e-9)")
+                  f"quadratic form vs Dedekind phases worst {worst:.2e} (< 1e-9)")
     assert ok
 
 

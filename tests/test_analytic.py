@@ -28,6 +28,7 @@ from mockforms.analytic import (
     whittaker_closed,
 )
 from mockforms.errors import (
+    BesselOverflow,
     DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
@@ -147,7 +148,7 @@ class TestLerchSum:
     def test_half_period_combination_matches_series(self):
         # 8 sum_label N_label/theta_label (q) = 8 sum_w mu(w; tau)
         from mockforms.characters import half_period_numerator
-        t, n = 0.05 + 1.25j, 24 * 25
+        t, n = 0.05 + 1.25j, 25
         total = half_period_numerator(2, n) / theta_constant_series("10", n) \
             + half_period_numerator(3, n) / theta_constant_series("00", n) \
             + half_period_numerator(4, n) / theta_constant_series("01", n)
@@ -199,6 +200,14 @@ class TestBesselHalf:
     def test_reference_combination(self):
         assert 4 * math.pi / 15 ** 0.25 * bessel_half("I", math.pi * math.sqrt(15) / 2) \
             == pytest.approx(453.018, abs=0.01)
+
+    def test_overflow_is_typed(self):
+        # sinh and cosh leave the double range just above x = 710.47; sin never does
+        for kind in ("I", "I_three_half"):
+            assert math.isfinite(bessel_half(kind, 710.0))
+            with pytest.raises(BesselOverflow):
+                bessel_half(kind, 800.0)
+        assert math.isfinite(bessel_half("J", 800.0))
 
     def test_guards(self):
         with pytest.raises(NonPositiveArgument):

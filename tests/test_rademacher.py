@@ -1,10 +1,15 @@
 """Dedekind sums, Kloosterman sums, exact coefficient series, cache."""
 
+import cmath
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from mockforms import rademacher, shadow
 
 from mockforms.characters import coeff_table
 from mockforms.errors import BesselOverflow, CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
@@ -25,10 +30,12 @@ from mockforms.rademacher import (
     rademacher_partition,
     sawtooth,
 )
+from mockforms.rademacher import _square_roots
 
-from oracles import k3_series_truncation
+from oracles import dedekind_phase_sum, k3_series_truncation
 
 F = Fraction
+KRONECKER_12 = {1: 1, 11: 1, 5: -1, 7: -1}  # (12/d) by d mod 12, zero elsewhere
 
 
 class TestSawtooth:
@@ -104,7 +111,8 @@ class TestDedekindSum:
 
 class TestKloosterman:
     def test_modulus_one(self):
-        for n in (0, 3, 17):
+        for n in (-4, 0, 3, 17):
+            assert kloosterman_sum("full_gamma1", n, 1, cache=None) == 1
             assert kloosterman_sum("full_gamma1", n, 1) == 1
 
     def test_modulus_two(self):
@@ -118,10 +126,13 @@ class TestKloosterman:
                 assert kloosterman_sum("full_gamma1", n, c) == kloosterman_sum("full_gamma1", n + c, c)
 
     def test_realness(self):
+        # the pairing d <-> c - d makes the Dedekind-phase form real; the
+        # quadratic form the series use is real by construction
         worst = 0.0
         for c in range(1, 101):
             for n in range(0, 51):
-                worst = max(worst, abs(kloosterman_sum("full_gamma1", n, c).imag))
+                worst = max(worst, abs(dedekind_phase_sum(n, c).imag))
+                assert kloosterman_sum("full_gamma1", n, c).imag == 0.0
         assert worst < 1e-9
 
     def test_parity_check(self):
@@ -151,10 +162,76 @@ class TestKloostermanQuadratic:
         assert found_empty
 
     def test_matches_multiplier_sum_exhaustively(self):
+        # against the Dedekind-phase form from the sawtooth definition
         for c in range(1, 26):
             for n in range(0, 26):
-                delta = abs(kloosterman_quadratic(n, c) - kloosterman_sum("full_gamma1", n, c))
+                delta = abs(kloosterman_quadratic(n, c) - dedekind_phase_sum(n, c))
                 assert delta < 1e-9, (n, c, delta)
+
+    def test_matches_odd_k_scan(self):
+        # every modulus up to 400, which covers c = 2^k, 3^k, 2 5^k and the
+        # moduli sharing a prime with 1 - 8n
+        for c in range(1, 401):
+            scan = odd_roots_by_square(c)
+            for n in range(-20, 41):
+                expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
+                got = kloosterman_quadratic(n, c)
+                assert got.imag == 0.0 and abs(got.real - expected) < 1e-12, (n, c)
+
+    def test_prime_power_moduli_sharing_a_prime_with_the_target(self):
+        # 1 - 8n divisible by high powers of p, with c a power of p
+        for p, e_max in ((3, 7), (5, 5), (7, 4), (11, 3)):
+            for e in range(1, e_max + 1):
+                c = p ** e
+                scan = odd_roots_by_square(c)
+                for v in range(0, e + 2):
+                    n = next(n for n in range(-8 * c * p, 8 * c * p) if (1 - 8 * n) % p ** v == 0
+                             and (v > e or (1 - 8 * n) % p ** (v + 1)))
+                    expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
+                    assert abs(kloosterman_quadratic(n, c).real - expected) < 1e-12, (n, c, v)
+
+    def test_square_roots_against_full_scan(self):
+        for m in range(1, 600):
+            squares = {}
+            for x in range(m):
+                squares.setdefault(x * x % m, []).append(x)
+            for a in list(range(-10, 30)) + [0, m, 5 * m + 4]:
+                assert _square_roots(a, m) == squares.get(a % m, []), (a, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=st.integers(1, 5000), n=st.integers(-10 ** 6, 10 ** 6))
+    def test_matches_odd_k_scan_property(self, c, n):
+        target = (1 - 8 * n) % (8 * c)
+        ks = [k for k in range(1, 4 * c + 1, 2) if k * k % (8 * c) == target]
+        got = kloosterman_quadratic(n, c)
+        assert got.imag == 0.0 and abs(got.real - quadratic_scan_value(ks, c)) < 1e-12
+
+    def test_series_never_build_phase_rows(self, monkeypatch):
+        # the Dedekind-phase rows are the reference form only
+        def no_dedekind_sums(d, c):
+            raise AssertionError("a series computed a Dedekind sum")
+
+        monkeypatch.setattr(rademacher, "_phase_rows", {})
+        monkeypatch.setattr(rademacher, "_dedekind_euclid", no_dedekind_sums)
+        monkeypatch.setattr(shadow, "_dedekind_euclid", no_dedekind_sums)
+        exact_coefficient("k3", 11, 60, cache=None)
+        exact_coefficient("noncompact", 11, 60, cache=None)
+        shadow.shadow_coefficient(1, 60)
+        rademacher_partition(40, 20)
+        assert rademacher._phase_rows == {}
+
+
+def odd_roots_by_square(c: int) -> dict[int, list[int]]:
+    """Odd k in [1, 4c] grouped by k^2 mod 8c, ascending, by a full scan."""
+    by_square: dict[int, list[int]] = {}
+    for k in range(1, 4 * c + 1, 2):
+        by_square.setdefault(k * k % (8 * c), []).append(k)
+    return by_square
+
+
+def quadratic_scan_value(ks, c: int) -> float:
+    """(sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)) over the scanned roots k."""
+    return math.sqrt(c) / 2 * math.fsum((1 if k % 4 == 1 else -1) * math.sin(math.pi * k / (2 * c)) for k in ks)
 
 
 REFERENCE_K3_TABLE = {
@@ -297,6 +374,19 @@ class TestPartitionSeries:
                 worst = max(worst, abs(partition_multiplier_sum(n, c).imag))
         assert worst < 1e-9
 
+    def test_multiplier_sum_matches_full_residue_scan(self):
+        # sum over every d mod 24c with d^2 = 1 - 24n, normalised to [1, 24c]
+        for c in range(1, 61):
+            m = 24 * c
+            roots: dict[int, list[int]] = {}
+            for d in range(1, m + 1):
+                roots.setdefault(d * d % m, []).append(d)
+            for n in range(1, 201):
+                terms = [KRONECKER_12[d % 12] * cmath.exp(1j * math.pi * d / (6 * c))
+                         for d in roots.get((1 - 24 * n) % m, ())]
+                expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                assert abs(partition_multiplier_sum(n, c) - expected) < 1e-12, (n, c)
+
 
 class TestCache:
     def test_insert_lookup_bit_exact(self):
@@ -328,6 +418,26 @@ class TestCache:
         assert loaded.load(path) == len(cache)
         for key, value in cache._data.items():
             assert loaded.lookup(key) == value
+
+    def test_dump_is_atomic(self, tmp_path, monkeypatch):
+        # a failed replace leaves the old file whole and no temporary file behind
+        path = tmp_path / "kloosterman_cache.csv"
+        old = KloostermanCache()
+        kloosterman_sum("full_gamma1", 1, 5, old)
+        old.dump(path)
+        before = path.read_text()
+        new = KloostermanCache()
+        for c in range(1, 30):
+            kloosterman_sum("full_gamma1", 2, c, new)
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            new.dump(path)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_corrupt_records_rejected(self, tmp_path):
         path = tmp_path / "cache.csv"
