@@ -34,13 +34,11 @@ from .characters import (
 from .errors import (
     BesselOverflow,
     BeyondTruncation,
-    CacheCorrupt,
     DenominatorVanishes,
     MockformsError,
     NonIntegralCoefficient,
     NonPositiveArgument,
     NotCoprime,
-    ParityViolation,
     PoleAtArgument,
     QuadratureNonConvergence,
     UnknownName,
@@ -50,8 +48,6 @@ from .errors import (
 from .qseries import DEFAULT_TRUNCATION, FracExp, QSeries, named_series
 from .rademacher import (
     DedekindSumValue,
-    KloostermanCache,
-    KloostermanKey,
     RademacherPartial,
     cardy_entropy,
     dedekind_sum,

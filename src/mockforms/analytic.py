@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import (
-    BesselOverflow,
     DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
@@ -32,6 +31,7 @@ from .errors import (
     UnknownName,
     UnsupportedSpec,
 )
+from .rademacher import bessel_i_half, bessel_i_three_half
 
 __all__ = [
     "ModularPoint",
@@ -175,8 +175,10 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
 
         2 sum_{m>=0} (-1)^m erfc((m+1/2) sqrt(2 pi v)) e^{-i pi tau (m+1/2)^2},
 
-    real on the imaginary axis.  method "period_integral" evaluates the same
-    function as (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx;
+    real on the imaginary axis.  It raises QuadratureNonConvergence when the
+    terms have not settled after 400, which happens for Im tau below ~7.8e-5.
+    method "period_integral" evaluates the same function as
+    (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx;
     along x = -conj(tau) + i t the square root simplifies and the integral
     becomes int_0^inf eta(-conj(tau) + i t)^3 / sqrt(2v + t) dt, which is
     computed with the substitution t = e^s and adaptive trapezoid doubling.
@@ -195,10 +197,10 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
             if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
                 small_streak += 1
                 if small_streak >= 2:
-                    break
+                    return total
             else:
                 small_streak = 0
-        return total
+        raise QuadratureNonConvergence("non-holomorphic correction sum did not settle")
     if method == "period_integral":
         base = -t.conjugate()
 
@@ -291,17 +293,12 @@ def bessel_half(kind: str, x: float) -> float:
     """
     if x <= 0:
         raise NonPositiveArgument("bessel argument must be positive")
-    factor = math.sqrt(2.0 / (math.pi * x))
     if kind == "J":
-        return factor * math.sin(x)
-    try:
-        if kind == "I":
-            return factor * math.sinh(x)
-        if kind == "I_three_half":
-            return factor * (math.cosh(x) - math.sinh(x) / x)
-    except OverflowError:
-        order = "1/2" if kind == "I" else "3/2"
-        raise BesselOverflow(f"I_{order}({x}) exceeds the range of a double") from None
+        return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
+    if kind == "I":
+        return bessel_i_half(x)
+    if kind == "I_three_half":
+        return bessel_i_three_half(x)
     raise UnknownName(f"no half-integer bessel kind {kind!r}")
 
 

@@ -16,9 +16,8 @@ consistency failure, 2 usage error.
 --c-max counts series terms: for the noncompact family (even moduli only)
 the terms are c = 2, 4, ..., 2*N, so N terms reach modulus 2*N.
 
-The Kloosterman cache can be persisted: --cache-dir PATH (or the
-MOCKFORMS_CACHE environment variable) names a directory holding
-kloosterman_cache.csv, loaded before and rewritten after the run.
+Nothing is persisted between runs: the multiplier sums are memoised only in
+the process (rademacher.DEFAULT_CACHE).
 """
 
 from __future__ import annotations
@@ -28,20 +27,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from . import characters, rademacher, shadow
-from .errors import CacheCorrupt, MockformsError
+from .errors import MockformsError
 from .qseries import FracExp
 
 __all__ = ["main", "RunConfig"]
-
-CACHE_ENV = "MOCKFORMS_CACHE"
-CACHE_FILENAME = "kloosterman_cache.csv"
 
 
 @dataclass
@@ -58,7 +52,6 @@ class RunConfig:
     suite: str = "all"
     fmt: str = "json"
     tolerance: Optional[float] = None
-    cache_dir: Optional[Path] = None
 
 
 def _fmt6(x: float) -> str:
@@ -315,23 +308,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
     return 0 if not failed else 1
 
 
-# -- cache wiring and entry point ---------------------------------------------
-
-
-def _resolve_cache_dir(flag_value: Optional[str]) -> Optional[Path]:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
-def _load_cache(cache_dir: Optional[Path]) -> Optional[Path]:
-    if cache_dir is None:
-        return None
-    path = cache_dir / CACHE_FILENAME
-    if path.exists():
-        rademacher.DEFAULT_CACHE.load(path)
-    return path
+# -- entry point ---------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,8 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Exact and Rademacher-type multiplicity tables "
                                                  "for the K3 elliptic genus")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    parser.add_argument("--cache-dir", default=None,
-                        help=f"directory for the Kloosterman cache (default: ${CACHE_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="exact integer coefficient tables")
@@ -389,7 +364,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     cfg = RunConfig(command=args.command, fmt=args.fmt)
     try:
-        cfg.cache_dir = _resolve_cache_dir(args.cache_dir)
         if args.command == "coeffs":
             if args.n_max < 1:
                 raise ValueError("--n-max must be >= 1")
@@ -417,12 +391,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        cache_path = _load_cache(cfg.cache_dir)
-    except (CacheCorrupt, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     handler = {"coeffs": cmd_coeffs, "rademacher": cmd_rademacher, "verify": cmd_verify,
                "shadow": cmd_shadow, "pofn": cmd_pofn}[cfg.command]
     buffer = io.StringIO()
@@ -432,9 +400,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(buffer.getvalue())
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        rademacher.DEFAULT_CACHE.dump(cache_path)
     return code
 
 

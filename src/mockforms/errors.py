@@ -59,11 +59,3 @@ class NonIntegralCoefficient(MockformsError):
 
 class NotCoprime(MockformsError):
     """The Euclidean Dedekind-sum recursion needs gcd(d, c) = 1."""
-
-
-class ParityViolation(MockformsError):
-    """A sum restricted to even moduli was requested at an odd modulus."""
-
-
-class CacheCorrupt(MockformsError):
-    """A persisted Kloosterman cache record could not be parsed."""

@@ -11,7 +11,10 @@ s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
 computes it: the square roots are found per prime power of 8c (Tonelli-Shanks
 and Hensel lifting) and joined by the Chinese remainder theorem, which costs
 O(2^omega(c) log c) integer steps per modulus instead of phi(c) exact
-Dedekind sums.  The partition-number and shadow series use the same roots.
+Dedekind sums.  The sums are exactly real and returned as floats; the
+coefficient series memoise them per (c, n mod c) in DEFAULT_CACHE, a plain
+dict that lives as long as the process.  The partition-number and shadow
+series use the same roots.
 
 The Dedekind-phase form (multiplier_phases) is kept as the reference the
 quadratic form is checked against.  Its phase is reduced modulo 2 in exact
@@ -27,18 +30,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from .errors import BesselOverflow, CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
+from .errors import BesselOverflow, NonPositiveArgument, NotCoprime
 
 __all__ = [
     "DedekindSumValue",
-    "KloostermanKey",
-    "KloostermanCache",
     "RademacherPartial",
     "sawtooth",
     "dedekind_sum",
@@ -54,8 +53,6 @@ __all__ = [
     "partition_multiplier_sum",
     "DEFAULT_CACHE",
 ]
-
-FAMILIES = ("full_gamma1", "gamma0_2")
 
 
 @dataclass(frozen=True)
@@ -143,108 +140,23 @@ def multiplier_phases(c: int) -> tuple[tuple[int, complex], ...]:
 
 # -- Kloosterman sums -------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class KloostermanKey:
-    """Normalised cache key: the sum only depends on n mod c."""
-
-    family: str
-    c: int
-    n_mod_c: int
-
-    @classmethod
-    def make(cls, family: str, c: int, n: int) -> "KloostermanKey":
-        return cls(family, c, n % c)
+# Memo of the multiplier sums: (c, n mod c) -> K(n, c).  Only kloosterman_sum
+# inserts, one entry per miss, so the k3 and noncompact series share entries.
+DEFAULT_CACHE: dict[tuple[int, int], float] = {}
 
 
-class KloostermanCache:
-    """In-memory map from KloostermanKey to the complex sum value.
-
-    Reads and inserts of distinct keys are safe under concurrent use (plain
-    dict operations); duplicate inserts always carry identical values, so
-    last-writer-wins is harmless.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[KloostermanKey, complex] = {}
-
-    def lookup(self, key: KloostermanKey) -> Optional[complex]:
-        return self._data.get(key)
-
-    def insert(self, key: KloostermanKey, value: complex) -> None:
-        self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    # one record per line: family,c,n_mod_c,re,im (shortest round-trip floats)
-
-    def dump(self, path: Union[str, Path]) -> None:
-        """Write every record; a reader sees the old file or the new one, never a part."""
-        lines = []
-        for key in sorted(self._data, key=lambda k: (k.family, k.c, k.n_mod_c)):
-            v = self._data[key]
-            lines.append(f"{key.family},{key.c},{key.n_mod_c},{v.real!r},{v.imag!r}")
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def load(self, path: Union[str, Path]) -> int:
-        count = 0
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise CacheCorrupt(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            family, c_s, n_s, re_s, im_s = parts
-            if family not in FAMILIES:
-                raise CacheCorrupt(f"{path}:{lineno}: unknown family {family!r}")
-            try:
-                c, n_mod = int(c_s), int(n_s)
-                value = complex(float(re_s), float(im_s))
-            except ValueError as exc:
-                raise CacheCorrupt(f"{path}:{lineno}: {exc}") from None
-            if c < 1 or not 0 <= n_mod < c:
-                raise CacheCorrupt(f"{path}:{lineno}: invalid key ({c}, {n_mod})")
-            self._data[KloostermanKey(family, c, n_mod)] = value
-            count += 1
-        return count
-
-
-DEFAULT_CACHE = KloostermanCache()
-
-
-def kloosterman_sum(family: str, n: int, c: int,
-                    cache: Optional[KloostermanCache] = DEFAULT_CACHE) -> complex:
-    """sum_{d mod c, gcd(d,c)=1} e^{-3 pi i s(d,c) + 2 pi i d n / c}.
+def kloosterman_sum(n: int, c: int) -> float:
+    """sum_{d mod c, gcd(d,c)=1} e^{-3 pi i s(d,c) + 2 pi i d n / c}, memoised.
 
     Computed in its quadratic form, kloosterman_quadratic, so the value is
-    exactly real.  For the "gamma0_2" family the modulus must be even; the
-    inner sum is the same.
+    exactly real; it depends on n only through n mod c.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family == "gamma0_2" and c % 2:
-        raise ParityViolation(f"family gamma0_2 needs an even modulus, got c={c}")
-    key = KloostermanKey.make(family, c, n)
-    if cache is not None:
-        hit = cache.lookup(key)
-        if hit is not None:
-            return hit
-    value = kloosterman_quadratic(key.n_mod_c, c)
-    if cache is not None:
-        cache.insert(key, value)
+    key = (c, n % c)
+    value = DEFAULT_CACHE.get(key)
+    if value is None:
+        value = DEFAULT_CACHE[key] = kloosterman_quadratic(key[1], c)
     return value
 
 
@@ -341,8 +253,8 @@ def _square_roots(a: int, m: int) -> list[int]:
     return sorted(roots)
 
 
-def kloosterman_quadratic(n: int, c: int) -> complex:
-    """kloosterman_sum("full_gamma1", n, c) in its quadratic form:
+def kloosterman_quadratic(n: int, c: int) -> float:
+    """kloosterman_sum(n, c) in its quadratic form:
 
         -(i sqrt(c) / 2) sum_{k odd in [1, 4c], k^2 = 1 - 8n mod 8c} (-4/k) e^{pi i k/(2c)}
 
@@ -354,7 +266,7 @@ def kloosterman_quadratic(n: int, c: int) -> complex:
         raise ValueError("modulus c must be positive")
     sines = [(1 if k % 4 == 1 else -1) * math.sin(math.pi * k / (2 * c))
              for k in _square_roots(1 - 8 * n, 8 * c) if k < 4 * c]
-    return complex(math.sqrt(c) / 2 * math.fsum(sines), 0.0)
+    return math.sqrt(c) / 2 * math.fsum(sines)
 
 
 # -- Bessel closed forms -----------------------------------------------------
@@ -401,8 +313,7 @@ def _moduli(kind: str, c_max: int) -> range:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def exact_coefficient(kind: str, n: int, c_max: int,
-                      cache: Optional[KloostermanCache] = DEFAULT_CACHE) -> RademacherPartial:
+def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
     """Truncated convergent series for the multiplicity coefficient.
 
     kind "k3" sums over every modulus c <= c_max; kind "noncompact" over even
@@ -416,8 +327,7 @@ def exact_coefficient(kind: str, n: int, c_max: int,
     root = math.pi * math.sqrt(8.0 * n - 1.0)
     partial = RademacherPartial(n=n, kind=kind)
     for c in _moduli(kind, c_max):
-        kloo = kloosterman_sum("full_gamma1" if kind == "k3" else "gamma0_2", n, c, cache)
-        term = pref / c * bessel_i_half(root / (2.0 * c)) * kloo.real
+        term = pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman_sum(n, c)
         partial.terms.append((c, term))
     partial.cumulative = math.fsum(t for _, t in partial.terms)
     return partial
@@ -455,7 +365,7 @@ def _kronecker12(d: int) -> int:
     return 0
 
 
-def partition_multiplier_sum(n: int, c: int) -> complex:
+def partition_multiplier_sum(n: int, c: int) -> float:
     """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
 
     The roots d come from the same square-root enumeration as
@@ -465,7 +375,7 @@ def partition_multiplier_sum(n: int, c: int) -> complex:
     if c < 1:
         raise ValueError("modulus c must be positive")
     cosines = [_kronecker12(d) * math.cos(math.pi * d / (6 * c)) for d in _square_roots(1 - 24 * n, 24 * c)]
-    return complex(math.fsum(cosines), 0.0)
+    return math.fsum(cosines)
 
 
 def rademacher_partition(n: int, c_max: int = 20) -> float:
@@ -481,5 +391,5 @@ def rademacher_partition(n: int, c_max: int = 20) -> float:
     terms = []
     for c in range(1, c_max + 1):
         dsum = partition_multiplier_sum(n, c)
-        terms.append(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum.real)
+        terms.append(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum)
     return math.fsum(terms)

@@ -76,7 +76,7 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     terms = []
     for c in range(1, c_max + 1):
         bessel = bessel_half("J", root / (2.0 * c))
-        terms.append(4.0 * math.pi / c * bessel * kloosterman_quadratic(-n, c).real)
+        terms.append(4.0 * math.pi / c * bessel * kloosterman_quadratic(-n, c))
     value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
     return ShadowCoeff(n=n, c_max=c_max, value=value)
 

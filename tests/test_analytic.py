@@ -32,6 +32,7 @@ from mockforms.errors import (
     DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
+    QuadratureNonConvergence,
     UnknownName,
     UnsupportedSpec,
 )
@@ -177,6 +178,16 @@ class TestNonholomorphicCorrection:
         got = nonholomorphic_correction(1.5j, "sum")
         oracle = nonholomorphic_correction(1.5j, "period_integral")
         assert abs(got - oracle) < 1e-8
+
+    def test_sum_raises_instead_of_truncating(self):
+        # 400 terms do not settle here; the truncated sums were 3.0e-5 and
+        # 6.4e-3 away from the period integral
+        for t in (0.3 + 2e-5j, 0.3 + 1e-5j):
+            with pytest.raises(QuadratureNonConvergence):
+                nonholomorphic_correction(t, "sum")
+        # at Im tau = 1e-3 the sum settles and agrees with the integral
+        t = 0.3 + 1e-3j
+        assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-12
 
 
 class TestCompletion:

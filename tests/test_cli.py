@@ -1,18 +1,10 @@
-"""Command-line interface: schemas, exit codes, determinism, cache wiring."""
+"""Command-line interface: schemas, exit codes, determinism."""
 
 import json
 
 import pytest
 
-from mockforms.cli import CACHE_FILENAME, main
-from mockforms.rademacher import DEFAULT_CACHE
-
-
-@pytest.fixture(autouse=True)
-def clean_cache_state(monkeypatch):
-    monkeypatch.delenv("MOCKFORMS_CACHE", raising=False)
-    yield
-    DEFAULT_CACHE.clear()
+from mockforms.cli import main
 
 
 def run(capsys, *argv):
@@ -169,27 +161,10 @@ class TestDeterminism:
         assert row.split(",")[1] == "42.0014"  # six significant digits
 
 
-class TestCache:
-    def test_cache_file_roundtrip(self, tmp_path, capsys):
-        code, _ = run(capsys, "--cache-dir", str(tmp_path), "rademacher",
-                      "--kind", "k3", "--n", "2", "--c-max", "5")
-        assert code == 0
-        cache_file = tmp_path / CACHE_FILENAME
-        assert cache_file.exists()
-        lines = cache_file.read_text().splitlines()
-        assert all(len(line.split(",")) == 5 for line in lines)
-        DEFAULT_CACHE.clear()
-        code, _ = run(capsys, "--cache-dir", str(tmp_path), "rademacher",
-                      "--kind", "k3", "--n", "2", "--c-max", "5")
-        assert code == 0
-
-    def test_env_var_resolution(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MOCKFORMS_CACHE", str(tmp_path))
-        code, _ = run(capsys, "pofn", "--n", "2", "--c-max", "2")
-        assert code == 0
-        assert (tmp_path / CACHE_FILENAME).exists()
-
-    def test_corrupt_cache_rejected(self, tmp_path, capsys):
-        (tmp_path / CACHE_FILENAME).write_text("full_gamma1,3,1\n")
-        code = main(["--cache-dir", str(tmp_path), "coeffs", "--kind", "k3", "--n-max", "1"])
-        assert code == 2
+class TestRemovedOptions:
+    def test_cache_dir_is_a_usage_error(self, capsys):
+        # the multiplier sums are memoised in the process only; no flag persists them
+        assert main(["--cache-dir", "x", "coeffs", "--kind", "k3", "--n-max", "1"]) == 2
+        assert main(["--cache-dir=x", "coeffs", "--kind", "k3", "--n-max", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --cache-dir=x" in captured.err

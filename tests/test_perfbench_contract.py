@@ -7,12 +7,15 @@ The file is only executed for its tables; nothing is installed.
 
 import importlib
 import inspect
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PATH = ROOT / "perfbench" / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +64,13 @@ def test_report_tables_exist():
     rademacher = module("rademacher")
     assert isinstance(len(rademacher.DEFAULT_CACHE), int)
     assert isinstance(rademacher._phase_rows, dict)
+
+
+def test_import_leaves_the_tables_empty():
+    # a benchmark child refuses to run unless both tables are empty once
+    # mockforms is imported; check in a fresh interpreter, not this one
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import mockforms; "
+            "from mockforms import rademacher; "
+            "print(len(rademacher.DEFAULT_CACHE), len(rademacher._phase_rows))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "0"]

@@ -1,8 +1,7 @@
-"""Dedekind sums, Kloosterman sums, exact coefficient series, cache."""
+"""Dedekind sums, Kloosterman sums and their memo, exact coefficient series."""
 
 import cmath
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -12,12 +11,10 @@ from hypothesis import given, settings, strategies as st
 from mockforms import rademacher, shadow
 
 from mockforms.characters import coeff_table
-from mockforms.errors import BesselOverflow, CacheCorrupt, NonPositiveArgument, NotCoprime, ParityViolation
+from mockforms.errors import BesselOverflow, NonPositiveArgument, NotCoprime
 from mockforms.qseries import FracExp, partition_series
 from mockforms.rademacher import (
     DedekindSumValue,
-    KloostermanCache,
-    KloostermanKey,
     bessel_i_half,
     bessel_i_three_half,
     cardy_entropy,
@@ -112,18 +109,18 @@ class TestDedekindSum:
 class TestKloosterman:
     def test_modulus_one(self):
         for n in (-4, 0, 3, 17):
-            assert kloosterman_sum("full_gamma1", n, 1, cache=None) == 1
-            assert kloosterman_sum("full_gamma1", n, 1) == 1
+            assert kloosterman_quadratic(n, 1) == 1
+            assert kloosterman_sum(n, 1) == 1
 
     def test_modulus_two(self):
         for n in range(6):
-            value = kloosterman_sum("full_gamma1", n, 2)
+            value = kloosterman_sum(n, 2)
             assert abs(value - (-1) ** n) < 1e-12
 
     def test_periodicity_in_n(self):
         for c in (3, 7, 12):
             for n in range(0, 15):
-                assert kloosterman_sum("full_gamma1", n, c) == kloosterman_sum("full_gamma1", n + c, c)
+                assert kloosterman_sum(n, c) == kloosterman_sum(n + c, c)
 
     def test_realness(self):
         # the pairing d <-> c - d makes the Dedekind-phase form real; the
@@ -132,17 +129,17 @@ class TestKloosterman:
         for c in range(1, 101):
             for n in range(0, 51):
                 worst = max(worst, abs(dedekind_phase_sum(n, c).imag))
-                assert kloosterman_sum("full_gamma1", n, c).imag == 0.0
+                assert type(kloosterman_sum(n, c)) is float
         assert worst < 1e-9
 
-    def test_parity_check(self):
-        with pytest.raises(ParityViolation):
-            kloosterman_sum("gamma0_2", 1, 3)
-
-    def test_even_family_matches_full_sum(self):
-        for c in (2, 6, 14):
-            for n in (0, 4, 9):
-                assert kloosterman_sum("gamma0_2", n, c) == kloosterman_sum("full_gamma1", n, c)
+    def test_even_family_matches_full_sum(self, monkeypatch):
+        # the noncompact series reuses the k3 memo entries at the even moduli
+        monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
+        for n, m in ((1, 7), (4, 30), (9, 60)):
+            exact_coefficient("k3", n, 2 * m)
+            size = len(rademacher.DEFAULT_CACHE)
+            exact_coefficient("noncompact", n, 2 * m)
+            assert len(rademacher.DEFAULT_CACHE) == size, (n, m)
 
 
 class TestKloostermanQuadratic:
@@ -176,7 +173,7 @@ class TestKloostermanQuadratic:
             for n in range(-20, 41):
                 expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
                 got = kloosterman_quadratic(n, c)
-                assert got.imag == 0.0 and abs(got.real - expected) < 1e-12, (n, c)
+                assert type(got) is float and abs(got - expected) < 1e-12, (n, c)
 
     def test_prime_power_moduli_sharing_a_prime_with_the_target(self):
         # 1 - 8n divisible by high powers of p, with c a power of p
@@ -188,7 +185,7 @@ class TestKloostermanQuadratic:
                     n = next(n for n in range(-8 * c * p, 8 * c * p) if (1 - 8 * n) % p ** v == 0
                              and (v > e or (1 - 8 * n) % p ** (v + 1)))
                     expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
-                    assert abs(kloosterman_quadratic(n, c).real - expected) < 1e-12, (n, c, v)
+                    assert abs(kloosterman_quadratic(n, c) - expected) < 1e-12, (n, c, v)
 
     def test_square_roots_against_full_scan(self):
         for m in range(1, 600):
@@ -204,7 +201,7 @@ class TestKloostermanQuadratic:
         target = (1 - 8 * n) % (8 * c)
         ks = [k for k in range(1, 4 * c + 1, 2) if k * k % (8 * c) == target]
         got = kloosterman_quadratic(n, c)
-        assert got.imag == 0.0 and abs(got.real - quadratic_scan_value(ks, c)) < 1e-12
+        assert type(got) is float and abs(got - quadratic_scan_value(ks, c)) < 1e-12
 
     def test_series_never_build_phase_rows(self, monkeypatch):
         # the Dedekind-phase rows are the reference form only
@@ -212,10 +209,11 @@ class TestKloostermanQuadratic:
             raise AssertionError("a series computed a Dedekind sum")
 
         monkeypatch.setattr(rademacher, "_phase_rows", {})
+        monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
         monkeypatch.setattr(rademacher, "_dedekind_euclid", no_dedekind_sums)
         monkeypatch.setattr(shadow, "_dedekind_euclid", no_dedekind_sums)
-        exact_coefficient("k3", 11, 60, cache=None)
-        exact_coefficient("noncompact", 11, 60, cache=None)
+        exact_coefficient("k3", 11, 60)
+        exact_coefficient("noncompact", 11, 60)
         shadow.shadow_coefficient(1, 60)
         rademacher_partition(40, 20)
         assert rademacher._phase_rows == {}
@@ -334,10 +332,11 @@ class TestBesselClosedForms:
             with pytest.raises(BesselOverflow):
                 bessel(711.0)
 
-    def test_exact_coefficient_overflow_is_typed(self):
+    def test_exact_coefficient_overflow_is_typed(self, monkeypatch):
         # the c = 1 argument pi sqrt(8n - 1)/2 passes 710.47 just above n = 25573
+        monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
         with pytest.raises(BesselOverflow):
-            exact_coefficient("k3", 26000, 3, cache=None)
+            exact_coefficient("k3", 26000, 3)
 
 
 class TestEntropy:
@@ -368,11 +367,9 @@ class TestPartitionSeries:
         assert round(rademacher_partition(1, 1)) == 1
 
     def test_multiplier_sum_is_real(self):
-        worst = 0.0
         for n in (1, 10, 37):
             for c in range(1, 21):
-                worst = max(worst, abs(partition_multiplier_sum(n, c).imag))
-        assert worst < 1e-9
+                assert type(partition_multiplier_sum(n, c)) is float
 
     def test_multiplier_sum_matches_full_residue_scan(self):
         # sum over every d mod 24c with d^2 = 1 - 24n, normalised to [1, 24c]
@@ -389,60 +386,15 @@ class TestPartitionSeries:
 
 
 class TestCache:
-    def test_insert_lookup_bit_exact(self):
-        cache = KloostermanCache()
-        key = KloostermanKey.make("full_gamma1", 7, 3)
-        cache.insert(key, 1.25 - 0.5j)
-        assert cache.lookup(key) == 1.25 - 0.5j
+    def test_kloosterman_populates_cache(self, monkeypatch):
+        # one miss stores one (c, n mod c) entry; n + c is then a hit
+        monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
+        value = kloosterman_sum(4, 9)
+        assert rademacher.DEFAULT_CACHE == {(9, 4): value}
 
-    def test_key_normalisation(self):
-        assert KloostermanKey.make("full_gamma1", 7, 3) == KloostermanKey.make("full_gamma1", 7, 10)
+        def no_recompute(n, c):
+            raise AssertionError("a memo hit recomputed the sum")
 
-    def test_cold_lookup_absent(self):
-        assert KloostermanCache().lookup(KloostermanKey.make("full_gamma1", 3, 1)) is None
-
-    def test_kloosterman_populates_cache(self):
-        cache = KloostermanCache()
-        value = kloosterman_sum("full_gamma1", 4, 9, cache)
-        assert cache.lookup(KloostermanKey.make("full_gamma1", 9, 4)) == value
-        assert kloosterman_sum("full_gamma1", 13, 9, cache) == value
-
-    def test_roundtrip_through_file(self, tmp_path):
-        cache = KloostermanCache()
-        for c in range(1, 9):
-            for n in range(0, 4):
-                kloosterman_sum("full_gamma1", n, c, cache)
-        path = tmp_path / "kloosterman_cache.csv"
-        cache.dump(path)
-        loaded = KloostermanCache()
-        assert loaded.load(path) == len(cache)
-        for key, value in cache._data.items():
-            assert loaded.lookup(key) == value
-
-    def test_dump_is_atomic(self, tmp_path, monkeypatch):
-        # a failed replace leaves the old file whole and no temporary file behind
-        path = tmp_path / "kloosterman_cache.csv"
-        old = KloostermanCache()
-        kloosterman_sum("full_gamma1", 1, 5, old)
-        old.dump(path)
-        before = path.read_text()
-        new = KloostermanCache()
-        for c in range(1, 30):
-            kloosterman_sum("full_gamma1", 2, c, new)
-
-        def failing_replace(src, dst):
-            raise OSError("replace failed")
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="replace failed"):
-            new.dump(path)
-        assert path.read_text() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_corrupt_records_rejected(self, tmp_path):
-        path = tmp_path / "cache.csv"
-        for bad in ("full_gamma1,3,1", "weird,3,1,0.0,0.0",
-                    "full_gamma1,x,1,0.0,0.0", "full_gamma1,3,5,0.0,0.0"):
-            path.write_text(bad + "\n")
-            with pytest.raises(CacheCorrupt):
-                KloostermanCache().load(path)
+        monkeypatch.setattr(rademacher, "kloosterman_quadratic", no_recompute)
+        assert kloosterman_sum(4 + 9, 9) == value
+        assert rademacher.DEFAULT_CACHE == {(9, 4): value}
