@@ -41,8 +41,10 @@ from .errors import (
     NotCoprime,
     PoleAtArgument,
     QuadratureNonConvergence,
+    SignViolation,
     UnknownName,
     UnsupportedSpec,
+    ValueOverflow,
     ZeroLeadingCoefficient,
 )
 from .qseries import DEFAULT_TRUNCATION, FracExp, QSeries, named_series

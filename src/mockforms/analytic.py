@@ -1,15 +1,24 @@
 """Double-precision complex evaluation of the analytic objects.
 
-Everything here is a direct summation of a defining series (Jacobi theta
-functions, the Dedekind eta product, the Lerch/Appell sum, level-P theta
-series, superconformal characters, elliptic genera) or a closed form (error
-function, half-integer Bessel functions, specialised Whittaker values).
+Jacobi theta functions, the Dedekind eta product, the Lerch/Appell sum and
+its completion are evaluated at the SL2(Z)-reduced point: _reduce walks tau
+into |Re tau| <= 1/2, |tau| >= 1, the transformation laws carry the value
+there (for mu_hat: Zwegers, Mock Theta Functions, arXiv:0807.4834, Prop. 1.4,
+Prop. 1.5 and Thm. 1.11), and z is moved into the period parallelogram by
+quasi-periodicity.  The direct sums of the defining series then run where
+they converge in a few terms, so the cost and the accuracy do not depend on
+Im tau.  Large or small factors are carried as logarithms; a value past the
+range of a double raises ValueOverflow.  Level-P theta series, the
+superconformal q-series and the non-holomorphic correction R are summed
+directly at the tau they are given; closed forms cover the error function,
+half-integer Bessel functions and the specialised Whittaker values.
 
 Truncation policy: series are summed symmetrically outward and stopped once
 consecutive terms fall below 1e-18 relative to the running partial sum, so
-results are deterministic for fixed inputs.  Denominators are guarded at
-1e-10: evaluation points too close to a pole raise a typed error rather than
-returning a huge value.
+results are deterministic for fixed inputs.  Pole guards are relative: a
+theta_11 whose sum at the reduced point falls below 1e-10 of its largest
+term, or a denominator within 1e-10 of zero, raises a typed error rather
+than returning a huge value.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -30,6 +39,7 @@ from .errors import (
     QuadratureNonConvergence,
     UnknownName,
     UnsupportedSpec,
+    ValueOverflow,
 )
 from .rademacher import bessel_i_half, bessel_i_three_half
 
@@ -99,7 +109,129 @@ def _z(value: Union[EllipticArg, Complexish]) -> complex:
     return complex(value)
 
 
+# -- reduction to the fundamental domain ------------------------------------
+
+
+def _reduce(t: complex) -> list[tuple[int, complex]]:
+    """The SL2(Z) word that carries tau into |Re tau| <= 1/2, |tau| >= 1.
+
+    Each step (n, s) translates the current point by -n to s; every step but
+    the last then inverts, tau -> -1/s.  The last s is the reduced point.
+    The 1e-9 slack on |tau| >= 1 stops the walk cycling at the corners.
+    """
+    steps = []
+    while True:
+        n = math.floor(t.real + 0.5)
+        t -= n
+        steps.append((n, t))
+        if abs(t) >= 1.0 - 1e-9:
+            return steps
+        t = -1.0 / t
+
+
+def _theta_lattice(w: complex, t: complex) -> tuple[complex, complex]:
+    """(w0, log) with theta_00(w; tau) = exp(log) theta_00(w0; tau), w0 = w - a - b tau.
+
+    |Im w0| <= Im tau / 2 and |Re w0| <= 1/2, and
+    theta_00(w0 + a + b tau) = e^{-i pi b (b tau + 2 w0)} theta_00(w0).  For
+    |b| > 1 (Im w well above Im tau) w0 and the phase mod 2 pi are formed in
+    exact rationals, so a large b costs no digits; the float branch keeps
+    the common case cheap.
+    """
+    b = round(w.imag / t.imag)
+    if abs(b) <= 1:
+        w -= b * t
+        w -= round(w.real)
+        return w, -1j * math.pi * b * (b * t + 2.0 * w)
+    re = Fraction(w.real) - b * Fraction(t.real)
+    re -= round(re)
+    im = w.imag - b * t.imag
+    phase = b * (b * Fraction(t.real) + 2 * re) % 2
+    return complex(float(re), im), math.pi * (b * (b * t.imag + 2.0 * im) - 1j * float(phase))
+
+
+def _scaled(log: complex, value: complex) -> complex:
+    """exp(log) * value, raising ValueOverflow instead of overflowing."""
+    if value == 0:
+        return 0j
+    exponent = log + cmath.log(value)
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:
+        raise ValueOverflow(f"|value| = exp({exponent.real:.6g}) exceeds the range of a double") from None
+
+
 # -- theta functions -----------------------------------------------------
+
+
+def _theta00_sum(z: complex, t: complex) -> complex:
+    """sum_n exp(i pi (tau n^2 + 2 n z)), summed outward from n = 0.
+
+    For |Im z| <= Im tau / 2 no term is larger than the n = 0 term, 1, so
+    the terms only shrink from there on.
+    """
+    total = 1.0 + 0j
+    small_streak = 0
+    n = 1
+    while True:
+        a = cmath.exp(1j * math.pi * n * (t * n + 2.0 * z))
+        b = cmath.exp(1j * math.pi * n * (t * n - 2.0 * z))
+        total += a + b
+        if abs(a) + abs(b) <= TAIL_EPS * (1.0 + abs(total)):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+        n += 1
+        if n > 10_000:  # unreachable for finite arguments
+            raise QuadratureNonConvergence("theta series did not settle")
+
+
+def _theta00_argument(label: str, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, w) with theta_label(z; tau) = exp(log) theta_00(w; tau).
+
+    theta_01(z) = theta_00(z + 1/2), theta_10(z) = e^{i pi (tau/4 + z)} theta_00(z + tau/2)
+    and theta_11(z) = e^{i pi (tau/4 + z + 1/2)} theta_00(z + 1/2 + tau/2).
+    """
+    if label not in ("11", "10", "00", "01"):
+        raise UnknownName(f"no theta function labelled {label!r}")
+    if label in ("11", "01"):
+        z = z + 0.5
+    if label in ("11", "10"):
+        return 1j * math.pi * (0.25 * t + z), z + 0.5 * t
+    return 0j, z
+
+
+def _theta_direct(label: str, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with theta_label(z; tau) = exp(log) * value, summed at tau itself.
+
+    z is first moved into the period parallelogram by
+    theta_00(z0 + a + b tau) = e^{-i pi b (b tau + 2 z0)} theta_00(z0), which
+    only re-indexes the series, so value is the sum in units of its largest
+    term.
+    """
+    log, w = _theta00_argument(label, z, t)
+    w, more = _theta_lattice(w, t)
+    return log + more, _theta00_sum(w, t)
+
+
+def _theta_parts(label: str, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with theta_label(z; tau) = exp(log) * value, summed at the reduced tau.
+
+    Along the word of _reduce: theta_00(z; tau + n) = theta_00(z + n/2; tau),
+    and, with z first reduced mod the lattice of tau,
+    theta_00(z; tau) = sqrt(i/tau) e^{-i pi z^2/tau} theta_00(z/tau; -1/tau).
+    """
+    log, w = _theta00_argument(label, z, t)
+    steps = _reduce(t)
+    for n, s in steps[:-1]:
+        w, more = _theta_lattice(w + 0.5 * (n % 2), s)
+        log += more + 0.5 * cmath.log(1j / s) - 1j * math.pi * w * w / s
+        w = w / s
+    n, t_red = steps[-1]
+    more, value = _theta_direct("00", w + 0.5 * (n % 2), t_red)
+    return log + more, value
 
 
 def jacobi_theta(label: str, z, tau) -> complex:
@@ -107,43 +239,15 @@ def jacobi_theta(label: str, z, tau) -> complex:
 
     Summation index k runs over half-integers for "11"/"10" and integers for
     "00"/"01"; labels "11" and "01" shift z by 1/2.  Each term is
-    exp(i pi (tau k^2 + 2 k z_eff)).
+    exp(i pi (tau k^2 + 2 k z_eff)).  Evaluated as theta_00 at the reduced
+    point (see _theta_parts); raises ValueOverflow when |theta| exceeds the
+    range of a double.
     """
-    if label not in ("11", "10", "00", "01"):
-        raise UnknownName(f"no theta function labelled {label!r}")
-    z = _z(z)
-    t = _tau(tau)
-    z_eff = z + 0.5 if label in ("11", "01") else z
-    half = label in ("11", "10")
-
-    def term(k: float) -> complex:
-        return cmath.exp(1j * math.pi * (t * k * k + 2.0 * k * z_eff))
-
-    total = 0j
-    if not half:
-        total = term(0.0)
-    j_safe = 2 + int(abs(z_eff.imag) / t.imag)
-    small_streak = 0
-    j = 0
-    while True:
-        k = j + 0.5 if half else j + 1.0
-        t_pos, t_neg = term(k), term(-k)
-        total += t_pos + t_neg
-        if abs(t_pos) + abs(t_neg) <= TAIL_EPS * (1.0 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2 and j >= j_safe:
-                break
-        else:
-            small_streak = 0
-        j += 1
-        if j > 10_000:  # unreachable for Im tau bounded away from 0
-            raise QuadratureNonConvergence("theta series did not settle")
-    return total
+    return _scaled(*_theta_parts(label, _z(z), _tau(tau)))
 
 
-def dedekind_eta(tau) -> complex:
-    """eta(tau) = q^{1/24} prod_{n=1}^{N} (1 - q^n) with |q|^N below 1e-18."""
-    t = _tau(tau)
+def _euler_product(t: complex) -> complex:
+    """prod_{n=1}^{N} (1 - q^n) with |q|^N below 1e-18."""
     q = cmath.exp(2j * math.pi * t)
     n_terms = int(18.0 * math.log(10.0) / (2.0 * math.pi * t.imag)) + 3
     prod = 1.0 + 0j
@@ -151,12 +255,31 @@ def dedekind_eta(tau) -> complex:
     for _ in range(n_terms):
         q_pow *= q
         prod *= 1.0 - q_pow
-    return cmath.exp(2j * math.pi * t / 24.0) * prod
+    return prod
+
+
+def _eta_parts(t: complex) -> tuple[complex, complex]:
+    """(log, value) with eta(tau) = exp(log) * value, the product taken at the reduced tau.
+
+    eta(tau + n) = e^{i pi n/12} eta(tau) and eta(tau) = sqrt(i/tau) eta(-1/tau).
+    """
+    log = 0j
+    steps = _reduce(t)
+    for n, s in steps[:-1]:
+        log += 1j * math.pi * (n % 24) / 12.0 + 0.5 * cmath.log(1j / s)
+    n, t_red = steps[-1]
+    log += 1j * math.pi * ((n % 24) + t_red) / 12.0
+    return log, _euler_product(t_red)
+
+
+def dedekind_eta(tau) -> complex:
+    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), evaluated at the reduced point."""
+    return _scaled(*_eta_parts(_tau(tau)))
 
 
 def _eta_cubed(t: complex) -> complex:
-    e = dedekind_eta(t)
-    return e * e * e
+    log, value = _eta_parts(t)
+    return _scaled(3.0 * log, value * value * value)
 
 
 # -- error function and the non-holomorphic correction ---------------------
@@ -192,7 +315,8 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
         for m in range(0, 400):
             k = m + 0.5
             amp = math.erfc(k * scale)
-            term = 2.0 * (-1) ** m * amp * cmath.exp(-1j * math.pi * t * k * k)
+            # an erfc that underflowed to 0 leaves a term below e^{-351}
+            term = 2.0 * (-1) ** m * amp * cmath.exp(-1j * math.pi * t * k * k) if amp else 0j
             total += term
             if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
                 small_streak += 1
@@ -228,18 +352,19 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
 # -- Lerch sum and its completion -------------------------------------------
 
 
-def lerch_sum(z, tau) -> complex:
-    """The Appell/Lerch sum
+def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with mu(z; tau) = exp(log) * value, summed at tau itself.
 
-        mu(z; tau) = (i e^{pi i z} / theta_11(z; tau))
-                     * sum_n (-1)^n q^{n(n+1)/2} e^{2 pi i n z} / (1 - q^n e^{2 pi i z}).
-
-    Even in z.  Raises PoleAtArgument when theta_11 or a denominator is
-    numerically zero (z on the period lattice).
+    mu is even and elliptic in z, so z is first moved into the period
+    parallelogram with Im z >= 0.  Then |e^{2 pi i z}| <= 1 and no term or
+    denominator below can overflow, however large Im tau is.  Raises
+    PoleAtArgument when theta_11(z) is below POLE_EPS times the largest term
+    of its series, or a denominator is numerically zero.
     """
-    z = _z(z)
-    t = _tau(tau)
-    th = jacobi_theta("11", z, t)
+    z = _theta_lattice(z, t)[0]
+    if z.imag < 0:
+        z = -z
+    th_log, th = _theta_direct("11", z, t)
     if abs(th) < POLE_EPS:
         raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
 
@@ -251,7 +376,7 @@ def lerch_sum(z, tau) -> complex:
                 raise PoleAtArgument(f"Lerch denominator vanishes at n = {n}, z = {z}")
             return (-1) ** n * cmath.exp(1j * math.pi * (t * n * (n + 1) + 2.0 * n * z)) / den
         # for n < 0 multiply through by q^{-n} e^{-2 pi i z} to avoid overflow
-        w = cmath.exp(1j * math.pi * (-2.0 * t * n - 2.0 * z))  # |w| >> 1 eventually
+        w = cmath.exp(1j * math.pi * (-2.0 * t * n - 2.0 * z))
         den = w - 1.0
         if abs(den) < POLE_EPS * max(1.0, abs(w)):
             raise PoleAtArgument(f"Lerch denominator vanishes at n = {n}, z = {z}")
@@ -273,12 +398,55 @@ def lerch_sum(z, tau) -> complex:
             n += direction
             if abs(n) > 400:
                 raise QuadratureNonConvergence("Lerch sum did not settle")
-    return 1j * cmath.exp(1j * math.pi * z) / th * total
+    return 1j * math.pi * z - th_log, 1j * total / th
+
+
+def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]:
+    """(factor, z', tau') with mu_hat(z; tau) = factor * mu_hat(z'; tau') and tau' reduced.
+
+    mu_hat(z; tau + n) = e^{-i pi n/4} mu_hat(z; tau), mu_hat is invariant
+    under z -> z + 1 and z -> z + tau, and
+    mu_hat(z; tau) = -sqrt(i/tau) mu_hat(z/tau; -1/tau)
+    (Zwegers, Mock Theta Functions, Thm. 1.11, at u = v).
+    """
+    factor = 1.0 + 0j
+    steps = _reduce(t)
+    for n, s in steps[:-1]:
+        factor *= -cmath.exp(-0.25j * math.pi * (n % 8)) * cmath.sqrt(1j / s)
+        z = _theta_lattice(z, s)[0] / s
+    n, t_red = steps[-1]
+    return factor * cmath.exp(-0.25j * math.pi * (n % 8)), z, t_red
+
+
+def _completion_direct(z: complex, t: complex) -> complex:
+    """mu(z; tau) - R(tau)/2 by the direct sums at tau itself."""
+    return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t, "sum")
+
+
+def lerch_sum(z, tau) -> complex:
+    """The Appell/Lerch sum
+
+        mu(z; tau) = (i e^{pi i z} / theta_11(z; tau))
+                     * sum_n (-1)^n q^{n(n+1)/2} e^{2 pi i n z} / (1 - q^n e^{2 pi i z}).
+
+    Even and elliptic in z.  Summed directly when tau is in the fundamental
+    domain, else computed as lerch_completion + R(tau)/2.  Raises
+    PoleAtArgument when z sits on the period lattice.
+    """
+    z = _z(z)
+    t = _tau(tau)
+    if _reduce(t) != [(0, t)]:
+        return lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t, "sum")
+    return _scaled(*_lerch_direct(z, t))
 
 
 def lerch_completion(z, tau) -> complex:
-    """mu(z; tau) - R(tau)/2, the modular completion of the Lerch sum."""
-    return lerch_sum(z, tau) - 0.5 * nonholomorphic_correction(tau, "sum")
+    """mu(z; tau) - R(tau)/2, the modular completion of the Lerch sum.
+
+    Evaluated by the direct sums at the reduced point (see _completion_walk).
+    """
+    factor, z, t = _completion_walk(_z(z), _tau(tau))
+    return factor * _completion_direct(z, t)
 
 
 # -- Bessel and Whittaker closed forms ---------------------------------------
@@ -470,9 +638,23 @@ class CharSpec:
                 raise UnsupportedSpec("massless isospin must lie in {0, ..., k/2}")
 
 
-def _theta11_sq_over_eta3(z: complex, t: complex) -> complex:
-    th = jacobi_theta("11", z, t)
-    return th * th / _eta_cubed(t)
+def _theta_sq_over_eta3(label: str, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with theta_label(z)^2 / eta^3 = exp(log) * value."""
+    th_log, th = _theta_parts(label, z, t)
+    eta_log, eta = _eta_parts(t)
+    return 2.0 * th_log - 3.0 * eta_log, th * th / (eta * eta * eta)
+
+
+def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
+    """theta_11(2z) as (log, value), raising PoleAtArgument where it vanishes.
+
+    The test is relative: value is the series over its largest term at the
+    reduced point.
+    """
+    log, value = _theta_parts("11", 2.0 * z, t)
+    if abs(value) < POLE_EPS:
+        raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
+    return log, value
 
 
 def _massless_compact_sum(z: complex, t: complex) -> complex:
@@ -480,9 +662,7 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
     (the tilded-Ramond sector): prefactor i theta_11(z)^2 / (theta_11(2z) eta^3)
     times sum_m q^{2m^2} e^{8 pi i m z} (1 + e^{2 pi i z} q^m)/(1 - e^{2 pi i z} q^m).
     """
-    th2 = jacobi_theta("11", 2.0 * z, t)
-    if abs(th2) < POLE_EPS:
-        raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
+    th2_log, th2 = _theta11_of_2z(z, t)
 
     def summand(m: int) -> complex:
         y_qm = cmath.exp(1j * math.pi * (2.0 * z + 2.0 * t * m))
@@ -507,7 +687,8 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
             m += direction
             if abs(m) > 200:
                 raise QuadratureNonConvergence("massless character sum did not settle")
-    return 1j / th2 * _theta11_sq_over_eta3(z, t) * total
+    log, value = _theta_sq_over_eta3("11", z, t)
+    return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
 def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> complex:
@@ -520,10 +701,7 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
     Other sectors are reached by shifting w.  Terms with m > 0 are rewritten
     to keep q^{-m} out of the numerator.
     """
-    th2 = jacobi_theta("11", 2.0 * w, t)
-    if abs(th2) < POLE_EPS:
-        raise PoleAtArgument(f"theta_11(2w) vanishes at w = {w}")
-    th10 = jacobi_theta("10", w, t)
+    th2_log, th2 = _theta11_of_2z(w, t)
     le = float(ell)
 
     def pair(m: int) -> complex:
@@ -561,7 +739,8 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
             m += direction
             if abs(m) > 200:
                 raise QuadratureNonConvergence("massless character sum did not settle")
-    return 1j / th2 * th10 * th10 / _eta_cubed(t) * total
+    log, value = _theta_sq_over_eta3("10", w, t)
+    return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
 def superconformal_character(spec: CharSpec, z, tau) -> complex:
@@ -580,7 +759,8 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
         if spec.k != 1 or spec.ell != 0:
             raise UnsupportedSpec("the Lerch form is the level-1, isospin-0 massless character")
         w = z + (flow - _FLOW["Rtilde"]).at(t)
-        return _theta11_sq_over_eta3(w, t) * lerch_sum(w, t)
+        log, value = _theta_sq_over_eta3("11", w, t)
+        return _scaled(log, value * lerch_sum(w, t))
 
     if spec.kind == "massless_sum_form":
         if spec.k == 1 and spec.ell == 0:
@@ -592,19 +772,18 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     # massive
     w = z + (flow - _FLOW["R"]).at(t)
     exponent = spec.h - spec.ell ** 2 / (spec.k + 1) - Fraction(spec.k, 4)
-    pref = cmath.exp(2j * math.pi * t * float(exponent))
-    th10 = jacobi_theta("10", w, t)
+    log, value = _theta_sq_over_eta3("10", w, t)
     chi = affine_su2_character(spec.k - 1, spec.ell - Fraction(1, 2), w, t)
-    return pref * th10 * th10 / _eta_cubed(t) * chi
+    return _scaled(log + 2j * math.pi * t * float(exponent), value * chi)
 
 
 # -- elliptic genera and the two-argument kernel ------------------------------
 
 
 def _theta_quotient_sq(label: str, z: complex, t: complex) -> complex:
-    num = jacobi_theta(label, z, t)
-    den = jacobi_theta(label, 0.0, t)
-    return (num / den) ** 2
+    num_log, num = _theta_parts(label, z, t)
+    den_log, den = _theta_parts(label, 0j, t)
+    return _scaled(2.0 * (num_log - den_log), (num / den) ** 2)
 
 
 def elliptic_genus(variant: str, z, tau) -> complex:
@@ -635,4 +814,5 @@ def lerch_difference(z, w, tau) -> complex:
     z = _z(z)
     w = _z(w)
     t = _tau(tau)
-    return _theta11_sq_over_eta3(z, t) * (lerch_sum(z, t) - lerch_sum(w, t))
+    log, value = _theta_sq_over_eta3("11", z, t)
+    return _scaled(log, value * (lerch_sum(z, t) - lerch_sum(w, t)))

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import analytic
 from .analytic import CharSpec, elliptic_genus, jacobi_theta, lerch_difference, superconformal_character
-from .errors import BeyondTruncation, NonIntegralCoefficient, UnknownName
+from .errors import BeyondTruncation, NonIntegralCoefficient, SignViolation, UnknownName
 from .qseries import (
     DEFAULT_TRUNCATION,
     ExponentLike,
@@ -128,13 +128,13 @@ class CoeffTable:
 
     def __post_init__(self):
         if self.kind == "k3" and any(v <= 0 for v in self.values.values()):
-            raise NonIntegralCoefficient("compact multiplicities must be positive")
+            raise SignViolation("compact multiplicities must be positive")
         if self.kind == "ale" and any(v <= 0 for v in self.values.values()):
-            raise NonIntegralCoefficient("ALE multiplicities must be positive")
+            raise SignViolation("ALE multiplicities must be positive")
         if self.kind == "noncompact":
             for n in range(1, min(self.n_max, 10) + 1):
                 if self.values[n] * (-1) ** n <= 0:
-                    raise NonIntegralCoefficient(f"noncompact sign pattern broken at n = {n}")
+                    raise SignViolation(f"noncompact sign pattern broken at n = {n}")
 
 
 def coeff_table(kind: str, n_max: int, truncation: ExponentLike | None = None) -> CoeffTable:

@@ -160,10 +160,14 @@ def cmd_pofn(cfg: RunConfig, out) -> int:
 def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
     import cmath
 
-    from .analytic import CharSpec, dedekind_eta, jacobi_theta, lerch_completion, superconformal_character
+    from .analytic import (CharSpec, _completion_direct, _euler_product, dedekind_eta, jacobi_theta,
+                           lerch_completion, superconformal_character)
     from .rademacher import _dedekind_euclid
     from fractions import Fraction
 
+    # One side of each modular law (mu_hat_*, completion_*, eta_gamma) is
+    # summed directly at tau, the other reduced to the fundamental domain,
+    # so the laws do not check the reduction against itself.
     checks: list[tuple[str, float, float]] = []
     zs = (0.23 + 0.11j, 0.41 - 0.07j, 0.13 + 0.05j)
     taus = (0.10 + 0.90j, -0.20 + 1.30j, 0.35 + 1.80j)
@@ -180,7 +184,8 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
         worst["theta_jacobi"] = max(worst["theta_jacobi"], j)
         worst["genus_at_zero"] = max(worst["genus_at_zero"],
                                      characters.identity_check("genus_at_zero", 0.0, t))
-        shat = shadow.multiplicity_completion(t)
+        shat = shadow._completion_sum(t)
+        eta = cmath.exp(2j * math.pi * t / 24.0) * _euler_product(t)
         worst["completion_S"] = max(worst["completion_S"],
                                     abs(shadow.multiplicity_completion(-1 / t) + cmath.sqrt(t / 1j) * shat))
         worst["completion_T"] = max(worst["completion_T"],
@@ -194,7 +199,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
             s_dc = _dedekind_euclid(d % c, c) if c > 1 else Fraction(0)
             pre = cmath.exp(-0.25j * math.pi) * cmath.exp(1j * math.pi * float(Fraction(a + d, 12 * c) - s_dc))
             worst["eta_gamma"] = max(worst["eta_gamma"], abs(
-                dedekind_eta(gt) - pre * cmath.sqrt(c * t + d) * dedekind_eta(t)))
+                dedekind_eta(gt) - pre * cmath.sqrt(c * t + d) * eta))
         for z in zs:
             worst["half_period_sq"] = max(worst["half_period_sq"],
                                           characters.identity_check("half_period_sq", z, t))
@@ -205,7 +210,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
             mu_form = superconformal_character(
                 CharSpec("massless_mu_form", 1, Fraction(1, 4), 0), z, t)
             worst["massless_forms"] = max(worst["massless_forms"], abs(sum_form - mu_form))
-            mh = lerch_completion(z, t)
+            mh = _completion_direct(z, t)
             worst["mu_hat_T"] = max(worst["mu_hat_T"],
                                     abs(lerch_completion(z, t + 1) - cmath.exp(-0.25j * math.pi) * mh))
             worst["mu_hat_S"] = max(worst["mu_hat_S"],

@@ -41,6 +41,10 @@ class QuadratureNonConvergence(MockformsError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class ValueOverflow(MockformsError):
+    """An analytic value exceeds the range of a double at this argument."""
+
+
 class BesselOverflow(MockformsError):
     """A Bessel closed form exceeds the range of a double at this argument."""
 
@@ -52,6 +56,13 @@ class NonIntegralCoefficient(MockformsError):
 
     This always signals an upstream bug, never a rounding problem: the whole
     pipeline works in exact rational arithmetic.
+    """
+
+
+class SignViolation(MockformsError):
+    """An exact multiplicity table breaks its sign or positivity invariant.
+
+    Like NonIntegralCoefficient, this signals an upstream bug.
     """
 
 

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .analytic import (
     WhittakerClosed,
+    _completion_walk,
+    _lerch_direct,
+    _scaled,
     _tau,
     bessel_half,
     dedekind_eta,
     lerch_completion,
-    lerch_sum,
     nonholomorphic_correction,
     whittaker_closed,
 )
@@ -97,13 +99,25 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
     return out
 
 
+def _completion_sum(t: complex) -> complex:
+    """8 sum over the half-periods w of mu(w; tau) - R(tau)/2, by the direct sums at tau."""
+    half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
+    correction = 1.5 * nonholomorphic_correction(t, "sum")
+    return 8.0 * (sum(_scaled(*_lerch_direct(w, t)) for w in half_periods) - correction)
+
+
 def multiplicity_completion(tau, kind: str = "k3") -> complex:
-    """8 sum over half-periods of mu_hat (kind "k3"), or 8 mu_hat(1/2) ("noncompact")."""
+    """8 sum over half-periods of mu_hat (kind "k3"), or 8 mu_hat(1/2) ("noncompact").
+
+    Both are evaluated at the SL2(Z)-reduced point, with the multiplier of
+    mu_hat (analytic._completion_walk).
+    """
     t = _tau(tau)
     if kind == "k3":
-        half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
-        correction = 1.5 * nonholomorphic_correction(t, "sum")
-        return 8.0 * (sum(lerch_sum(w, t) for w in half_periods) - correction)
+        # the half-periods of tau go to those of tau', so the sum has the
+        # multiplier of each mu_hat
+        factor, _, t_red = _completion_walk(0j, t)
+        return factor * _completion_sum(t_red)
     if kind == "noncompact":
         return 8.0 * lerch_completion(0.5, t)
     raise UnknownName(f"no completion of kind {kind!r}")

@@ -88,36 +88,63 @@ def gauss_error_integral(x: float) -> float:
     return sign * simpson(lambda u: 2.0 * math.exp(-math.pi * u * u), 0.0, abs(x))
 
 
-def theta_sum(label: str, z: complex, tau: complex, n_range: int = 60) -> complex:
-    """Fixed-range Jacobi theta summation straight from the definitions."""
+def theta_terms(label: str, z: complex, tau: complex, n_range: int = 60) -> list[complex]:
+    """The terms of the Jacobi theta series over a fixed range, from the definitions."""
     z_eff = z + 0.5 if label in ("11", "01") else z
-    total = 0j
     if label in ("11", "10"):
         ks = [n + 0.5 for n in range(-n_range, n_range)]
     else:
         ks = list(range(-n_range, n_range + 1))
-    for k in ks:
-        total += cmath.exp(1j * math.pi * (tau * k * k + 2.0 * k * z_eff))
+    return [cmath.exp(1j * math.pi * (tau * k * k + 2.0 * k * z_eff)) for k in ks]
+
+
+def theta_sum(label: str, z: complex, tau: complex, n_range: int = 60) -> complex:
+    """Fixed-range Jacobi theta summation straight from the definitions."""
+    total = 0j
+    for term in theta_terms(label, z, tau, n_range):
+        total += term
     return total
 
 
-def lerch_sum_fixed(z: complex, tau: complex, n_range: int = 400) -> complex:
-    """Lerch sum by direct summation over |n| <= n_range, no adaptivity.
+def lerch_terms_fixed(z: complex, tau: complex, n_range: int = 400) -> list[complex]:
+    """The terms of the Lerch numerator sum over |n| <= n_range.
 
     For n < 0 the term is rewritten to keep q^n out of the numerator, which
     is an exact algebraic identity, not an approximation.
     """
-    th = theta_sum("11", z, tau)
-    total = 0j
+    terms = []
     for n in range(-n_range, n_range + 1):
         if n >= 0:
             den = 1.0 - cmath.exp(1j * math.pi * (2.0 * tau * n + 2.0 * z))
-            total += (-1) ** n * cmath.exp(1j * math.pi * (tau * n * (n + 1) + 2.0 * n * z)) / den
+            terms.append((-1) ** n * cmath.exp(1j * math.pi * (tau * n * (n + 1) + 2.0 * n * z)) / den)
         else:
             den = cmath.exp(1j * math.pi * (-2.0 * tau * n - 2.0 * z)) - 1.0
-            total += (-1) ** n * cmath.exp(
-                1j * math.pi * (tau * n * (n + 1) - 2.0 * tau * n + 2.0 * (n - 1) * z)) / den
+            terms.append((-1) ** n * cmath.exp(
+                1j * math.pi * (tau * n * (n + 1) - 2.0 * tau * n + 2.0 * (n - 1) * z)) / den)
+    return terms
+
+
+def lerch_sum_fixed(z: complex, tau: complex, n_range: int = 400) -> complex:
+    """Lerch sum by direct summation over |n| <= n_range, no adaptivity."""
+    th = theta_sum("11", z, tau)
+    total = 0j
+    for term in lerch_terms_fixed(z, tau, n_range):
+        total += term
     return 1j * cmath.exp(1j * math.pi * z) / th * total
+
+
+def lerch_rounding_scale(z: complex, tau: complex) -> float:
+    """What rounding can move lerch_sum_fixed by.
+
+    The oracle is i e^{i pi z} S / theta with S and theta summed term by
+    term; each carries an error of about eps times the sum of its terms'
+    moduli, so cancellation in either shows up relative to the value as that
+    sum over the value.  At Im tau = 0.05 theta cancels to ~1e-7 of its terms.
+    """
+    lerch = lerch_terms_fixed(z, tau)
+    th = theta_terms("11", z, tau)
+    mu = abs(lerch_sum_fixed(z, tau))
+    return mu * (math.fsum(map(abs, lerch)) / abs(sum(lerch)) + math.fsum(map(abs, th)) / abs(sum(th)))
 
 
 def vartheta_sum(P: int, a: int, z: complex, tau: complex, n_range: int = 80) -> complex:
@@ -175,3 +202,36 @@ def dedekind_phase_sum(n: int, c: int) -> complex:
     """
     terms = [phase * cmath.exp(2j * math.pi * (d * n % c) / c) for d, phase in _dedekind_phase_row(c)]
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def correction_fixed(tau: complex) -> complex:
+    """R(tau) = 2 sum_m (-1)^m erfc((m + 1/2) sqrt(2 pi v)) e^{-i pi tau (m + 1/2)^2}, fixed range.
+
+    The range is every m whose erfc argument is below 26; past it erfc is
+    below e^{-676} and a term below e^{-338}.
+    """
+    scale = math.sqrt(2.0 * math.pi * tau.imag)
+    total = 0j
+    for m in range(int(26.0 / scale + 0.5)):
+        k = m + 0.5
+        total += 2.0 * (-1) ** m * math.erfc(k * scale) * cmath.exp(-1j * math.pi * tau * k * k)
+    return total
+
+
+def completion_fixed(z: complex, tau: complex) -> complex:
+    """mu(z; tau) - R(tau)/2 from the two fixed-range sums."""
+    return lerch_sum_fixed(z, tau) - 0.5 * correction_fixed(tau)
+
+
+def multiplicity_completion_fixed(tau: complex) -> complex:
+    """8 sum over the half-periods 1/2, (1 + tau)/2, tau/2 of mu - R/2, fixed ranges."""
+    return 8.0 * sum(completion_fixed(w, tau) for w in (0.5, 0.5 * (1.0 + tau), 0.5 * tau))
+
+
+def eta_product_fixed(tau: complex, n_terms: int = 400) -> complex:
+    """q^{1/24} prod_{n <= n_terms} (1 - q^n), factor by factor."""
+    q = cmath.exp(2j * math.pi * tau)
+    prod = cmath.exp(2j * math.pi * tau / 24.0)
+    for n in range(1, n_terms + 1):
+        prod *= 1.0 - q ** n
+    return prod

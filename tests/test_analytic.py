@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockforms.analytic import (
     CharSpec,
@@ -35,16 +36,44 @@ from mockforms.errors import (
     QuadratureNonConvergence,
     UnknownName,
     UnsupportedSpec,
+    ValueOverflow,
 )
 from mockforms.qseries import eta_series, theta_constant_series
 from mockforms.rademacher import dedekind_sum
 
-from oracles import gauss_error_integral, lerch_sum_fixed, theta_sum, vartheta_sum
+from oracles import (
+    completion_fixed,
+    correction_fixed,
+    eta_product_fixed,
+    gauss_error_integral,
+    lerch_rounding_scale,
+    lerch_sum_fixed,
+    theta_sum,
+    theta_terms,
+    vartheta_sum,
+)
 
 F = Fraction
 
 TAUS = (0.10 + 0.90j, -0.20 + 1.30j, 0.35 + 1.80j, 2.0j, 0.05 + 1.10j)
 ZS = (0.23 + 0.11j, 0.41 - 0.07j, 0.13 + 0.05j)
+
+# Points for the reduction properties: Im tau in [0.05, 3] and |Re tau| <= 3,
+# so both |tau| < 1 and |Re tau| > 1/2 occur, and z inside the period strip
+# away from the lattice, z = x + i r Im tau.
+ORACLE_TAU = st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
+STRIP_Z = st.tuples(st.floats(0.05, 0.45), st.floats(-0.4, 0.4))
+# Im tau log-uniform over [1e-3, 0.05], where the direct sums fail
+SMALL_TAU = st.builds(lambda x, u: complex(x, math.exp(u)), st.floats(-0.5, 0.5),
+                      st.floats(math.log(1e-3), math.log(0.05)))
+
+
+def _strip_point(z: tuple, t: complex) -> complex:
+    return complex(z[0], z[1] * t.imag)
+
+
+def _abs_sum(terms) -> float:
+    return math.fsum(abs(term) for term in terms)
 
 
 class TestDomainTypes:
@@ -89,6 +118,35 @@ class TestTheta:
         with pytest.raises(UnknownName):
             jacobi_theta("12", 0.0, 1j)
 
+    @settings(max_examples=60, deadline=None)
+    @given(t=ORACLE_TAU, zr=STRIP_Z)
+    def test_reduced_evaluation_matches_fixed_range_oracle(self, t, zr):
+        # relative 1e-12 of the sum of the oracle's term moduli, which is
+        # what bounds the oracle's own rounding when its terms cancel
+        z = _strip_point(zr, t)
+        for label in ("11", "10", "00", "01"):
+            terms = theta_terms(label, z, t)
+            assert abs(jacobi_theta(label, z, t) - sum(terms)) <= 1e-12 * _abs_sum(terms)
+
+    def test_quasi_periodicity_with_im_z_far_above_im_tau(self):
+        # Im z / Im tau = 5500: |theta_11| is about e^{1842}, past a double
+        with pytest.raises(ValueOverflow):
+            jacobi_theta("11", 0.23 + 0.11j, 0.3 + 2e-5j)
+        # at Im z / Im tau = 550 and 55 the value fits, and
+        # theta_11(z + tau) = -e^{-i pi tau - 2 pi i z} theta_11(z)
+        t = 0.3 + 2e-5j
+        for z in (0.23 + 0.011j, 0.23 + 0.0011j):
+            shifted = jacobi_theta("11", z + t, t)
+            law = -cmath.exp(-1j * math.pi * t - 2j * math.pi * z) * jacobi_theta("11", z, t)
+            assert abs(shifted - law) < 1e-11 * abs(law)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=SMALL_TAU)
+    def test_jacobi_quartic_at_small_im_tau(self, t):
+        th00, th01, th10 = (jacobi_theta(label, 0.0, t) for label in ("00", "01", "10"))
+        scale = abs(th00) ** 4 + abs(th01) ** 4 + abs(th10) ** 4
+        assert abs(th00 ** 4 - th01 ** 4 - th10 ** 4) <= 1e-12 * scale
+
     def test_accepts_wrapped_types(self):
         a = jacobi_theta("00", EllipticArg(0.1), ModularPoint(1.2j))
         b = jacobi_theta("00", 0.1, 1.2j)
@@ -120,6 +178,12 @@ class TestEta:
     def test_eighth_power_positive_on_imaginary_axis(self):
         value = dedekind_eta(1j) ** 8
         assert value.real > 0 and abs(value.imag) < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=ORACLE_TAU)
+    def test_reduced_evaluation_matches_fixed_product(self, t):
+        ref = eta_product_fixed(t)
+        assert abs(dedekind_eta(t) - ref) <= 1e-12 * abs(ref)
 
 
 class TestErrorFunction:
@@ -161,6 +225,12 @@ class TestLerchSum:
         with pytest.raises(PoleAtArgument):
             lerch_sum(0.0, 1.2j)
 
+    @settings(max_examples=40, deadline=None)
+    @given(t=ORACLE_TAU, zr=STRIP_Z)
+    def test_reduced_evaluation_matches_fixed_truncation(self, t, zr):
+        z = _strip_point(zr, t)
+        assert abs(lerch_sum(z, t) - lerch_sum_fixed(z, t)) <= 1e-12 * lerch_rounding_scale(z, t)
+
 
 class TestNonholomorphicCorrection:
     def test_sum_vs_period_integral(self):
@@ -189,6 +259,12 @@ class TestNonholomorphicCorrection:
         t = 0.3 + 1e-3j
         assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-12
 
+    def test_large_imaginary_part(self):
+        # e^{-i pi tau k^2} overflows where erfc has underflowed to 0
+        for t in (0.1 + 40j, -0.3 + 150j):
+            ref = correction_fixed(t)
+            assert abs(nonholomorphic_correction(t, "sum") - ref) <= 1e-12 * abs(ref)
+
 
 class TestCompletion:
     def test_transformation_laws(self):
@@ -198,6 +274,20 @@ class TestCompletion:
         assert abs(mh + cmath.sqrt(1j / t) * lerch_completion(z / t, -1 / t)) < 1e-9
         assert abs(lerch_completion(z + 1, t) - mh) < 1e-10
         assert abs(lerch_completion(z + t, t) - mh) < 1e-10
+
+    def test_large_imaginary_part(self):
+        # theta_11(z) is ~e^{-pi Im tau / 4} here: an absolute pole guard fires
+        z, t = 0.3 + 0.1j, 0.1 + 40j
+        ref = completion_fixed(z, t)
+        assert abs(lerch_completion(z, t) - ref) <= 1e-12 * abs(ref)
+        assert abs(lerch_sum(z, t) - lerch_sum_fixed(z, t)) <= 1e-12 * abs(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=ORACLE_TAU, zr=STRIP_Z)
+    def test_reduced_evaluation_matches_fixed_range_sums(self, t, zr):
+        z = _strip_point(zr, t)
+        scale = lerch_rounding_scale(z, t) + abs(correction_fixed(t))
+        assert abs(lerch_completion(z, t) - completion_fixed(z, t)) <= 1e-12 * scale
 
 
 class TestBesselHalf:
@@ -270,6 +360,28 @@ class TestCharacters:
                 b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
                 assert abs(a - b) < 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(t=SMALL_TAU, zr=STRIP_Z)
+    def test_sum_form_equals_mu_form_at_small_im_tau(self, t, zr):
+        # The sum form is i theta_11(z)^2 / (theta_11(2z) eta^3) times its own
+        # q-series at tau, sum_m q^{2m^2} y^{4m} (1 + y q^m)/(1 - y q^m), which
+        # can cancel to far below its terms here (to 1e-35 of them at some
+        # points), so it is checked to the rounding of that series.
+        z = _strip_point(zr, t)
+        terms = [cmath.exp(1j * math.pi * (4.0 * t * m * m + 8.0 * m * z))
+                 * (1.0 + cmath.exp(2j * math.pi * (z + t * m))) / (1.0 - cmath.exp(2j * math.pi * (z + t * m)))
+                 for m in range(-200, 201)]
+        log_rounding = math.log(1e-13 * _abs_sum(terms)) + 2.0 * math.log(abs(jacobi_theta("11", z, t))) \
+            - math.log(abs(jacobi_theta("11", 2.0 * z, t))) - 3.0 * math.log(abs(dedekind_eta(t)))
+        if log_rounding > 650.0:
+            # the rounding of the series alone may be past a double (near
+            # Im tau = 1e-3 the character itself reaches e^{732}), so either
+            # form may raise ValueOverflow and there is nothing to compare
+            return
+        a = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)
+        b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
+        assert abs(a - b) <= 1e-9 * abs(b) + math.exp(log_rounding)
+
     def test_recursion_identity(self):
         for z in ZS:
             t = 0.1 + 1.3j
@@ -310,6 +422,11 @@ class TestEllipticGenus:
     def test_euler_characteristic(self):
         for t in TAUS:
             assert abs(elliptic_genus("k3", 0.0, t) - 24.0) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=SMALL_TAU)
+    def test_euler_characteristic_at_small_im_tau(self, t):
+        assert abs(elliptic_genus("k3", 0.0, t) - 24.0) <= 24.0 * 1e-12
 
     def test_a1_is_sixteenth_of_decompactified(self):
         z, t = 0.17, 1.1j

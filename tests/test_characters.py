@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import mockforms
 from mockforms import characters
 from mockforms.analytic import lerch_sum
 from mockforms.characters import (
@@ -15,7 +16,7 @@ from mockforms.characters import (
     identity_check,
     multiplicity_series,
 )
-from mockforms.errors import BeyondTruncation, NonIntegralCoefficient, PoleAtArgument, UnknownName
+from mockforms.errors import BeyondTruncation, NonIntegralCoefficient, PoleAtArgument, SignViolation, UnknownName
 from mockforms.qseries import FracExp, QSeries, eta_series, theta_constant_series
 from mockforms.rademacher import exact_coefficient
 
@@ -120,8 +121,17 @@ class TestCoeffTable:
             coeff_table("k3", 10, truncation=FracExp(24 * 5))
 
     def test_sign_invariant_enforced(self):
-        with pytest.raises(NonIntegralCoefficient):
+        with pytest.raises(SignViolation):
             CoeffTable("noncompact", {1: 6, 2: 14}, 2)  # A_1 must be negative
+
+    def test_sign_violations_have_their_own_type(self):
+        # a sign or positivity break is not an integrality failure
+        for kind, values in (("k3", {1: 90, 2: -462}), ("ale", {1: 0}), ("noncompact", {1: -6, 2: -14})):
+            with pytest.raises(SignViolation) as caught:
+                CoeffTable(kind, values, len(values))
+            assert not isinstance(caught.value, NonIntegralCoefficient)
+        assert issubclass(SignViolation, mockforms.MockformsError)
+        assert "SignViolation" in dir(mockforms)
 
     def test_table_type_fields(self):
         table = coeff_table("k3", 3)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockforms.analytic import lerch_completion, nonholomorphic_correction
 from mockforms.errors import UnknownName
@@ -20,6 +21,8 @@ from mockforms.shadow import (
     shadow_coefficient,
     shadow_reference_coefficients,
 )
+
+from oracles import correction_fixed, lerch_rounding_scale, multiplicity_completion_fixed
 
 F = Fraction
 
@@ -129,6 +132,21 @@ class TestCompletionModularity:
     def test_unknown_kind(self):
         with pytest.raises(UnknownName):
             multiplicity_completion(1.2j, "ale")
+
+    def test_large_imaginary_part(self):
+        # the erfc sum overflowed here before its terms were dropped at erfc = 0
+        t = 0.1 + 40j
+        ref = multiplicity_completion_fixed(t)
+        assert abs(multiplicity_completion(t) - ref) <= 1e-12 * abs(ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.05, 3.0)))
+    def test_reduced_evaluation_matches_fixed_range_sums(self, t):
+        # relative 1e-12 of what rounding can move the oracle by, with both
+        # |tau| < 1 and |Re tau| > 1/2 in range
+        ref = multiplicity_completion_fixed(t)
+        scale = 8.0 * sum(lerch_rounding_scale(w, t) for w in (0.5, 0.5 * (1.0 + t), 0.5 * t))
+        assert abs(multiplicity_completion(t) - ref) <= 1e-12 * (scale + 12.0 * abs(correction_fixed(t)))
 
 
 class TestMultiplierSystem:
