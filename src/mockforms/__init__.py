@@ -7,12 +7,10 @@ from .analytic import (
     EllipticArg,
     FlowOffset,
     ModularPoint,
-    WhittakerClosed,
     affine_su2_character,
     bessel_half,
     dedekind_eta,
     elliptic_genus,
-    erf_pi,
     jacobi_theta,
     lerch_completion,
     lerch_difference,
@@ -21,7 +19,6 @@ from .analytic import (
     nonholomorphic_correction,
     spectral_flow_offset,
     superconformal_character,
-    whittaker_closed,
 )
 from .characters import (
     CoeffTable,
@@ -66,7 +63,6 @@ from .shadow import (
     laplacian_residual,
     multiplicity_completion,
     multiplier_system,
-    poincare_partial_sum,
     shadow_coefficient,
     shadow_reference_coefficients,
 )

@@ -10,15 +10,18 @@ they converge in a few terms, so the cost and the accuracy do not depend on
 Im tau.  Large or small factors are carried as logarithms; a value past the
 range of a double raises ValueOverflow.  Level-P theta series, the
 superconformal q-series and the non-holomorphic correction R are summed
-directly at the tau they are given; closed forms cover the error function,
-half-integer Bessel functions and the specialised Whittaker values.
+directly at the tau they are given; half-integer Bessel functions have
+closed forms.
 
 Truncation policy: series are summed symmetrically outward and stopped once
-consecutive terms fall below 1e-18 relative to the running partial sum, so
-results are deterministic for fixed inputs.  Pole guards are relative: a
-theta_11 whose sum at the reduced point falls below 1e-10 of its largest
-term, or a denominator within 1e-10 of zero, raises a typed error rather
-than returning a huge value.
+two consecutive terms fall below 1e-18 relative to the running partial sum,
+so results are deterministic for fixed inputs.  _settle is that loop for
+every series but the theta_00 kernel, which tests a pair of terms at a time.
+A series whose term budget runs out raises QuadratureNonConvergence; none
+returns a truncated sum.  Pole guards are relative: a theta_11 whose sum at
+the reduced point falls below 1e-10 of its largest term, or a denominator
+within 1e-10 of zero, raises a typed error rather than returning a huge
+value.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -30,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import (
     DenominatorVanishes,
@@ -47,11 +50,9 @@ __all__ = [
     "ModularPoint",
     "EllipticArg",
     "CharSpec",
-    "WhittakerClosed",
     "FlowOffset",
     "jacobi_theta",
     "dedekind_eta",
-    "erf_pi",
     "lerch_sum",
     "nonholomorphic_correction",
     "lerch_completion",
@@ -61,7 +62,6 @@ __all__ = [
     "superconformal_character",
     "elliptic_genus",
     "lerch_difference",
-    "whittaker_closed",
     "spectral_flow_offset",
     "SECTORS",
 ]
@@ -159,6 +159,24 @@ def _scaled(log: complex, value: complex) -> complex:
         return cmath.exp(exponent)
     except OverflowError:
         raise ValueOverflow(f"|value| = exp({exponent.real:.6g}) exceeds the range of a double") from None
+
+
+def _settle(total: complex, terms: Iterable[complex], what: str) -> complex:
+    """total plus terms, stopped once two in a row fall below TAIL_EPS (1 + |total|).
+
+    Raises QuadratureNonConvergence when the terms run out first, so no
+    caller ever returns a truncated sum.
+    """
+    small_streak, eps = 0, TAIL_EPS
+    for term in terms:
+        total += term
+        if abs(term) <= eps * (1.0 + abs(total)):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+    raise QuadratureNonConvergence(f"{what} did not settle")
 
 
 # -- theta functions -----------------------------------------------------
@@ -282,12 +300,7 @@ def _eta_cubed(t: complex) -> complex:
     return _scaled(3.0 * log, value * value * value)
 
 
-# -- error function and the non-holomorphic correction ---------------------
-
-
-def erf_pi(x: float) -> float:
-    """2 int_0^x e^{-pi u^2} du = erf(sqrt(pi) x) = 1 - erfc(sqrt(pi) x); odd."""
-    return math.erf(math.sqrt(math.pi) * x)
+# -- the non-holomorphic correction -----------------------------------------
 
 
 def nonholomorphic_correction(tau, method: str = "sum") -> complex:
@@ -298,8 +311,10 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
 
         2 sum_{m>=0} (-1)^m erfc((m+1/2) sqrt(2 pi v)) e^{-i pi tau (m+1/2)^2},
 
-    real on the imaginary axis.  It raises QuadratureNonConvergence when the
-    terms have not settled after 400, which happens for Im tau below ~7.8e-5.
+    real on the imaginary axis.  Term m has modulus 2 erfc(x) e^{x^2/2} with
+    x = (m + 1/2) sqrt(2 pi v), below 1e-18 by x ~ 9, so the sum gets
+    max(400, 10 / sqrt(2 pi v)) terms; past 100 000 (Im tau below ~1.6e-9)
+    it raises QuadratureNonConvergence instead of summing.
     method "period_integral" evaluates the same function as
     (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx;
     along x = -conj(tau) + i t the square root simplifies and the integral
@@ -309,22 +324,22 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
     t = _tau(tau)
     v = t.imag
     if method == "sum":
-        total = 0j
         scale = math.sqrt(2.0 * math.pi * v)
-        small_streak = 0
-        for m in range(0, 400):
-            k = m + 0.5
-            amp = math.erfc(k * scale)
-            # an erfc that underflowed to 0 leaves a term below e^{-351}
-            term = 2.0 * (-1) ** m * amp * cmath.exp(-1j * math.pi * t * k * k) if amp else 0j
-            total += term
-            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
-        raise QuadratureNonConvergence("non-holomorphic correction sum did not settle")
+        budget = max(400, math.ceil(10.0 / scale))
+        if budget > 100_000:
+            raise QuadratureNonConvergence(
+                f"non-holomorphic correction sum needs {budget} terms at Im tau = {v:.3g}")
+
+        def terms():
+            sign, phase = 2.0, -1j * math.pi * t
+            for m in range(budget):
+                k = m + 0.5
+                amp = math.erfc(k * scale)
+                # an erfc that underflowed to 0 leaves a term below e^{-351}
+                yield sign * amp * cmath.exp(phase * k * k) if amp else 0j
+                sign = -sign
+
+        return _settle(0j, terms(), "non-holomorphic correction sum")
     if method == "period_integral":
         base = -t.conjugate()
 
@@ -364,9 +379,6 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
     z = _theta_lattice(z, t)[0]
     if z.imag < 0:
         z = -z
-    th_log, th = _theta_direct("11", z, t)
-    if abs(th) < POLE_EPS:
-        raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
 
     def summand(n: int) -> complex:
         if n >= 0:
@@ -384,20 +396,10 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
 
     total = summand(0)
     for direction in (1, -1):
-        small_streak = 0
-        n = direction
-        while True:
-            term = summand(n)
-            total += term
-            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            n += direction
-            if abs(n) > 400:
-                raise QuadratureNonConvergence("Lerch sum did not settle")
+        total = _settle(total, map(summand, range(direction, 401 * direction, direction)), "Lerch sum")
+    th_log, th = _theta_direct("11", z, t)
+    if abs(th) < POLE_EPS:
+        raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
     return 1j * math.pi * z - th_log, 1j * total / th
 
 
@@ -449,7 +451,7 @@ def lerch_completion(z, tau) -> complex:
     return factor * _completion_direct(z, t)
 
 
-# -- Bessel and Whittaker closed forms ---------------------------------------
+# -- Bessel closed forms ------------------------------------------------------
 
 
 def bessel_half(kind: str, x: float) -> float:
@@ -470,37 +472,6 @@ def bessel_half(kind: str, x: float) -> float:
     raise UnknownName(f"no half-integer bessel kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class WhittakerClosed:
-    """A specialised Whittaker value at positive v; kind selects the branch."""
-
-    kind: str
-    v: float
-
-    def __post_init__(self):
-        if self.kind not in ("W_plus", "W_minus", "M_minus"):
-            raise UnknownName(f"no closed Whittaker form {self.kind!r}")
-        if not self.v > 0:
-            raise NonPositiveArgument("Whittaker argument must be positive")
-
-
-def whittaker_closed(w: WhittakerClosed) -> float:
-    """Closed forms of the weight-1/2, spectral-3/4 Whittaker envelopes:
-
-    W_plus(v)  = e^{-v/2}
-    W_minus(v) = sqrt(pi) (1 - E(sqrt(v/pi))) e^{v/2}
-    M_minus(v) = (sqrt(pi)/2) E(sqrt(v/pi)) e^{v/2}
-
-    with E the normalised error function erf_pi.
-    """
-    root = math.sqrt(w.v / math.pi)
-    if w.kind == "W_plus":
-        return math.exp(-0.5 * w.v)
-    if w.kind == "W_minus":
-        return math.sqrt(math.pi) * (1.0 - erf_pi(root)) * math.exp(0.5 * w.v)
-    return 0.5 * math.sqrt(math.pi) * erf_pi(root) * math.exp(0.5 * w.v)
-
-
 # -- level-P theta series and affine characters -------------------------------
 
 
@@ -518,20 +489,8 @@ def level_theta(P: int, a: int, z, tau) -> complex:
     center = round(-a / (2.0 * P))
     total = term(center)
     for direction in (1, -1):
-        small_streak = 0
-        n = center + direction
-        while True:
-            tval = term(n)
-            total += tval
-            if abs(tval) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            n += direction
-            if abs(n - center) > 10_000:
-                raise QuadratureNonConvergence("level theta series did not settle")
+        indices = range(center + direction, center + 10_001 * direction, direction)
+        total = _settle(total, map(term, indices), "level theta series")
     return total
 
 
@@ -662,8 +621,6 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
     (the tilded-Ramond sector): prefactor i theta_11(z)^2 / (theta_11(2z) eta^3)
     times sum_m q^{2m^2} e^{8 pi i m z} (1 + e^{2 pi i z} q^m)/(1 - e^{2 pi i z} q^m).
     """
-    th2_log, th2 = _theta11_of_2z(z, t)
-
     def summand(m: int) -> complex:
         y_qm = cmath.exp(1j * math.pi * (2.0 * z + 2.0 * t * m))
         den = 1.0 - y_qm
@@ -673,20 +630,8 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
 
     total = summand(0)
     for direction in (1, -1):
-        small_streak = 0
-        m = direction
-        while True:
-            term = summand(m)
-            total += term
-            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            m += direction
-            if abs(m) > 200:
-                raise QuadratureNonConvergence("massless character sum did not settle")
+        total = _settle(total, map(summand, range(direction, 201 * direction, direction)), "massless character sum")
+    th2_log, th2 = _theta11_of_2z(z, t)
     log, value = _theta_sq_over_eta3("11", z, t)
     return _scaled(log - th2_log, 1j * value / th2 * total)
 
@@ -701,7 +646,6 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
     Other sectors are reached by shifting w.  Terms with m > 0 are rewritten
     to keep q^{-m} out of the numerator.
     """
-    th2_log, th2 = _theta11_of_2z(w, t)
     le = float(ell)
 
     def pair(m: int) -> complex:
@@ -725,20 +669,8 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
 
     total = pair(0)
     for direction in (1, -1):
-        small_streak = 0
-        m = direction
-        while True:
-            term = pair(m)
-            total += term
-            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            m += direction
-            if abs(m) > 200:
-                raise QuadratureNonConvergence("massless character sum did not settle")
+        total = _settle(total, map(pair, range(direction, 201 * direction, direction)), "massless character sum")
+    th2_log, th2 = _theta11_of_2z(w, t)
     log, value = _theta_sq_over_eta3("10", w, t)
     return _scaled(log - th2_log, 1j * value / th2 * total)
 

@@ -14,7 +14,10 @@ produce byte-identical output.  Exit codes: 0 success, 1 verification or
 consistency failure, 2 usage error.
 
 --c-max counts series terms: for the noncompact family (even moduli only)
-the terms are c = 2, 4, ..., 2*N, so N terms reach modulus 2*N.
+the terms are c = 2, 4, ..., 2*N, so N terms reach modulus 2*N.  Only
+rademacher takes a list of them.  verify --tolerance bounds the identities
+and kloosterman checks; the other suites have fixed bounds.  A flag that
+would be ignored is a usage error.
 
 Nothing is persisted between runs: the multiplier sums are memoised only in
 the process (rademacher.DEFAULT_CACHE).
@@ -224,7 +227,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
     return checks
 
 
-def _suite_dedekind(tol: float) -> list[tuple[str, float, float]]:
+def _suite_dedekind() -> list[tuple[str, float, float]]:
     import random
     from fractions import Fraction
 
@@ -270,7 +273,7 @@ def _suite_kloosterman(tol: float) -> list[tuple[str, float, float]]:
     return [("quadratic_identity", worst_quad, tol), ("realness", worst_im, tol)]
 
 
-def _suite_shadow_light(tol: float) -> list[tuple[str, float, float]]:
+def _suite_shadow_light() -> list[tuple[str, float, float]]:
     # The J-Bessel series converges slowly and non-monotonically; 300 moduli
     # keep the light suite fast while the residual stays safely under 2.
     reference = shadow.shadow_reference_coefficients(9)
@@ -281,7 +284,7 @@ def _suite_shadow_light(tol: float) -> list[tuple[str, float, float]]:
     return checks
 
 
-def _suite_decomposition(tol: float) -> list[tuple[str, float, float]]:
+def _suite_decomposition() -> list[tuple[str, float, float]]:
     r12 = characters.decomposition_residual(0.2, 1.5j, 12)
     r0 = characters.decomposition_residual(0.2, 1.5j, 0)
     dec = characters.decomposition_residual(0.2, 1.5j, 12, "decompactified")
@@ -290,12 +293,14 @@ def _suite_decomposition(tol: float) -> list[tuple[str, float, float]]:
             ("decompactified_residual_n12", dec, 1e-6)]
 
 
+# suite -> (runner, default --tolerance); None marks a suite whose bounds
+# are fixed, so its runner takes no tolerance
 _SUITES = {
     "identities": (_suite_identities, 1e-9),
-    "dedekind": (_suite_dedekind, 0.0),
+    "dedekind": (_suite_dedekind, None),
     "kloosterman": (_suite_kloosterman, 1e-9),
-    "shadow-light": (_suite_shadow_light, 2.0),
-    "decomposition": (_suite_decomposition, 1e-6),
+    "shadow-light": (_suite_shadow_light, None),
+    "decomposition": (_suite_decomposition, None),
 }
 
 
@@ -304,8 +309,11 @@ def cmd_verify(cfg: RunConfig, out) -> int:
     failed = 0
     for name in names:
         runner, default_tol = _SUITES[name]
-        tol = cfg.tolerance if cfg.tolerance is not None else default_tol
-        for check, residual, bound in runner(tol):
+        if default_tol is None:
+            checks = runner()
+        else:
+            checks = runner(cfg.tolerance if cfg.tolerance is not None else default_tol)
+        for check, residual, bound in checks:
             ok = residual <= bound
             failed += 0 if ok else 1
             out.write(f"{'PASS' if ok else 'FAIL'} {name}:{check} residual={_fmt6(residual)} tol={_fmt6(bound)}\n")
@@ -338,7 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), default="all")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="bound for the identities and kloosterman checks; "
+                        "the other suites have fixed bounds")
 
     p = sub.add_parser("shadow", help="shadow coefficients vs exact pattern")
     p.add_argument("--c-max", default="800")
@@ -381,6 +391,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.c_max_list = _parse_c_max(args.c_max)
             cfg.per_c = args.per_c
         elif args.command == "verify":
+            if args.tolerance is not None and args.suite != "all" and _SUITES[args.suite][1] is None:
+                raise ValueError(f"--tolerance does not apply to the {args.suite} suite")
             cfg.suite, cfg.tolerance = args.suite, args.tolerance
         elif args.command == "shadow":
             if args.n_max < 0:
@@ -392,6 +404,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ValueError("--n must be >= 1")
             cfg.n = args.n
             cfg.c_max_list = _parse_c_max(args.c_max)
+        if args.command in ("shadow", "pofn") and len(cfg.c_max_list) > 1:
+            raise ValueError(f"{args.command} takes a single --c-max value")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

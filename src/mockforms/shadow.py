@@ -12,10 +12,12 @@ form 24 eta(8 tau)^3.  This module checks all of that numerically:
   and exposes its modular transformation residuals to the tests.
 * holomorphic_anomaly_residual / laplacian_residual verify the defining
   differential equations of the completion by finite differences.
-* poincare_partial_sum computes a raw coset-sum approximation of the
-  associated Poincare-Maass series.  It is quarantined as experimental: at
-  spectral parameter 3/4 the double sum converges only through phase
-  cancellation, so direct summation is a weak (loose-tolerance) check.
+
+The associated Poincare-Maass series enters through its Fourier
+coefficients: shadow_coefficient here and rademacher.exact_coefficient,
+which are checked against exact integers.  Its raw coset sum is not
+evaluated: truncated, it does not converge (at spectral parameter 3/4 it
+converges only through phase cancellation).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .analytic import (
-    WhittakerClosed,
     _completion_walk,
     _lerch_direct,
     _scaled,
@@ -34,7 +35,6 @@ from .analytic import (
     dedekind_eta,
     lerch_completion,
     nonholomorphic_correction,
-    whittaker_closed,
 )
 from .errors import UnknownName
 from .qseries import FracExp, eta_cubed_series
@@ -48,7 +48,6 @@ __all__ = [
     "multiplier_system",
     "holomorphic_anomaly_residual",
     "laplacian_residual",
-    "poincare_partial_sum",
 ]
 
 
@@ -184,53 +183,3 @@ def laplacian_residual(z, tau, h: float = 1e-3, test_fn=None) -> float:
     lap = (fu_p - 2.0 * f0 + fu_m) / (h * h) + (fv_p - 2.0 * f0 + fv_m) / (h * h)
     first = (fu_p - fu_m) / (2.0 * h) + 1j * (fv_p - fv_m) / (2.0 * h)
     return abs(-v * v * lap + 0.5j * v * first)
-
-
-# -- direct Poincare-type coset sum (experimental) ----------------------------
-
-
-def _phi_seed(tau: complex) -> complex:
-    """The growth envelope M(-pi v / 2) e^{-pi i u / 4} seeding the coset sum."""
-    v = whittaker_closed(WhittakerClosed("M_minus", 0.5 * math.pi * tau.imag))
-    return v * cmath.exp(-0.25j * math.pi * tau.real)
-
-
-def poincare_partial_sum(tau, c_bound: int, kind: str = "k3") -> complex:
-    """Raw coset-sum approximation of the weight-1/2 Poincare-Maass series.
-
-    Sums (2/sqrt(pi)) chi(gamma)^{-1} (c tau + d)^{-1/2} phi(gamma tau) over
-    coset representatives with 0 <= c <= c_bound (even c only for
-    "noncompact"), pairing +-gamma.  The d-window per modulus covers whole
-    phase periods of length 8c, which is what makes the oscillatory tail
-    cancel; agreement with multiplicity_completion is still only expected at
-    the 1e-2 level.  Experimental.
-    """
-    t = _tau(tau)
-    if kind == "k3":
-        moduli = range(1, c_bound + 1)
-    elif kind == "noncompact":
-        moduli = range(2, c_bound + 1, 2)
-    else:
-        raise UnknownName(f"no coset family of kind {kind!r}")
-    total = 4.0 / math.sqrt(math.pi) * _phi_seed(t)
-    for c in moduli:
-        blocks = max(4, -(-9600 // (8 * c)))  # ceil division; window >= ~9600
-        center = round(-c * t.real)
-        width = 4 * c * blocks
-        inverses = {}
-        for d0 in range(c) if c == 1 else range(1, c):
-            if math.gcd(d0, c) == 1:
-                inverses[d0] = pow(d0, -1, c)
-        s_values = {d0: _dedekind_euclid(d0, c) if c > 1 else Fraction(0) for d0 in inverses}
-        parts = []
-        for d in range(center - width, center + width):
-            d0 = d % c
-            a = inverses.get(d0)
-            if a is None:
-                continue
-            phase = (Fraction(3, 4) - Fraction(a + d, 4 * c) + 3 * s_values[d0]) % 2
-            chi = cmath.exp(1j * math.pi * float(phase))
-            gamma_tau = a / c - 1.0 / (c * (c * t + d))
-            parts.append(cmath.sqrt(c * t + d) ** -1 * _phi_seed(gamma_tau) / chi)
-        total += 4.0 / math.sqrt(math.pi) * sum(parts)
-    return total

@@ -69,25 +69,6 @@ def pentagonal_coeffs(n_max: int) -> dict[int, int]:
     return out
 
 
-def simpson(f, a: float, b: float, panels: int = 4000) -> float:
-    """Composite Simpson rule with an even number of panels."""
-    if panels % 2:
-        panels += 1
-    h = (b - a) / panels
-    total = f(a) + f(b)
-    for i in range(1, panels):
-        total += f(a + i * h) * (4 if i % 2 else 2)
-    return total * h / 3.0
-
-
-def gauss_error_integral(x: float) -> float:
-    """2 int_0^x e^{-pi u^2} du by quadrature."""
-    if x == 0.0:
-        return 0.0
-    sign = 1.0 if x > 0 else -1.0
-    return sign * simpson(lambda u: 2.0 * math.exp(-math.pi * u * u), 0.0, abs(x))
-
-
 def theta_terms(label: str, z: complex, tau: complex, n_range: int = 60) -> list[complex]:
     """The terms of the Jacobi theta series over a fixed range, from the definitions."""
     z_eff = z + 0.5 if label in ("11", "01") else z

@@ -7,17 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mockforms import analytic
 from mockforms.analytic import (
     CharSpec,
     EllipticArg,
     FlowOffset,
     ModularPoint,
-    WhittakerClosed,
     affine_su2_character,
     bessel_half,
     dedekind_eta,
     elliptic_genus,
-    erf_pi,
     jacobi_theta,
     lerch_completion,
     lerch_difference,
@@ -26,7 +25,6 @@ from mockforms.analytic import (
     nonholomorphic_correction,
     spectral_flow_offset,
     superconformal_character,
-    whittaker_closed,
 )
 from mockforms.errors import (
     BesselOverflow,
@@ -45,7 +43,6 @@ from oracles import (
     completion_fixed,
     correction_fixed,
     eta_product_fixed,
-    gauss_error_integral,
     lerch_rounding_scale,
     lerch_sum_fixed,
     theta_sum,
@@ -186,22 +183,6 @@ class TestEta:
         assert abs(dedekind_eta(t) - ref) <= 1e-12 * abs(ref)
 
 
-class TestErrorFunction:
-    def test_zero(self):
-        assert erf_pi(0.0) == 0.0
-
-    def test_odd(self):
-        for x in (0.3, 1.7, 5.0):
-            assert erf_pi(x) + erf_pi(-x) == 0.0
-
-    def test_saturation_at_ten(self):
-        assert abs(erf_pi(10.0) - 1.0) < 1e-15
-
-    def test_against_quadrature(self):
-        for x in (0.2, 0.9, 2.0):
-            assert erf_pi(x) == pytest.approx(gauss_error_integral(x), abs=1e-12)
-
-
 class TestLerchSum:
     def test_even_in_z(self):
         assert abs(lerch_sum(0.23 + 0.11j, 0.07 + 1.1j) - lerch_sum(-0.23 - 0.11j, 0.07 + 1.1j)) < 1e-12
@@ -224,6 +205,11 @@ class TestLerchSum:
     def test_pole_at_lattice_point(self):
         with pytest.raises(PoleAtArgument):
             lerch_sum(0.0, 1.2j)
+
+    def test_off_domain_where_correction_needs_773_terms(self):
+        # Im tau = 2e-5: R(tau) settles only after 773 terms
+        z, t = 0.23 + 0.11j, 0.3 + 2e-5j
+        assert lerch_sum(z, t) == lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t, "sum")
 
     @settings(max_examples=40, deadline=None)
     @given(t=ORACLE_TAU, zr=STRIP_Z)
@@ -250,11 +236,15 @@ class TestNonholomorphicCorrection:
         assert abs(got - oracle) < 1e-8
 
     def test_sum_raises_instead_of_truncating(self):
-        # 400 terms do not settle here; the truncated sums were 3.0e-5 and
-        # 6.4e-3 away from the period integral
-        for t in (0.3 + 2e-5j, 0.3 + 1e-5j):
+        # past its 100 000-term cap (Im tau below ~1.6e-9) the sum raises
+        # rather than returning a truncated value
+        for t in (0.3 + 1e-10j, 1e-12j):
             with pytest.raises(QuadratureNonConvergence):
                 nonholomorphic_correction(t, "sum")
+        # these need 773 and 1093 terms, past the budget's 400-term floor;
+        # cut off at 400 they sit 3.0e-5 and 6.4e-3 from the period integral
+        for t in (0.3 + 2e-5j, 0.3 + 1e-5j):
+            assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-10
         # at Im tau = 1e-3 the sum settles and agrees with the integral
         t = 0.3 + 1e-3j
         assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-12
@@ -450,30 +440,6 @@ class TestLerchDifference:
                 assert abs(lerch_difference(z, w, t) - quotient) < 1e-9
 
 
-class TestWhittakerClosed:
-    def test_w_plus_definition(self):
-        for v in (0.5, 2.0, 7.0):
-            assert whittaker_closed(WhittakerClosed("W_plus", v)) * math.exp(v / 2) == pytest.approx(1.0, rel=1e-14)
-
-    def test_partition_of_unity(self):
-        for v in (0.5, 2.0, 7.0):
-            lhs = whittaker_closed(WhittakerClosed("M_minus", v)) \
-                + 0.5 * whittaker_closed(WhittakerClosed("W_minus", v))
-            assert lhs == pytest.approx(0.5 * math.sqrt(math.pi) * math.exp(v / 2), rel=1e-13)
-
-    def test_w_minus_against_quadrature(self):
-        v = 4.0
-        # sqrt(pi) (1 - E(sqrt(v/pi))) e^{v/2} with E from Simpson quadrature
-        oracle = math.sqrt(math.pi) * (1.0 - gauss_error_integral(math.sqrt(v / math.pi))) * math.exp(v / 2)
-        assert whittaker_closed(WhittakerClosed("W_minus", v)) == pytest.approx(oracle, abs=1e-12)
-
-    def test_guards(self):
-        with pytest.raises(NonPositiveArgument):
-            WhittakerClosed("W_plus", 0.0)
-        with pytest.raises(UnknownName):
-            WhittakerClosed("M_plus", 1.0)
-
-
 class TestDeterminism:
     def test_evaluations_reproduce_bit_for_bit(self):
         z, t = 0.23 + 0.11j, 0.07 + 1.1j
@@ -482,6 +448,29 @@ class TestDeterminism:
         assert lerch_sum(z, t) == lerch_sum(z, t)
         assert level_theta(3, 2, z, t) == level_theta(3, 2, z, t)
         assert nonholomorphic_correction(t, "sum") == nonholomorphic_correction(t, "sum")
+
+
+class TestTruncation:
+    # With a negative tail bound no term ever counts as small, so each series
+    # exhausts its term budget; it must raise, never return what it summed.
+    z, t = 0.23 + 0.11j, 0.07 + 1.1j
+    SERIES = (
+        ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t, "sum")),
+        ("Lerch sum", lerch_sum),
+        ("level theta series", lambda z, t: level_theta(3, 2, z, t)),
+        ("massless character sum",
+         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)),
+        ("massless character sum",
+         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 2, F(1, 2), F(1, 2)), z, t)),
+    )
+
+    @pytest.mark.parametrize("what, series", SERIES,
+                             ids=("correction", "lerch", "level_theta", "massless_compact", "massless_general"))
+    def test_exhausted_budget_raises(self, monkeypatch, what, series):
+        series(self.z, self.t)  # settles at the real tail bound
+        monkeypatch.setattr(analytic, "TAIL_EPS", -1.0)
+        with pytest.raises(QuadratureNonConvergence, match=f"^{what} did not settle$"):
+            series(self.z, self.t)
 
 
 class TestSpectralFlow:

@@ -111,6 +111,14 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_tolerance_on_fixed_bound_suites_is_a_usage_error(self, capsys):
+        # these suites have fixed bounds, so a tolerance would be ignored
+        for suite in ("dedekind", "shadow-light", "decomposition"):
+            assert main(["verify", "--suite", suite, "--tolerance", "1e-30"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --tolerance does not apply to the {suite} suite\n"
+
 
 class TestShadow:
     def test_diagnostic_mode_never_fails(self, capsys):
@@ -127,6 +135,12 @@ class TestShadow:
         assert [row["exponent"] for row in rows] == [1, 9, 17]
         assert all(set(row) == {"exponent", "computed", "reference"} for row in rows)
 
+    def test_c_max_list_is_a_usage_error(self, capsys):
+        # one modulus count per run; a second value would be ignored
+        assert main(["shadow", "--c-max", "5,800"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: shadow takes a single --c-max value\n"
+
 
 class TestPofn:
     def test_match(self, capsys):
@@ -138,6 +152,11 @@ class TestPofn:
     def test_p1_single_term(self, capsys):
         code, out = run(capsys, "pofn", "--n", "1", "--c-max", "1")
         assert json.loads(out)["rounded"] == 1
+
+    def test_c_max_list_is_a_usage_error(self, capsys):
+        assert main(["pofn", "--n", "10", "--c-max", "5,20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: pofn takes a single --c-max value\n"
 
     def test_calibration_failure_exit_code(self, capsys):
         # a single series term is not enough at n = 30: rounded != exact, exit 1

@@ -17,7 +17,6 @@ from mockforms.shadow import (
     laplacian_residual,
     multiplicity_completion,
     multiplier_system,
-    poincare_partial_sum,
     shadow_coefficient,
     shadow_reference_coefficients,
 )
@@ -211,20 +210,3 @@ class TestLaplacianEquation:
         holomorphic = laplacian_residual(0.3, 0.05 + 1.1j,
                                          test_fn=lambda s: cmath.exp(-2j * math.pi * s / 8))
         assert holomorphic < 1e-4
-
-
-class TestPoincarePartialSum:
-    def test_seed_term_at_large_imaginary_part(self):
-        t = 0.3 + 6.0j
-        seed = poincare_partial_sum(t, 0)
-        ratio = seed / cmath.exp(-2j * math.pi * t / 8)
-        assert abs(ratio - 2.0) < 1e-4
-
-    def test_agrees_with_completion_at_loose_tolerance(self):
-        t = 2.0j
-        assert abs(poincare_partial_sum(t, 40) - multiplicity_completion(t)) < 1e-2
-
-    def test_noncompact_variant(self):
-        t = 2.0j
-        assert abs(poincare_partial_sum(t, 40, "noncompact")
-                   - multiplicity_completion(t, "noncompact")) < 5e-2
