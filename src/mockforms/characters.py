@@ -1,4 +1,4 @@
-"""Exact q-expansion pipeline for the multiplicity tables.
+"""Exact multiplicity tables in plain integers.
 
 The generating function of the massive multiplicities is assembled from
 Lambert-type sums at the three half-periods:
@@ -13,9 +13,18 @@ n = 0 contributes the exact rational 1/2.  The eta cancels, so
     Sigma      = 8 eta (h_2 + h_3 + h_4) = 8 sum N_label/theta_label = q^{-1/8} (2 - sum A_n q^n)
     Sigma^circ = 8 eta h_2               = 8 N_2/theta_10            = q^{-1/8} (2 - sum A_n^circ q^n)
 
-and each table is a few exact divisions by theta constants of O(sqrt N) terms
-(kind "ale" extracts (A_n - A_n^circ)/16).  All arithmetic is rational;
-integrality and the leading 2 are asserted, never rounded.
+In x = q^{1/2} each quotient is q^{-1/8} times an integer series over a
+monic integer divisor with O(sqrt N) terms,
+
+    8 N_2/theta_10 = q^{-1/8} 4 N_2 / T,   T = theta_10/(2 q^{1/8}) = sum_{m>=0} x^{m(m+1)},
+    8 N_l/theta_l  = q^{-1/8} 8 q^{1/8} N_l / theta_l     (l = 3, 4: theta_00, theta_01 in x),
+
+so a table is a few integer long divisions on plain lists (kind "ale"
+extracts (A_n - A_n^circ)/16).  Nothing is rounded: the odd powers of x must
+cancel, the leading coefficient must be 2 and the ALE difference must divide
+by 16, or NonIntegralCoefficient is raised.  `half_period_numerator` and
+`multiplicity_series` hand the same numbers out as exact `QSeries` for the
+public series API.
 """
 
 from __future__ import annotations
@@ -23,17 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import analytic
 from .analytic import CharSpec, elliptic_genus, jacobi_theta, lerch_difference, superconformal_character
 from .errors import BeyondTruncation, NonIntegralCoefficient, SignViolation, UnknownName
-from .qseries import (
-    DEFAULT_TRUNCATION,
-    ExponentLike,
-    FracExp,
-    QSeries,
-    theta_constant_series,
-)
+from .qseries import DEFAULT_TRUNCATION, ExponentLike, FracExp, QSeries
 
 __all__ = [
     "CoeffTable",
@@ -44,73 +48,102 @@ __all__ = [
     "identity_check",
 ]
 
-# (numerator label, theta constant) of each quotient N_label/theta_label
-_QUOTIENTS = {"k3": ((2, "10"), (3, "00"), (4, "01")), "noncompact": ((2, "10"),)}
+# numerator labels summed into each series
+_QUOTIENTS = {"k3": (2, 3, 4), "noncompact": (2,)}
 
 
-def half_period_numerator(label: int, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """Exact expansion of the Lambert-type numerator sum for h_label.
+def _numerator_terms(label: int, limit: int) -> Iterator[tuple[int, int]]:
+    """Terms (u, c) of the integer series 2 N_label = sum c q^{u/24}, u < limit, where N_label is
 
     label 2: sum_n q^{n(n+1)/2} / (1 + q^n)            (pairs n <-> -n, n=0 gives 1/2)
     label 3: sum_n q^{n^2/2 - 1/8} / (1 + q^{n-1/2})   (pairs n <-> 1-n)
     label 4: sum_n (-1)^n q^{n^2/2 - 1/8} / (1 - q^{n-1/2})
+
+    Exponents u are in 1/24 units, and one u can occur more than once.
     """
-    trunc = FracExp.of(truncation).units24
-    coeffs: dict[int, Fraction] = {}
-
-    def bump(units: int, value: Fraction) -> None:
-        if units < trunc:
-            coeffs[units] = coeffs.get(units, Fraction(0)) + value
-
     if label == 2:
-        bump(0, Fraction(1, 2))
+        if limit > 0:
+            yield 0, 1
         m = 1
-        while 12 * m * (m + 1) < trunc:  # exponent m(m+1)/2
-            base = 12 * m * (m + 1)
-            j = 0
-            while base + 24 * m * j < trunc:
-                bump(base + 24 * m * j, Fraction(2 * (-1) ** j))
-                j += 1
+        while 12 * m * (m + 1) < limit:  # exponent m(m+1)/2, geometric ratio q^m
+            for j, u in enumerate(range(12 * m * (m + 1), limit, 24 * m)):
+                yield u, 4 * (-1) ** j
             m += 1
     elif label in (3, 4):
         n = 1
-        while 3 * (4 * n * n - 1) < trunc:  # exponent n^2/2 - 1/8
-            base = 3 * (4 * n * n - 1)
-            step = 12 * (2 * n - 1)  # geometric ratio q^{n - 1/2}
+        while 3 * (4 * n * n - 1) < limit:  # exponent n^2/2 - 1/8, geometric ratio q^{n - 1/2}
             outer = (-1) ** n if label == 4 else 1
-            j = 0
-            while base + step * j < trunc:
-                inner = 1 if label == 4 else (-1) ** j
-                bump(base + step * j, Fraction(2 * outer * inner))
-                j += 1
+            for j, u in enumerate(range(3 * (4 * n * n - 1), limit, 12 * (2 * n - 1))):
+                yield u, 4 * outer * (1 if label == 4 else (-1) ** j)
             n += 1
     else:
         raise UnknownName(f"no half-period numerator labelled {label!r}")
+
+
+def half_period_numerator(label: int, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
+    """Exact expansion of the Lambert-type numerator sum N_label for h_label."""
+    trunc = FracExp.of(truncation).units24
+    coeffs: dict[int, Fraction] = {}
+    for u, c in _numerator_terms(label, trunc):
+        coeffs[u] = coeffs.get(u, 0) + Fraction(c, 2)
     return QSeries._raw(coeffs, trunc)
 
 
-def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """The generating function q^{-1/8}(2 - sum A_n q^n).
+def _quotient(label: int, n_terms: int) -> list[int]:
+    """First n_terms coefficients in x = q^{1/2} of q^{1/8} 8 N_label/theta_label."""
+    # 2 N_2 times 2 over T; 2 N_l times 4 q^{1/8} over theta_00 or theta_01
+    shift, scale = (0, 2) if label == 2 else (3, 4)
+    quot = [0] * n_terms
+    for u, c in _numerator_terms(label, 12 * n_terms - shift):
+        k, off = divmod(u + shift, 12)
+        if off:
+            raise NonIntegralCoefficient(
+                f"numerator term q^({Fraction(u, 24)}) of h_{label} is off the half-step lattice")
+        quot[k] += scale * c
+    if label == 2:  # T = sum_{m>=0} x^{m(m+1)}
+        divisor = [(m * (m + 1), 1) for m in range(1, math.isqrt(n_terms) + 1)]
+    else:  # theta_00, theta_01 = 1 + 2 sum_{n>=1} (+-1)^n x^{n^2}
+        sign = -1 if label == 4 else 1
+        divisor = [(n * n, 2 * sign ** n) for n in range(1, math.isqrt(n_terms) + 1)]
+    # monic long division in place: quot[k] -= sum_j d_j quot[k - j]
+    for k in range(1, n_terms):
+        acc = quot[k]
+        for j, d in divisor:
+            if j > k:
+                break
+            acc -= d * quot[k - j]
+        quot[k] = acc
+    return quot
 
-    kind "k3" sums all three half-period quotients N_label/theta_label, kind
-    "noncompact" keeps only the label-2 piece.  Every coefficient must come
-    out an exact integer and sit at an exponent n - 1/8, and the leading one
-    must be 2; anything else raises NonIntegralCoefficient.
-    """
+
+def _sigma(kind: str, n_terms: int) -> list[int]:
+    """s_0, ..., s_{n_terms-1} of Sigma = q^{-1/8} sum s_k x^k, with its invariants checked."""
     if kind not in _QUOTIENTS:
         raise UnknownName(f"no multiplicity series of kind {kind!r}")
-    sigma = QSeries.zero(truncation)
-    for label, theta in _QUOTIENTS[kind]:
-        sigma += half_period_numerator(label, truncation) / theta_constant_series(theta, truncation)
-    sigma = 8 * sigma
-    for exp, value in sigma.items():
-        if value.denominator != 1:
-            raise NonIntegralCoefficient(f"coefficient {value} at q^({exp}) is not an integer")
-        if exp.units24 % 24 != 21:
-            raise NonIntegralCoefficient(f"unexpected exponent q^({exp}) escaped cancellation")
-    if sigma.truncation > FracExp(-3) and (lead := sigma.coefficient(FracExp(-3))) != 2:
-        raise NonIntegralCoefficient(f"coefficient {lead} at q^(-1/8) is not 2")
+    if n_terms < 1:
+        raise BeyondTruncation("truncation too small to read off the leading coefficient")
+    sigma = [sum(column) for column in zip(*(_quotient(label, n_terms) for label in _QUOTIENTS[kind]))]
+    for k in range(1, n_terms, 2):
+        if sigma[k]:
+            raise NonIntegralCoefficient(f"unexpected exponent q^({Fraction(12 * k - 3, 24)}) escaped cancellation")
+    if sigma[0] != 2:
+        raise NonIntegralCoefficient(f"coefficient {sigma[0]} at q^(-1/8) is not 2")
     return sigma
+
+
+def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
+    """The generating function q^{-1/8}(2 - sum A_n q^n), known below truncation - 1/4.
+
+    kind "k3" sums all three half-period quotients N_label/theta_label, kind
+    "noncompact" keeps only the label-2 piece.  Dividing by theta_10 =
+    2 q^{1/8}(1 + ...) costs the series q^{1/4} of its truncation.  Every
+    odd power of q^{1/2} must cancel and the leading coefficient must be 2;
+    anything else raises NonIntegralCoefficient.
+    """
+    trunc = FracExp.of(truncation).units24 - 6
+    # s_k x^k sits at q^{k/2 - 1/8}, i.e. 12k - 3 units: keep the k with 12k - 3 < trunc
+    sigma = _sigma(kind, (trunc + 14) // 12)
+    return QSeries._raw({12 * k - 3: Fraction(c) for k, c in enumerate(sigma)}, trunc)
 
 
 @dataclass(frozen=True)
@@ -138,20 +171,19 @@ class CoeffTable:
 
 
 def coeff_table(kind: str, n_max: int, truncation: ExponentLike | None = None) -> CoeffTable:
-    """Extract the exact integer tables A_n, A_n^circ or (A_n - A_n^circ)/16."""
+    """Extract the exact integer tables A_n, A_n^circ or (A_n - A_n^circ)/16.
+
+    A truncation, if given, must leave q^{n_max - 1/8} known in
+    multiplicity_series; the tables themselves do not depend on it.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if truncation is None:
-        truncation = FracExp(24 * (n_max + 2))
-    if FracExp.of(truncation).units24 <= 24 * n_max - 3:
+    if truncation is not None and FracExp.of(truncation).units24 - 6 <= 24 * n_max - 3:
         raise BeyondTruncation(f"truncation too small to read off n = {n_max}")
 
     def table(series_kind: str) -> dict[int, int]:
-        sigma = multiplicity_series(series_kind, truncation)
-        out = {}
-        for n in range(1, n_max + 1):
-            out[n] = -int(sigma.coefficient(Fraction(n) - Fraction(1, 8)))
-        return out
+        sigma = _sigma(series_kind, 2 * n_max + 1)
+        return {n: -sigma[2 * n] for n in range(1, n_max + 1)}
 
     if kind in ("k3", "noncompact"):
         return CoeffTable(kind, table(kind), n_max)

@@ -8,6 +8,12 @@ Coefficients are `fractions.Fraction`: exact long division (`f / g`, and
 `invert` as `1 / g`) by the theta constant 2q^{1/8}(1 + q + ...) introduces
 dyadic denominators even though the final extracted coefficients are integers.
 
+The multiplicity tables do not use this module: `characters` builds them by
+integer long division on plain lists.  `QSeries` remains for the public
+series API (`half_period_numerator`, `multiplicity_series`, `named_series`)
+and for the eta-cubed and partition expansions that the shadow reference
+pattern and the `pofn` calibration read.
+
 A series carries an explicit truncation: it represents its stored terms plus
 an unknown tail O(q^truncation).  Arithmetic propagates the tightest
 truncation the operands support.

@@ -26,6 +26,25 @@ COMPACT_TABLE = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 52113
 NONCOMPACT_TABLE = [-6, 14, -28, 42, -56, 86, -138, 188, -238, 336]
 
 
+def fraction_table(kind, n_max):
+    """The tables by exact Fraction long division: 8 sum N_label/theta_label as QSeries."""
+    t = FracExp(24 * (n_max + 2))
+
+    def minus_coefficients(labels):
+        sigma = QSeries.zero(t)
+        for label, theta in labels:
+            sigma = sigma + half_period_numerator(label, t) / theta_constant_series(theta, t)
+        values = {n: -8 * sigma.coefficient(F(n) - F(1, 8)) for n in range(1, n_max + 1)}
+        assert all(v.denominator == 1 for v in values.values())
+        return values
+
+    compact = minus_coefficients(((2, "10"), (3, "00"), (4, "01")))
+    noncompact = minus_coefficients(((2, "10"),))
+    if kind == "ale":
+        return {n: (compact[n] - noncompact[n]) / 16 for n in compact}
+    return compact if kind == "k3" else noncompact
+
+
 class TestHalfPeriodSeries:
     def test_numerator_constant_term_is_one_half(self):
         # the self-paired index of the first Lambert sum forces exactly 1/2
@@ -61,10 +80,35 @@ class TestMultiplicitySeries:
         assert multiplicity_series(kind, t) == 8 * (eta * h)
 
     def test_leading_coefficient_must_be_two(self, monkeypatch):
-        unscaled = half_period_numerator
-        monkeypatch.setattr(characters, "half_period_numerator", lambda label, t: 3 * unscaled(label, t))
+        unscaled = characters._numerator_terms
+        monkeypatch.setattr(characters, "_numerator_terms",
+                            lambda label, limit: [(u, 3 * c) for u, c in unscaled(label, limit)])
         with pytest.raises(NonIntegralCoefficient, match="not 2"):
             multiplicity_series("noncompact", FracExp(24 * 4))
+
+    def test_odd_half_steps_must_cancel(self, monkeypatch):
+        # without label 4 the odd powers of q^{1/2} from label 3 survive
+        unscaled = characters._numerator_terms
+        monkeypatch.setattr(characters, "_numerator_terms",
+                            lambda label, limit: [] if label == 4 else list(unscaled(label, limit)))
+        with pytest.raises(NonIntegralCoefficient, match=r"q\^\(3/8\) escaped cancellation"):
+            multiplicity_series("k3", FracExp(24 * 4))
+        with pytest.raises(NonIntegralCoefficient, match="escaped cancellation"):
+            coeff_table("k3", 5)
+
+    def test_numerator_terms_stay_on_the_half_step_lattice(self, monkeypatch):
+        # a term at q^{1/6} has no place in the integer series in q^{1/2}
+        unscaled = characters._numerator_terms
+        monkeypatch.setattr(characters, "_numerator_terms",
+                            lambda label, limit: [*unscaled(label, limit), *[(4, 1)] * (label == 2)])
+        with pytest.raises(NonIntegralCoefficient, match="off the half-step lattice"):
+            coeff_table("noncompact", 5)
+
+    @pytest.mark.parametrize("truncation", [FracExp(3), FracExp(0), FracExp(-24)])
+    def test_truncation_below_the_leading_term(self, truncation):
+        # the series is known below truncation - 1/4, which here excludes q^{-1/8}
+        with pytest.raises(BeyondTruncation):
+            multiplicity_series("k3", truncation)
 
     def test_first_coefficients_match_table(self):
         sigma = multiplicity_series("k3", 12)
@@ -115,6 +159,27 @@ class TestCoeffTable:
             assert round(exact_coefficient("k3", n, 20).cumulative) == compact.values[n]
         for n in range(1, 31):
             assert round(exact_coefficient("k3", n, 400).cumulative) == compact.values[n]
+
+    def test_ale_difference_must_divide_by_16(self, monkeypatch):
+        # a quarter of the label-3 and label-4 numerators keeps the k3 series
+        # integral and even, but k3 - noncompact is then 4 (A_n - A_n^circ)/16
+        unscaled = characters._numerator_terms
+        monkeypatch.setattr(characters, "_numerator_terms",
+                            lambda label, limit: [(u, c if label == 2 else c // 4) for u, c in unscaled(label, limit)])
+        with pytest.raises(NonIntegralCoefficient, match="not divisible by 16"):
+            coeff_table("ale", 3)
+
+    @pytest.mark.parametrize("kind", ["k3", "noncompact", "ale"])
+    def test_matches_fraction_long_division(self, kind):
+        assert coeff_table(kind, 150).values == fraction_table(kind, 150)
+
+    @pytest.mark.parametrize("kind", ["k3", "noncompact", "ale"])
+    def test_builds_to_1000_under_its_invariants(self, kind):
+        table, head = coeff_table(kind, 1000).values, coeff_table(kind, 150).values
+        values = [table[n] for n in range(1, 1001)]
+        assert values[:150] == [head[n] for n in range(1, 151)]
+        if kind != "noncompact":
+            assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_truncation_guard(self):
         with pytest.raises(BeyondTruncation):

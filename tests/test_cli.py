@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,21 @@ class TestCoeffs:
         code, out = run(capsys, "coeffs", "--kind", "k3", "--n-max", "45")
         rows = json.loads(out)["rows"]
         assert rows[44] == {"n": 45, "exact": "1778826191324"}
+
+    # sha256 of stdout, recorded with the Fraction q-series tables that the
+    # integer long division replaced
+    @pytest.mark.parametrize("argv, digest", [
+        (("--format", "json", "coeffs", "--kind", "k3", "--n-max", "300"),
+         "bfb2a3f2c51c9d2afe0948d3f8491591db641a0cc227da9785d82e108265633d"),
+        (("--format", "csv", "coeffs", "--kind", "noncompact", "--n-max", "300"),
+         "7adec03d5d59fb04900779f571cef69ba7b160fcb0e87b981b621670b0078b24"),
+        (("--format", "json", "coeffs", "--kind", "ale", "--n-max", "210", "--entropy"),
+         "05d6fa0344178e40ed88d4e6b5dd98d9965e8816b7a584031c6e3ae6c39a2309"),
+    ])
+    def test_large_tables_byte_identical(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_entropy_plot_data(self, capsys):
         code, out = run(capsys, "--format", "csv", "coeffs", "--kind", "k3", "--n-max", "2", "--entropy")
