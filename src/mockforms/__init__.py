@@ -31,7 +31,6 @@ from .characters import (
 from .errors import (
     BesselOverflow,
     BeyondTruncation,
-    DenominatorVanishes,
     MockformsError,
     NonIntegralCoefficient,
     NonPositiveArgument,

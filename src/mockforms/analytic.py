@@ -1,27 +1,26 @@
 """Double-precision complex evaluation of the analytic objects.
 
-Jacobi theta functions, the Dedekind eta product, the Lerch/Appell sum and
-its completion are evaluated at the SL2(Z)-reduced point: _reduce walks tau
-into |Re tau| <= 1/2, |tau| >= 1, the transformation laws carry the value
-there (for mu_hat: Zwegers, Mock Theta Functions, arXiv:0807.4834, Prop. 1.4,
-Prop. 1.5 and Thm. 1.11), and z is moved into the period parallelogram by
-quasi-periodicity.  The direct sums of the defining series then run where
-they converge in a few terms, so the cost and the accuracy do not depend on
-Im tau.  Large or small factors are carried as logarithms; a value past the
-range of a double raises ValueOverflow.  Level-P theta series, the
-superconformal q-series and the non-holomorphic correction R are summed
-directly at the tau they are given; half-integer Bessel functions have
-closed forms.
+theta_00 and the completion mu_hat are evaluated at the SL2(Z)-reduced
+point: _reduce walks tau into |Re tau| <= 1/2, |tau| >= 1, the transformation
+laws carry the value there (for mu_hat: Zwegers, Mock Theta Functions,
+arXiv:0807.4834, Prop. 1.4, Prop. 1.5 and Thm. 1.11), z goes into the period
+parallelogram, and the direct sums run where a few terms converge, so the
+cost does not depend on Im tau.  Jacobi thetas, level-P thetas
+(q^{a^2/4P} e^{2 pi i a z} theta_00(2Pz + a tau; 2P tau)), the affine and
+massive characters built on them, and eta (q^{1/24} theta_00((tau+1)/2; 3 tau),
+Jacobi's triple product) are theta_00 at shifted arguments.  Large or small
+factors travel as (log, value) pairs, whose rounding grows as Im tau falls
+(theta_00 is good to ~1e-13 relative at Im tau = 1e-3, ~1e-9 at 1e-5); a
+value past a double raises ValueOverflow.  Only the massless sum form's
+q-series and R are still summed at tau; half-integer Bessels are closed forms.
 
-Truncation policy: series are summed symmetrically outward and stopped once
-two consecutive terms fall below 1e-18 relative to the running partial sum,
-so results are deterministic for fixed inputs.  _settle is that loop for
-every series but the theta_00 kernel, which tests a pair of terms at a time.
-A series whose term budget runs out raises QuadratureNonConvergence; none
-returns a truncated sum.  Pole guards are relative: a theta_11 whose sum at
-the reduced point falls below 1e-10 of its largest term, or a denominator
-within 1e-10 of zero, raises a typed error rather than returning a huge
-value.
+Truncation policy: a series stops once two consecutive terms fall below 1e-18
+of the running sum (_settle; the theta_00 kernel tests a pair of terms at a
+time), so results are deterministic.  A series whose term budget runs out
+raises QuadratureNonConvergence, never a truncated sum.  Every pole guard is
+relative and raises PoleAtArgument: a theta_11 (the affine denominator too,
+-i theta_11(2z)) below 1e-10 of its largest term at the reduced point, or a
+denominator within 1e-10 of zero relative to its larger part.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -36,7 +35,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import (
-    DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
@@ -68,6 +66,8 @@ __all__ = [
 
 TAIL_EPS = 1e-18
 POLE_EPS = 1e-10
+MAX_TERMS = 100_000
+_GAUSS_CUT = -2.0 * math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CUT
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
@@ -179,6 +179,28 @@ def _settle(total: complex, terms: Iterable[complex], what: str) -> complex:
     raise QuadratureNonConvergence(f"{what} did not settle")
 
 
+def _budget(floor: int, needed: float, what: str, v: float) -> int:
+    """max(floor, ceil(needed)) terms, raising QuadratureNonConvergence past MAX_TERMS."""
+    budget = max(floor, math.ceil(needed))
+    if budget > MAX_TERMS:
+        raise QuadratureNonConvergence(f"{what} needs {budget} terms at Im tau = {v:.3g}")
+    return budget
+
+
+def _outward(summand, rate: float, v: float, what: str) -> complex:
+    """summand(0) plus the terms m = +-1, +-2, ..., settled in each direction.
+
+    Each direction gets the terms it takes the Gaussian factor e^{-rate m^2}
+    to fall below TAIL_EPS^2, at least 200; the square leaves room for
+    denominators, which lift a term by up to 1/(2 pi Im tau)^2.
+    """
+    budget = _budget(200, math.sqrt(_GAUSS_CUT / rate), what, v)
+    total = summand(0)
+    for direction in (1, -1):
+        total = _settle(total, map(summand, range(direction, (budget + 1) * direction, direction)), what)
+    return total
+
+
 # -- theta functions -----------------------------------------------------
 
 
@@ -264,34 +286,22 @@ def jacobi_theta(label: str, z, tau) -> complex:
     return _scaled(*_theta_parts(label, _z(z), _tau(tau)))
 
 
-def _euler_product(t: complex) -> complex:
-    """prod_{n=1}^{N} (1 - q^n) with |q|^N below 1e-18."""
-    q = cmath.exp(2j * math.pi * t)
-    n_terms = int(18.0 * math.log(10.0) / (2.0 * math.pi * t.imag)) + 3
-    prod = 1.0 + 0j
-    q_pow = 1.0 + 0j
-    for _ in range(n_terms):
-        q_pow *= q
-        prod *= 1.0 - q_pow
-    return prod
+def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
+    """theta_11(2z) as (log, value); PoleAtArgument where value, in units of its largest term, is tiny."""
+    log, value = _theta_parts("11", 2.0 * z, t)
+    if abs(value) < POLE_EPS:
+        raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
+    return log, value
 
 
 def _eta_parts(t: complex) -> tuple[complex, complex]:
-    """(log, value) with eta(tau) = exp(log) * value, the product taken at the reduced tau.
-
-    eta(tau + n) = e^{i pi n/12} eta(tau) and eta(tau) = sqrt(i/tau) eta(-1/tau).
-    """
-    log = 0j
-    steps = _reduce(t)
-    for n, s in steps[:-1]:
-        log += 1j * math.pi * (n % 24) / 12.0 + 0.5 * cmath.log(1j / s)
-    n, t_red = steps[-1]
-    log += 1j * math.pi * ((n % 24) + t_red) / 12.0
-    return log, _euler_product(t_red)
+    """(log, value) of eta(tau) = sum_n (-1)^n q^{(6n+1)^2/24} = q^{1/24} theta_00((tau + 1)/2; 3 tau)."""
+    log, value = _theta_parts("00", 0.5 * (t + 1.0), 3.0 * t)
+    return log + 1j * math.pi * t / 12.0, value
 
 
 def dedekind_eta(tau) -> complex:
-    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), evaluated at the reduced point."""
+    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), evaluated as theta_00 at the reduced point."""
     return _scaled(*_eta_parts(_tau(tau)))
 
 
@@ -325,10 +335,7 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
     v = t.imag
     if method == "sum":
         scale = math.sqrt(2.0 * math.pi * v)
-        budget = max(400, math.ceil(10.0 / scale))
-        if budget > 100_000:
-            raise QuadratureNonConvergence(
-                f"non-holomorphic correction sum needs {budget} terms at Im tau = {v:.3g}")
+        budget = _budget(400, 10.0 / scale, "non-holomorphic correction sum", v)
 
         def terms():
             sign, phase = 2.0, -1j * math.pi * t
@@ -394,9 +401,7 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
             raise PoleAtArgument(f"Lerch denominator vanishes at n = {n}, z = {z}")
         return (-1) ** n * cmath.exp(1j * math.pi * (t * n * (n + 1) - 2.0 * t * n + 2.0 * (n - 1) * z)) / den
 
-    total = summand(0)
-    for direction in (1, -1):
-        total = _settle(total, map(summand, range(direction, 401 * direction, direction)), "Lerch sum")
+    total = _outward(summand, math.pi * t.imag, t.imag, "Lerch sum")
     th_log, th = _theta_direct("11", z, t)
     if abs(th) < POLE_EPS:
         raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
@@ -475,23 +480,46 @@ def bessel_half(kind: str, x: float) -> float:
 # -- level-P theta series and affine characters -------------------------------
 
 
+def _level_theta_parts(P: int, a: int, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with vartheta_{P,a}(z; tau) = exp(log) * value.
+
+    Completing the square in n gives
+    vartheta_{P,a}(z; tau) = q^{a^2/4P} e^{2 pi i a z} theta_00(2Pz + a tau; 2P tau).
+    a matters only mod 2P and is first taken with |a| <= P, which keeps the
+    prefactor's exponent, and so its rounding, small.
+    """
+    a -= 2 * P * round(a / (2 * P))
+    log, value = _theta_parts("00", 2 * P * z + a * t, 2 * P * t)
+    return log + 2j * math.pi * (a * a * t / (4.0 * P) + a * z), value
+
+
+def _difference(first: tuple[complex, complex], second: tuple[complex, complex]) -> tuple[complex, complex]:
+    """(log, value) of the difference of two (log, value) pairs, in units of the larger exponent."""
+    (log1, v1), (log2, v2) = first, second
+    if log1.real >= log2.real:
+        return log1, v1 - cmath.exp(log2 - log1) * v2
+    return log2, cmath.exp(log1 - log2) * v1 - v2
+
+
 def level_theta(P: int, a: int, z, tau) -> complex:
-    """sum_n q^{(2Pn+a)^2/(4P)} e^{2 pi i z (2Pn+a)}; periodic in a mod 2P."""
+    """sum_n q^{(2Pn+a)^2/(4P)} e^{2 pi i z (2Pn+a)}; periodic in a mod 2P (see _level_theta_parts)."""
     if P < 1:
         raise ValueError("level P must be positive")
-    z = _z(z)
-    t = _tau(tau)
+    return _scaled(*_level_theta_parts(P, a, _z(z), _tau(tau)))
 
-    def term(n: int) -> complex:
-        m = 2 * P * n + a
-        return cmath.exp(2j * math.pi * (t * m * m / (4.0 * P) + z * m))
 
-    center = round(-a / (2.0 * P))
-    total = term(center)
-    for direction in (1, -1):
-        indices = range(center + direction, center + 10_001 * direction, direction)
-        total = _settle(total, map(term, indices), "level theta series")
-    return total
+def _affine_parts(k: int, ell, z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) of the affine SU(2) character; see affine_su2_character."""
+    if k < 0:
+        raise ValueError("level k must be nonnegative")
+    a = Fraction(ell) * 2 + 1
+    if a.denominator != 1:
+        raise UnsupportedSpec(f"isospin {ell} is not a half-integer")
+    a = int(a)
+    num_log, num = _difference(_level_theta_parts(k + 2, a, z, t), _level_theta_parts(k + 2, -a, z, t))
+    den_log, den = _theta11_of_2z(z, t)
+    # vartheta_{2,1} - vartheta_{2,-1} = -i theta_11(2z)
+    return num_log - den_log, 1j * num / den
 
 
 def affine_su2_character(k: int, ell, z, tau) -> complex:
@@ -500,19 +528,10 @@ def affine_su2_character(k: int, ell, z, tau) -> complex:
         chi_{k,ell} = (vartheta_{k+2, 2 ell + 1} - vartheta_{k+2, -2 ell - 1})
                       / (vartheta_{2, 1} - vartheta_{2, -1})
 
-    Even in z; the denominator vanishes at z = 0 (DenominatorVanishes).
+    Even in z.  The denominator is -i theta_11(2z); where it vanishes (z on
+    the half-period lattice, e.g. z = 0) it raises PoleAtArgument.
     """
-    if k < 0:
-        raise ValueError("level k must be nonnegative")
-    a = Fraction(ell) * 2 + 1
-    if a.denominator != 1:
-        raise UnsupportedSpec(f"isospin {ell} is not a half-integer")
-    a = int(a)
-    den = level_theta(2, 1, z, tau) - level_theta(2, -1, z, tau)
-    if abs(den) < POLE_EPS:
-        raise DenominatorVanishes(f"affine character denominator vanishes at z = {_z(z)}")
-    num = level_theta(k + 2, a, z, tau) - level_theta(k + 2, -a, z, tau)
-    return num / den
+    return _scaled(*_affine_parts(k, ell, _z(z), _tau(tau)))
 
 
 # -- spectral flow -------------------------------------------------------------
@@ -604,18 +623,6 @@ def _theta_sq_over_eta3(label: str, z: complex, t: complex) -> tuple[complex, co
     return 2.0 * th_log - 3.0 * eta_log, th * th / (eta * eta * eta)
 
 
-def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
-    """theta_11(2z) as (log, value), raising PoleAtArgument where it vanishes.
-
-    The test is relative: value is the series over its largest term at the
-    reduced point.
-    """
-    log, value = _theta_parts("11", 2.0 * z, t)
-    if abs(value) < POLE_EPS:
-        raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
-    return log, value
-
-
 def _massless_compact_sum(z: complex, t: complex) -> complex:
     """Printed one-variable form of the level-1, isospin-0 massless character
     (the tilded-Ramond sector): prefactor i theta_11(z)^2 / (theta_11(2z) eta^3)
@@ -628,9 +635,7 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
             raise PoleAtArgument(f"massless denominator vanishes at m = {m}, z = {z}")
         return cmath.exp(1j * math.pi * (4.0 * t * m * m + 8.0 * m * z)) * (1.0 + y_qm) / den
 
-    total = summand(0)
-    for direction in (1, -1):
-        total = _settle(total, map(summand, range(direction, 201 * direction, direction)), "massless character sum")
+    total = _outward(summand, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
     th2_log, th2 = _theta11_of_2z(z, t)
     log, value = _theta_sq_over_eta3("11", z, t)
     return _scaled(log - th2_log, 1j * value / th2 * total)
@@ -667,9 +672,7 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
                 out += eps * cmath.exp(1j * math.pi * (2.0 * t * (q_exp + 2 * m) + osc + 4.0 * eps * w)) / (den * den)
         return out
 
-    total = pair(0)
-    for direction in (1, -1):
-        total = _settle(total, map(pair, range(direction, 201 * direction, direction)), "massless character sum")
+    total = _outward(pair, 2.0 * math.pi * (k + 1) * t.imag, t.imag, "massless character sum")
     th2_log, th2 = _theta11_of_2z(w, t)
     log, value = _theta_sq_over_eta3("10", w, t)
     return _scaled(log - th2_log, 1j * value / th2 * total)
@@ -705,8 +708,8 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     w = z + (flow - _FLOW["R"]).at(t)
     exponent = spec.h - spec.ell ** 2 / (spec.k + 1) - Fraction(spec.k, 4)
     log, value = _theta_sq_over_eta3("10", w, t)
-    chi = affine_su2_character(spec.k - 1, spec.ell - Fraction(1, 2), w, t)
-    return _scaled(log + 2j * math.pi * t * float(exponent), value * chi)
+    chi_log, chi = _affine_parts(spec.k - 1, spec.ell - Fraction(1, 2), w, t)
+    return _scaled(log + chi_log + 2j * math.pi * t * float(exponent), value * chi)
 
 
 # -- elliptic genera and the two-argument kernel ------------------------------

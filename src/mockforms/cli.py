@@ -163,7 +163,7 @@ def cmd_pofn(cfg: RunConfig, out) -> int:
 def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
     import cmath
 
-    from .analytic import (CharSpec, _completion_direct, _euler_product, dedekind_eta, jacobi_theta,
+    from .analytic import (CharSpec, _completion_direct, _scaled, _theta_direct, dedekind_eta, jacobi_theta,
                            lerch_completion, superconformal_character)
     from .rademacher import _dedekind_euclid
     from fractions import Fraction
@@ -188,7 +188,8 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
         worst["genus_at_zero"] = max(worst["genus_at_zero"],
                                      characters.identity_check("genus_at_zero", 0.0, t))
         shat = shadow._completion_sum(t)
-        eta = cmath.exp(2j * math.pi * t / 24.0) * _euler_product(t)
+        # eta = q^{1/24} theta_00((tau + 1)/2; 3 tau), summed at 3 tau itself
+        eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct("00", 0.5 * (t + 1.0), 3.0 * t))
         worst["completion_S"] = max(worst["completion_S"],
                                     abs(shadow.multiplicity_completion(-1 / t) + cmath.sqrt(t / 1j) * shat))
         worst["completion_T"] = max(worst["completion_T"],

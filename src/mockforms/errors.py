@@ -25,10 +25,6 @@ class PoleAtArgument(MockformsError):
     """An evaluation point sits on (or numerically too close to) a pole."""
 
 
-class DenominatorVanishes(MockformsError):
-    """The denominator theta combination vanishes at the evaluation point."""
-
-
 class UnsupportedSpec(MockformsError):
     """Character parameters violate the representation-theory constraints."""
 

@@ -28,7 +28,6 @@ from mockforms.analytic import (
 )
 from mockforms.errors import (
     BesselOverflow,
-    DenominatorVanishes,
     NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
@@ -337,8 +336,23 @@ class TestAffineCharacter:
         z, t = 0.21 + 0.03j, 1.1j
         assert abs(affine_su2_character(2, 1, z, t) - affine_su2_character(2, 1, -z, t)) < 1e-12
 
+    # chi_{1,1/2} at Im tau = 1e-4 and 1e-5, where the direct sums of vartheta
+    # at tau cancel by more than a double holds.  Reference values: mpmath at
+    # 300 digits (unchanged at 400), numerator and denominator summed
+    # literally from the definition, sum_n q^{(2Pn+a)^2/4P} e^{2 pi i z (2Pn+a)},
+    # over |n| <= 4000 (unchanged at 4500).
+    @pytest.mark.parametrize("z, t, expected", [
+        (0.13 + 0.01j, 0.3 + 1e-4j, 1.8107829183171032359e-11 + 2.9549291602797581562e-11j),
+        (0.13 + 0.01j, 0.3 + 1e-5j, 1.3058640736325084249e-105 + 2.130976491718082826e-105j),
+        (0.13, 0.3 + 1e-5j, 6.7355163870615634815e-133 + 1.099136377991002192e-132j),
+    ], ids=("im_tau_1e-4", "im_tau_1e-5", "real_z_im_tau_1e-5"))
+    def test_small_im_tau_against_high_precision(self, z, t, expected):
+        got = affine_su2_character(1, F(1, 2), z, t)
+        assert abs(got - expected) <= 1e-8 * abs(expected)
+
     def test_denominator_vanishes_at_origin(self):
-        with pytest.raises(DenominatorVanishes):
+        # the denominator is -i theta_11(2z), whose zero is a pole like any other
+        with pytest.raises(PoleAtArgument):
             affine_su2_character(1, F(1, 2), 0.0, 1.2j)
 
 
@@ -371,6 +385,13 @@ class TestCharacters:
         a = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)
         b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
         assert abs(a - b) <= 1e-9 * abs(b) + math.exp(log_rounding)
+
+    def test_sum_form_settles_below_im_tau_8e_5(self):
+        # the sum form's budget follows Im tau; a fixed 200 terms ran out here
+        z, t = 0.23 + 1.8e-5j, 0.3 + 6e-5j
+        a = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)
+        b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
+        assert abs(a - b) <= 1e-9 * abs(b)
 
     def test_recursion_identity(self):
         for z in ZS:
@@ -457,7 +478,8 @@ class TestTruncation:
     SERIES = (
         ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t, "sum")),
         ("Lerch sum", lerch_sum),
-        ("level theta series", lambda z, t: level_theta(3, 2, z, t)),
+        # level_theta is theta_00 at the reduced point, so it exhausts that kernel
+        ("theta series", lambda z, t: level_theta(3, 2, z, t)),
         ("massless character sum",
          lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)),
         ("massless character sum",

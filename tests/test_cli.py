@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +208,29 @@ class TestRemovedOptions:
         assert main(["--cache-dir=x", "coeffs", "--kind", "k3", "--n-max", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments: --cache-dir=x" in captured.err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands() -> list[str]:
+    """The `mockforms ...` lines of the README's command-line block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mockforms ")]
+
+
+class TestReadmeCommands:
+    def test_block_covers_every_subcommand(self):
+        words = {word for line in _readme_commands() for word in shlex.split(line)}
+        assert {"coeffs", "rademacher", "verify", "shadow", "pofn"} <= words
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_runs_as_a_subprocess(self, line):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "mockforms", *shlex.split(line)[1:]]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout.strip()
+        assert done.stderr == ""
