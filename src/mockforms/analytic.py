@@ -14,10 +14,21 @@ factors travel as (log, value) pairs, whose rounding grows as Im tau falls
 value past a double raises ValueOverflow.  Only the massless sum form's
 q-series and R are still summed at tau; half-integer Bessels are closed forms.
 
+The two kernels every evaluation ends in run at the reduced point, where a
+few terms settle, and form each term from the one before it by a running
+ratio, one complex multiply instead of one exp: the theta_00 sum and the
+Lerch sum.  The Lerch sum mu = q^{-1/8} A / S sums the Appell series A and
+S = sum_n t_n, which is theta_11(z) up to the factor i q^{1/8} y^{1/2}, in
+one loop over one chain of t_n, so it needs no theta_11 of its own.  The
+massless sum forms' q-series and R, which run at tau itself with tens to
+thousands of terms, keep one exp per term: recurrence rounding grows with
+the term index.
+
 Truncation policy: a series stops once two consecutive terms fall below 1e-18
 of the running sum (_settle; the theta_00 kernel tests a pair of terms at a
-time), so results are deterministic.  A series whose term budget runs out
-raises QuadratureNonConvergence, never a truncated sum.  Every pole guard is
+time, the Lerch kernel the Appell term and t_n together), so results are
+deterministic.  A series whose term budget runs out raises
+QuadratureNonConvergence, never a truncated sum.  Every pole guard is
 relative and raises PoleAtArgument: a theta_11 (the affine denominator too,
 -i theta_11(2z)) below 1e-10 of its largest term at the reduced point, or a
 denominator within 1e-10 of zero relative to its larger part.
@@ -129,25 +140,33 @@ def _reduce(t: complex) -> list[tuple[int, complex]]:
         t = -1.0 / t
 
 
-def _theta_lattice(w: complex, t: complex) -> tuple[complex, complex]:
-    """(w0, log) with theta_00(w; tau) = exp(log) theta_00(w0; tau), w0 = w - a - b tau.
+def _lattice_point(w: complex, t: complex) -> tuple[complex, int]:
+    """(w0, b) with w0 = w - a - b tau for integers a, b, |Im w0| <= Im tau / 2 and |Re w0| <= 1/2.
 
-    |Im w0| <= Im tau / 2 and |Re w0| <= 1/2, and
-    theta_00(w0 + a + b tau) = e^{-i pi b (b tau + 2 w0)} theta_00(w0).  For
-    |b| > 1 (Im w well above Im tau) w0 and the phase mod 2 pi are formed in
-    exact rationals, so a large b costs no digits; the float branch keeps
-    the common case cheap.
+    For |b| > 1 (Im w well above Im tau) Re w0 is formed in exact rationals,
+    so a large b costs no digits; the float branch keeps the common case cheap.
     """
     b = round(w.imag / t.imag)
     if abs(b) <= 1:
         w -= b * t
-        w -= round(w.real)
-        return w, -1j * math.pi * b * (b * t + 2.0 * w)
+        return w - round(w.real), b
     re = Fraction(w.real) - b * Fraction(t.real)
-    re -= round(re)
-    im = w.imag - b * t.imag
-    phase = b * (b * Fraction(t.real) + 2 * re) % 2
-    return complex(float(re), im), math.pi * (b * (b * t.imag + 2.0 * im) - 1j * float(phase))
+    return complex(float(re - round(re)), w.imag - b * t.imag), b
+
+
+def _theta_lattice(w: complex, t: complex) -> tuple[complex, complex]:
+    """(w0, log) with theta_00(w; tau) = exp(log) theta_00(w0; tau), w0 from _lattice_point.
+
+    theta_00(w0 + a + b tau) = e^{-i pi b (b tau + 2 w0)} theta_00(w0).  For
+    |b| > 1 the phase is taken mod 2 pi in exact rationals: with the exact
+    Re w0 = Re w - a - b Re tau, b (b Re tau + 2 Re w0) = b (2 Re w - b Re tau) - 2ab,
+    which is b (2 Re w - b Re tau) mod 2, so the phase needs neither a nor w0.
+    """
+    w0, b = _lattice_point(w, t)
+    if abs(b) <= 1:
+        return w0, -1j * math.pi * b * (b * t + 2.0 * w0)
+    phase = b * (2 * Fraction(w.real) - b * Fraction(t.real)) % 2
+    return w0, math.pi * (b * (b * t.imag + 2.0 * w0.imag) - 1j * float(phase))
 
 
 def _scaled(log: complex, value: complex) -> complex:
@@ -208,14 +227,20 @@ def _theta00_sum(z: complex, t: complex) -> complex:
     """sum_n exp(i pi (tau n^2 + 2 n z)), summed outward from n = 0.
 
     For |Im z| <= Im tau / 2 no term is larger than the n = 0 term, 1, so
-    the terms only shrink from there on.
+    the terms only shrink from there on.  Each term is the one before it
+    times a running ratio: with q = e^{2 pi i tau}, term n + 1 is term n
+    times e^{i pi (tau + 2z)} q^n (and with -z for -n), and the ratio itself
+    gains a factor q per step.  Every factor is at most 1 in modulus, so a
+    product can underflow to 0, where the true term is negligible, but never
+    overflow.
     """
+    q = cmath.exp(2j * math.pi * t)
+    a = cmath.exp(1j * math.pi * (t + 2.0 * z))
+    b = cmath.exp(1j * math.pi * (t - 2.0 * z))
+    ratio_a, ratio_b = a * q, b * q
     total = 1.0 + 0j
     small_streak = 0
-    n = 1
-    while True:
-        a = cmath.exp(1j * math.pi * n * (t * n + 2.0 * z))
-        b = cmath.exp(1j * math.pi * n * (t * n - 2.0 * z))
+    for _ in range(10_000):  # unreachable for finite arguments
         total += a + b
         if abs(a) + abs(b) <= TAIL_EPS * (1.0 + abs(total)):
             small_streak += 1
@@ -223,9 +248,11 @@ def _theta00_sum(z: complex, t: complex) -> complex:
                 return total
         else:
             small_streak = 0
-        n += 1
-        if n > 10_000:  # unreachable for finite arguments
-            raise QuadratureNonConvergence("theta series did not settle")
+        a *= ratio_a
+        b *= ratio_b
+        ratio_a *= q
+        ratio_b *= q
+    raise QuadratureNonConvergence("theta series did not settle")
 
 
 def _theta00_argument(label: str, z: complex, t: complex) -> tuple[complex, complex]:
@@ -377,35 +404,50 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
 def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
     """(log, value) with mu(z; tau) = exp(log) * value, summed at tau itself.
 
-    mu is even and elliptic in z, so z is first moved into the period
-    parallelogram with Im z >= 0.  Then |e^{2 pi i z}| <= 1 and no term or
-    denominator below can overflow, however large Im tau is.  Raises
-    PoleAtArgument when theta_11(z) is below POLE_EPS times the largest term
-    of its series, or a denominator is numerically zero.
+    With q = e^{2 pi i tau}, y = e^{2 pi i z} and t_n = (-1)^n q^{n(n+1)/2} y^n,
+    theta_11(z) = i q^{1/8} y^{1/2} S with S = sum_n t_n, so
+    mu(z; tau) = q^{-1/8} A / S with A = sum_n t_n / (1 - q^n y).  One loop
+    per direction sums both over one chain of t_n.  mu is even and elliptic
+    in z, so z is first moved into the period parallelogram with Im z >= 0;
+    then t_{-1} = -1/y is the largest term, and both sums are kept in its
+    units, u_n = t_n y, so that no factor exceeds 1 in modulus:
+
+        n >= 0:  u_{n+1} = -u_n r with r = q^{n+1} y,  term u_n / (1 - q^n y);
+        n < 0:   u_{n-1} = -u_n r with r = q^{-n} / y,  term u_{n-1} / (1 - r).
+
+    The starting ratios y and q/y are one exp each and r gains a factor q
+    per step.  Raises PoleAtArgument where a denominator 1 - r (|r| <= 1)
+    is within POLE_EPS of zero, or |S| is below POLE_EPS of its largest term.
     """
-    z = _theta_lattice(z, t)[0]
+    z = _lattice_point(z, t)[0]
     if z.imag < 0:
         z = -z
-
-    def summand(n: int) -> complex:
-        if n >= 0:
-            # q^{n(n+1)/2} e^{2 pi i n z} / (1 - q^n e^{2 pi i z})
-            den = 1.0 - cmath.exp(1j * math.pi * (2.0 * t * n + 2.0 * z))
+    budget = _budget(200, math.sqrt(_GAUSS_CUT / (math.pi * t.imag)), "Lerch sum", t.imag)
+    q = cmath.exp(2j * math.pi * t)
+    appell, theta = 0j, -1.0 + 0j  # theta starts at u_{-1}
+    for n0, step, u in ((0, 1, cmath.exp(2j * math.pi * z)), (-1, -1, cmath.exp(2j * math.pi * (t - z)))):
+        r = u
+        small_streak, eps = 0, TAIL_EPS
+        for k in range(budget):
+            den = 1.0 - r
             if abs(den) < POLE_EPS:
-                raise PoleAtArgument(f"Lerch denominator vanishes at n = {n}, z = {z}")
-            return (-1) ** n * cmath.exp(1j * math.pi * (t * n * (n + 1) + 2.0 * n * z)) / den
-        # for n < 0 multiply through by q^{-n} e^{-2 pi i z} to avoid overflow
-        w = cmath.exp(1j * math.pi * (-2.0 * t * n - 2.0 * z))
-        den = w - 1.0
-        if abs(den) < POLE_EPS * max(1.0, abs(w)):
-            raise PoleAtArgument(f"Lerch denominator vanishes at n = {n}, z = {z}")
-        return (-1) ** n * cmath.exp(1j * math.pi * (t * n * (n + 1) - 2.0 * t * n + 2.0 * (n - 1) * z)) / den
-
-    total = _outward(summand, math.pi * t.imag, t.imag, "Lerch sum")
-    th_log, th = _theta_direct("11", z, t)
-    if abs(th) < POLE_EPS:
+                raise PoleAtArgument(f"Lerch denominator vanishes at n = {n0 + step * k}, z = {z}")
+            term = u / den
+            appell += term
+            theta += u
+            if abs(term) <= eps * (1.0 + abs(appell)) and abs(u) <= eps * (1.0 + abs(theta)):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+            r *= q
+            u *= -r
+        else:
+            raise QuadratureNonConvergence("Lerch sum did not settle")
+    if abs(theta) < POLE_EPS:
         raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
-    return 1j * math.pi * z - th_log, 1j * total / th
+    return -0.25j * math.pi * t, appell / theta
 
 
 def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]:
@@ -420,7 +462,7 @@ def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]
     steps = _reduce(t)
     for n, s in steps[:-1]:
         factor *= -cmath.exp(-0.25j * math.pi * (n % 8)) * cmath.sqrt(1j / s)
-        z = _theta_lattice(z, s)[0] / s
+        z = _lattice_point(z, s)[0] / s
     n, t_red = steps[-1]
     return factor * cmath.exp(-0.25j * math.pi * (n % 8)), z, t_red
 
@@ -744,10 +786,11 @@ def lerch_difference(z, w, tau) -> complex:
     """theta_11(z)^2 / eta^3 * (mu(z; tau) - mu(w; tau)).
 
     Vanishes at w = z; at w equal to a half-period it collapses to a squared
-    theta quotient.
+    theta quotient.  R depends only on tau, so mu(z) - mu(w) is
+    mu_hat(z) - mu_hat(w), and R is not summed at tau itself.
     """
     z = _z(z)
     w = _z(w)
     t = _tau(tau)
     log, value = _theta_sq_over_eta3("11", z, t)
-    return _scaled(log, value * (lerch_sum(z, t) - lerch_sum(w, t)))
+    return _scaled(log, value * (lerch_completion(z, t) - lerch_completion(w, t)))

@@ -28,6 +28,7 @@ from mockforms.analytic import (
 )
 from mockforms.errors import (
     BesselOverflow,
+    MockformsError,
     NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
@@ -142,6 +143,37 @@ class TestTheta:
         th00, th01, th10 = (jacobi_theta(label, 0.0, t) for label in ("00", "01", "10"))
         scale = abs(th00) ** 4 + abs(th01) ** 4 + abs(th10) ** 4
         assert abs(th00 ** 4 - th01 ** 4 - th10 ** 4) <= 1e-12 * scale
+
+    # theta_00(0.13 + 0.01i; tau) at small Im tau, where the walk to the
+    # reduced point loses digits as Im tau falls.  Reference values: mpmath
+    # at 300 digits (the same 25 digits at 400), the series
+    # sum_n exp(i pi (tau n^2 + 2 n z)) summed literally over |n| <= 700, 2200
+    # and 7000 (the same with 20 % more terms), at the exact binary values of
+    # the double inputs:
+    #     mp.mp.dps = 300
+    #     z, t = mp.mpc(0.13, 0.01), mp.mpc(0.3, 1e-5)
+    #     mp.fsum(mp.exp(1j * mp.pi * (t * n * n + 2 * n * z)) for n in range(-7000, 7001))
+    # The bounds are three times the error measured when they were set
+    # (7.9e-14, 4.2e-12, 7.3e-10), so a kernel change cannot make it worse
+    # unnoticed.
+    @pytest.mark.parametrize("t, expected, bound", [
+        (0.3 + 1e-3j, -0.1267172541604597325193716 - 0.8000556752726468567179559j, 3 * 7.9e-14),
+        (0.3 + 1e-4j, 3.798473460012407075374638e-10 + 6.016190930623097040111548e-11j, 3 * 4.2e-12),
+        (0.3 + 1e-5j, 6.990554398347657902023003e-108 + 1.107195047935925938033812e-108j, 3 * 7.3e-10),
+    ], ids=("im_tau_1e-3", "im_tau_1e-4", "im_tau_1e-5"))
+    def test_small_im_tau_against_high_precision(self, t, expected, bound):
+        got = jacobi_theta("00", 0.13 + 0.01j, t)
+        assert abs(got - expected) <= bound * abs(expected)
+
+    @pytest.mark.parametrize("w, t", [(0.37 + 0.3j, 0.3 + 0.01j), (-2.6 - 0.9j, 0.1 + 0.02j),
+                                      (0.8 + 0.012j, 0.3 + 0.01j), (0.3 - 0.004j, 0.45 + 0.01j)],
+                             ids=("b_30", "b_minus_45", "b_1", "b_0"))
+    def test_lattice_point_is_the_theta_lattice_shift(self, w, t):
+        # _lattice_point alone gives the w0 of _theta_lattice, in the exact
+        # branch (|b| > 1) and the float one
+        w0, _ = analytic._lattice_point(w, t)
+        assert w0 == analytic._theta_lattice(w, t)[0]
+        assert abs(w0.imag) <= 0.5 * t.imag and abs(w0.real) <= 0.5
 
     def test_accepts_wrapped_types(self):
         a = jacobi_theta("00", EllipticArg(0.1), ModularPoint(1.2j))
@@ -277,6 +309,50 @@ class TestCompletion:
         z = _strip_point(zr, t)
         scale = lerch_rounding_scale(z, t) + abs(correction_fixed(t))
         assert abs(lerch_completion(z, t) - completion_fixed(z, t)) <= 1e-12 * scale
+
+
+# Reduced Im tau 40 and 670, with Im z at 0, +-0.45 Im tau and at the
+# half-periods.  At Im z = 0.45 * 670 the factor y = e^{2 pi i z} is e^{-1894},
+# which underflows: a kernel that forms 1/y as a factor of its own divides
+# by zero there.
+EXTREME_POINTS = [(z, t) for t in (0.1 + 40j, 0.2 + 670j)
+                  for z in (0.3 + 0j, complex(0.3, 0.45 * t.imag), complex(0.3, -0.45 * t.imag),
+                            0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)]
+
+
+class TestLerchExtremePoints:
+    @pytest.mark.parametrize("z, t", EXTREME_POINTS)
+    def test_against_fixed_range_sums(self, z, t):
+        # mu is even, and the oracle's own terms overflow for Im z < 0
+        zo = -z if z.imag < 0 else z
+        ref = lerch_sum_fixed(zo, t)
+        assert abs(lerch_sum(z, t) - ref) <= 1e-12 * abs(ref)
+        ref = completion_fixed(zo, t)
+        assert abs(lerch_completion(z, t) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("z, t", EXTREME_POINTS)
+    def test_through_the_s_law(self, z, t):
+        # tau' = -1/tau (Im tau' ~ 6e-4 and 1.5e-3) and z' = z tau', which the
+        # walk reduces back to (z, tau): mu_hat(z'; tau') = -sqrt(i/tau') mu_hat(z; tau)
+        zo = -z if z.imag < 0 else z
+        t_in = -1.0 / t
+        expected = -cmath.sqrt(1j / t_in) * completion_fixed(zo, t)
+        assert abs(lerch_completion(z * t_in, t_in) - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("t", (0.2 + 670j, 1e4j, -1.0 / (0.2 + 670j), 1e-4j))
+    def test_only_typed_errors_escape(self, t):
+        # on the lattice (a pole), past a double (|mu| ~ e^{pi Im tau / 4} at
+        # reduced Im tau 1e4) or anywhere else, a call returns a finite value
+        # or raises a MockformsError; never ZeroDivisionError or OverflowError
+        v = t.imag
+        for z in (0j, t, 1.0 + 0j, 0.3 + 0j, complex(0.3, 0.45 * v), complex(0.3, -0.45 * v),
+                  complex(0.3, 0.5 * v), 0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t, complex(1e-9, 0.45 * v)):
+            for f in (lerch_sum, lerch_completion):
+                try:
+                    value = f(z, t)
+                except MockformsError:
+                    continue
+                assert cmath.isfinite(value)
 
 
 class TestBesselHalf:
@@ -459,6 +535,24 @@ class TestLerchDifference:
             for label, w in (("10", 0.5), ("00", (1 + t) / 2), ("01", t / 2)):
                 quotient = (jacobi_theta(label, z, t) / jacobi_theta(label, 0.0, t)) ** 2
                 assert abs(lerch_difference(z, w, t) - quotient) < 1e-9
+
+    def test_correction_is_not_summed_at_tau(self, monkeypatch):
+        # R depends only on tau, so mu(z) - mu(w) = mu_hat(z) - mu_hat(w) and
+        # R is summed only at the reduced point
+        seen = []
+        correction = analytic.nonholomorphic_correction
+
+        def recording(tau, method="sum"):
+            seen.append(tau)
+            return correction(tau, method)
+
+        monkeypatch.setattr(analytic, "nonholomorphic_correction", recording)
+        z, w, t = 0.13 + 0.01j, 0.37 + 0.02j, 0.3 + 1e-3j
+        value = lerch_difference(z, w, t)
+        assert seen and min(tau.imag for tau in seen) > 0.8
+        mu_difference = value * dedekind_eta(t) ** 3 / jacobi_theta("11", z, t) ** 2
+        scale = abs(lerch_sum(z, t)) + abs(lerch_sum(w, t))
+        assert abs(mu_difference - (lerch_sum(z, t) - lerch_sum(w, t))) <= 1e-9 * scale
 
 
 class TestDeterminism:
