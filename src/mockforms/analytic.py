@@ -407,26 +407,35 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
     With q = e^{2 pi i tau}, y = e^{2 pi i z} and t_n = (-1)^n q^{n(n+1)/2} y^n,
     theta_11(z) = i q^{1/8} y^{1/2} S with S = sum_n t_n, so
     mu(z; tau) = q^{-1/8} A / S with A = sum_n t_n / (1 - q^n y).  One loop
-    per direction sums both over one chain of t_n.  mu is even and elliptic
-    in z, so z is first moved into the period parallelogram with Im z >= 0;
-    then t_{-1} = -1/y is the largest term, and both sums are kept in its
-    units, u_n = t_n y, so that no factor exceeds 1 in modulus:
+    per direction sums both over one chain of terms.  mu is even and
+    elliptic in z, so z is first moved into the period parallelogram with
+    0 <= Im z <= Im tau / 2.  There no Appell numerator exceeds t_0 = 1 and
+    no t_n exceeds t_{-1} = -1/y in modulus, so A is summed in units of 1
+    and S in units of 1/y.  The chain u runs over the Appell numerators,
+    with a ratio r = q^n y or q^{-n} / y (|r| <= 1):
 
-        n >= 0:  u_{n+1} = -u_n r with r = q^{n+1} y,  term u_n / (1 - q^n y);
-        n < 0:   u_{n-1} = -u_n r with r = q^{-n} / y,  term u_{n-1} / (1 - r).
+        n >= 0:  u = t_n,      term u / (1 - r),  r = q^n y;
+        n < 0:   u = t_{n-1},  term u / (1 - r),  r = q^{-n} / y,
 
-    The starting ratios y and q/y are one exp each and r gains a factor q
-    per step.  Raises PoleAtArgument where a denominator 1 - r (|r| <= 1)
-    is within POLE_EPS of zero, or |S| is below POLE_EPS of its largest term.
+    since t_n / (1 - q^n y) = t_{n-1} / (1 - q^{-n} / y).  The chains start
+    at t_0 = 1 and t_{-2} = q/y^2, and each step multiplies u by -r after r
+    gains a factor q.  Together they run over every t_n but t_{-1}, so
+    S = -1/y + C with C the sum of the chain, and
+    mu = q^{-1/8} y A / (y C - 1): y stays in the log, so a y that
+    underflows costs neither A nor the result's scale.  The starting values
+    y, q/y and q/y^2 are one exp each.  Raises PoleAtArgument where a
+    denominator 1 - r is within POLE_EPS of zero, or |S| is below POLE_EPS
+    of its largest term.
     """
     z = _lattice_point(z, t)[0]
     if z.imag < 0:
         z = -z
     budget = _budget(200, math.sqrt(_GAUSS_CUT / (math.pi * t.imag)), "Lerch sum", t.imag)
     q = cmath.exp(2j * math.pi * t)
-    appell, theta = 0j, -1.0 + 0j  # theta starts at u_{-1}
-    for n0, step, u in ((0, 1, cmath.exp(2j * math.pi * z)), (-1, -1, cmath.exp(2j * math.pi * (t - z)))):
-        r = u
+    y = cmath.exp(2j * math.pi * z)
+    appell, chain = 0j, 0j
+    for n0, step, u, r in ((0, 1, 1.0 + 0j, y),
+                           (-1, -1, cmath.exp(2j * math.pi * (t - 2.0 * z)), cmath.exp(2j * math.pi * (t - z)))):
         small_streak, eps = 0, TAIL_EPS
         for k in range(budget):
             den = 1.0 - r
@@ -434,8 +443,8 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
                 raise PoleAtArgument(f"Lerch denominator vanishes at n = {n0 + step * k}, z = {z}")
             term = u / den
             appell += term
-            theta += u
-            if abs(term) <= eps * (1.0 + abs(appell)) and abs(u) <= eps * (1.0 + abs(theta)):
+            chain += u
+            if abs(term) <= eps * (1.0 + abs(appell)) and abs(u) <= eps * (1.0 + abs(chain)):
                 small_streak += 1
                 if small_streak >= 2:
                     break
@@ -445,9 +454,10 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
             u *= -r
         else:
             raise QuadratureNonConvergence("Lerch sum did not settle")
+    theta = y * chain - 1.0  # y S
     if abs(theta) < POLE_EPS:
         raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
-    return -0.25j * math.pi * t, appell / theta
+    return 2j * math.pi * (z - 0.125 * t), appell / theta
 
 
 def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]:
@@ -787,10 +797,14 @@ def lerch_difference(z, w, tau) -> complex:
 
     Vanishes at w = z; at w equal to a half-period it collapses to a squared
     theta quotient.  R depends only on tau, so mu(z) - mu(w) is
-    mu_hat(z) - mu_hat(w), and R is not summed at tau itself.
+    mu_hat(z) - mu_hat(w), which is the walk's factor times mu(z') - mu(w')
+    at the reduced point (see _completion_walk): no R is summed at all.
     """
     z = _z(z)
     w = _z(w)
     t = _tau(tau)
     log, value = _theta_sq_over_eta3("11", z, t)
-    return _scaled(log, value * (lerch_completion(z, t) - lerch_completion(w, t)))
+    factor, z_red, t_red = _completion_walk(z, t)
+    w_red = _completion_walk(w, t)[1]
+    mu_log, mu = _difference(_lerch_direct(z_red, t_red), _lerch_direct(w_red, t_red))
+    return _scaled(log + mu_log, value * factor * mu)

@@ -311,13 +311,18 @@ class TestCompletion:
         assert abs(lerch_completion(z, t) - completion_fixed(z, t)) <= 1e-12 * scale
 
 
-# Reduced Im tau 40 and 670, with Im z at 0, +-0.45 Im tau and at the
-# half-periods.  At Im z = 0.45 * 670 the factor y = e^{2 pi i z} is e^{-1894},
-# which underflows: a kernel that forms 1/y as a factor of its own divides
-# by zero there.
+# Reduced Im tau 40 and 670, with Im z at 0, +-0.2 and +-0.45 Im tau and at
+# the half-periods.  At Im z = 0.45 * 670 the factor y = e^{2 pi i z} is
+# e^{-1894}, which underflows: a kernel that forms 1/y as a factor of its own
+# divides by zero there.  At Im z = 0.2 * 670 = 134, y = e^{-842} underflows
+# too, but mu ~ q^{-1/8} y = e^{526 - 842} is a double: a kernel that carries
+# y inside the Appell sum's scale returns 0 there.  At Im z = 115,
+# y = e^{-723} is subnormal and carries only a few digits.
 EXTREME_POINTS = [(z, t) for t in (0.1 + 40j, 0.2 + 670j)
-                  for z in (0.3 + 0j, complex(0.3, 0.45 * t.imag), complex(0.3, -0.45 * t.imag),
+                  for z in (0.3 + 0j, complex(0.3, 0.2 * t.imag), complex(0.3, -0.2 * t.imag),
+                            complex(0.3, 0.45 * t.imag), complex(0.3, -0.45 * t.imag),
                             0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)]
+EXTREME_POINTS.append((0.3 + 115j, 0.2 + 670j))
 
 
 class TestLerchExtremePoints:
@@ -338,6 +343,14 @@ class TestLerchExtremePoints:
         t_in = -1.0 / t
         expected = -cmath.sqrt(1j / t_in) * completion_fixed(zo, t)
         assert abs(lerch_completion(z * t_in, t_in) - expected) <= 1e-10 * abs(expected)
+
+    def test_subnormal_band_through_the_s_law(self):
+        # tau = 0.0015i walks to tau' = 666.7i and z' = z/tau ~ 0.067 - 133.3i,
+        # where mu_hat ~ e^{524 - 838} is small but a double
+        z, t = 0.2 + 1e-4j, 0.0015j
+        expected = -cmath.sqrt(1j / t) * completion_fixed(-z / t, -1.0 / t)
+        got = lerch_completion(z, t)
+        assert got != 0 and abs(got - expected) <= 1e-10 * abs(expected)
 
     @pytest.mark.parametrize("t", (0.2 + 670j, 1e4j, -1.0 / (0.2 + 670j), 1e-4j))
     def test_only_typed_errors_escape(self, t):
@@ -536,20 +549,17 @@ class TestLerchDifference:
                 quotient = (jacobi_theta(label, z, t) / jacobi_theta(label, 0.0, t)) ** 2
                 assert abs(lerch_difference(z, w, t) - quotient) < 1e-9
 
-    def test_correction_is_not_summed_at_tau(self, monkeypatch):
-        # R depends only on tau, so mu(z) - mu(w) = mu_hat(z) - mu_hat(w) and
-        # R is summed only at the reduced point
-        seen = []
-        correction = analytic.nonholomorphic_correction
+    @pytest.mark.parametrize("t", (0.3 + 1e-3j, 0.1 + 1.1j), ids=("off_domain", "in_domain"))
+    def test_correction_is_not_summed(self, monkeypatch, t):
+        # R depends only on tau, so mu(z) - mu(w) = mu_hat(z) - mu_hat(w),
+        # the walk's factor times mu(z') - mu(w') at the reduced point: no R
+        def refuse(tau, method="sum"):
+            raise AssertionError(f"R summed at tau = {tau}")
 
-        def recording(tau, method="sum"):
-            seen.append(tau)
-            return correction(tau, method)
-
-        monkeypatch.setattr(analytic, "nonholomorphic_correction", recording)
-        z, w, t = 0.13 + 0.01j, 0.37 + 0.02j, 0.3 + 1e-3j
+        monkeypatch.setattr(analytic, "nonholomorphic_correction", refuse)
+        z, w = 0.13 + 0.01j, 0.37 + 0.02j
         value = lerch_difference(z, w, t)
-        assert seen and min(tau.imag for tau in seen) > 0.8
+        monkeypatch.undo()
         mu_difference = value * dedekind_eta(t) ** 3 / jacobi_theta("11", z, t) ** 2
         scale = abs(lerch_sum(z, t)) + abs(lerch_sum(w, t))
         assert abs(mu_difference - (lerch_sum(z, t) - lerch_sum(w, t))) <= 1e-9 * scale
