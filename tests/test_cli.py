@@ -188,6 +188,28 @@ class TestPofn:
         assert code == 1
 
 
+class TestSeriesStdoutPinned:
+    # sha256 of stdout, recorded with the trial division of 8c and
+    # Tonelli-Shanks for every prime that the closed-form roots replaced;
+    # every series value is a sum of multiplier sums, so any changed bit shows
+    @pytest.mark.parametrize("argv, digest", [
+        (("rademacher", "--kind", "k3", "--n", "11", "--c-max", "5,20,1200", "--per-c"),
+         "a4f18876d05df55ceb05899f905dc34d07656cac37ffdec5281be32f9299e789"),
+        (("--format", "csv", "rademacher", "--kind", "noncompact", "--n", "30", "--c-max", "400", "--per-c"),
+         "01a560085c7d5ea68120aa5c2062a6b89134d632fb24bcb8924c5834043c25c2"),
+        (("shadow",),
+         "3697d38151ccb6c306fb69d572dfe0438e0f6cf7cf048c7f8ce0751e52c15a24"),
+        (("--format", "csv", "shadow", "--c-max", "300", "--n-max", "20"),
+         "cd853022fa4304651915a8966f14f5f45aa9b712be01bc6a6605ea6d28544592"),
+        (("pofn", "--n", "200"),
+         "8e26905dbe0a1d31434d4568f4ebf42299234c3b47ce14c43428ec93ea066a2c"),
+    ])
+    def test_series_byte_identical(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         first = run(capsys, "rademacher", "--kind", "k3", "--n", "5", "--c-max", "5,20", "--per-c")

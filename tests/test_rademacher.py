@@ -27,12 +27,32 @@ from mockforms.rademacher import (
     rademacher_partition,
     sawtooth,
 )
-from mockforms.rademacher import _square_roots
+from mockforms.rademacher import _sqrt_mod_prime, _square_roots
 
 from oracles import dedekind_phase_sum, k3_series_truncation
 
 F = Fraction
 KRONECKER_12 = {1: 1, 11: 1, 5: -1, 7: -1}  # (12/d) by d mod 12, zero elsewhere
+
+# Odd primes of each class of closed-form root: p = 1 (mod 8), 5 (mod 8), 3 (mod 4)
+ROOT_PATH_PRIMES = (17, 41, 73, 89, 97, 5, 13, 29, 37, 53, 3, 7, 11, 19, 23)
+
+
+def is_square_mod(a: int, p: int) -> bool:
+    return any((x * x - a) % p == 0 for x in range(p))
+
+
+@st.composite
+def root_path_cases(draw):
+    """(a, m): m = shape * q * p^e, a = p^k t, with m small enough for a full scan."""
+    p = draw(st.sampled_from(ROOT_PATH_PRIMES))
+    q = draw(st.sampled_from([q for q in (1, 3, 5, 7, 11, 13) if q != p]))
+    shape = draw(st.sampled_from((1, 8, 24)))
+    e_max = max(e for e in range(1, 8) if e == 1 or shape * q * p ** e <= 40000)
+    e = draw(st.integers(1, e_max))
+    k = draw(st.integers(0, e + 1))
+    t = draw(st.integers(-10 ** 6, 10 ** 6))
+    return p ** k * t, shape * q * p ** e
 
 
 class TestSawtooth:
@@ -194,6 +214,56 @@ class TestKloostermanQuadratic:
                 squares.setdefault(x * x % m, []).append(x)
             for a in list(range(-10, 30)) + [0, m, 5 * m + 4]:
                 assert _square_roots(a, m) == squares.get(a % m, []), (a, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=root_path_cases())
+    def test_square_roots_at_every_root_path(self, case):
+        # prime powers of each closed-form class, bare and inside 8c and 24c,
+        # with targets divisible by p^k and a second odd prime before or after p
+        a, m = case
+        assert _square_roots(a, m) == [x for x in range(m) if (x * x - a) % m == 0], (a, m)
+
+    def test_prime_roots_by_residue_class(self):
+        # Tonelli-Shanks (p = 1 mod 8), Atkin (p = 5 mod 8), one power (p = 3 mod 4)
+        seen = set()
+        for p in range(3, 2000, 2):
+            if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+                continue
+            seen.add(p % 8)
+            for x in (1, 2, 3, p // 2, p // 3 + 1, p - 1):
+                a = x * x % p
+                if a:
+                    r = _sqrt_mod_prime(a, p)
+                    assert 0 <= r < p and r * r % p == a, (a, p)
+        assert seen == {1, 3, 5, 7}
+
+    def test_empty_root_sets_take_no_root(self, monkeypatch):
+        # the first odd prime has no root and a later one has: the enumeration
+        # must return before it takes any prime-power root
+        def no_roots_taken(*args):
+            raise AssertionError("a root was taken for an empty root set")
+
+        monkeypatch.setattr(rademacher, "_prime_power_roots", no_roots_taken)
+        for p in (17, 41, 13, 29, 7, 23):
+            for shape in (8, 24):
+                m = shape * 5 * p
+                a = next(a for a in range(1, m, 8) if not is_square_mod(a, 5) and is_square_mod(a, p)
+                         and a % 3 == 1)
+                assert _square_roots(a, m) == [] == [x for x in range(m) if (x * x - a) % m == 0], (a, m)
+        for c in range(1, 301):
+            scan = odd_roots_by_square(c)
+            for n in range(-20, 41):
+                if not scan.get((1 - 8 * n) % (8 * c)):
+                    assert kloosterman_quadratic(n, c) == 0.0
+
+    def test_bit_identical_to_odd_k_scan(self):
+        # the kernel's value is the scan's, bit for bit: fsum is correctly
+        # rounded, so the order in which the roots come cannot change a bit
+        for c in range(1, 301):
+            scan = odd_roots_by_square(c)
+            for n in range(-20, 41):
+                expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
+                assert kloosterman_quadratic(n, c) == expected, (n, c)
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.integers(1, 5000), n=st.integers(-10 ** 6, 10 ** 6))
@@ -383,6 +453,19 @@ class TestPartitionSeries:
                          for d in roots.get((1 - 24 * n) % m, ())]
                 expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
                 assert abs(partition_multiplier_sum(n, c) - expected) < 1e-12, (n, c)
+
+
+    def test_multiplier_sum_bit_identical_to_full_residue_scan(self):
+        # every d mod 24c with d^2 = 1 - 24n and the kernel's own cosine, bit for bit
+        for c in range(1, 41):
+            m = 24 * c
+            roots: dict[int, list[int]] = {}
+            for d in range(m):
+                roots.setdefault(d * d % m, []).append(d)
+            for n in range(1, 201):
+                expected = math.fsum(KRONECKER_12[d % 12] * math.cos(math.pi * d / (6 * c))
+                                     for d in roots.get((1 - 24 * n) % m, ()))
+                assert partition_multiplier_sum(n, c) == expected, (n, c)
 
 
 class TestCache:
