@@ -12,6 +12,7 @@ n = 0 contributes the exact rational 1/2.  The eta cancels, so
 
     Sigma      = 8 eta (h_2 + h_3 + h_4) = 8 sum N_label/theta_label = q^{-1/8} (2 - sum A_n q^n)
     Sigma^circ = 8 eta h_2               = 8 N_2/theta_10            = q^{-1/8} (2 - sum A_n^circ q^n)
+    Sigma - Sigma^circ                   = 8 (N_3/theta_00 + N_4/theta_01) = -16 q^{-1/8} sum ALE_n q^n
 
 In x = q^{1/2} each quotient is q^{-1/8} times an integer series over a
 monic integer divisor with O(sqrt N) terms,
@@ -19,12 +20,13 @@ monic integer divisor with O(sqrt N) terms,
     8 N_2/theta_10 = q^{-1/8} 4 N_2 / T,   T = theta_10/(2 q^{1/8}) = sum_{m>=0} x^{m(m+1)},
     8 N_l/theta_l  = q^{-1/8} 8 q^{1/8} N_l / theta_l     (l = 3, 4: theta_00, theta_01 in x),
 
-so a table is a few integer long divisions on plain lists (kind "ale"
-extracts (A_n - A_n^circ)/16).  Nothing is rounded: the odd powers of x must
-cancel, the leading coefficient must be 2 and the ALE difference must divide
-by 16, or NonIntegralCoefficient is raised.  `half_period_numerator` and
-`multiplicity_series` hand the same numbers out as exact `QSeries` for the
-public series API.
+so a table is one sum of quotients per kind, each an integer long division
+on plain lists: labels 2, 3, 4 for "k3", 2 for "noncompact" and 3, 4 for
+"ale".  Nothing is rounded: the odd powers of x must cancel, the leading
+coefficient must be 2 (0 without label 2, since labels 3 and 4 cancel at
+q^{-1/8}) and the ALE sum must divide by 16, or NonIntegralCoefficient is
+raised.  `half_period_numerator` and `multiplicity_series` hand the same
+numbers out as exact `QSeries` for the public series API.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 # numerator labels summed into each series
-_QUOTIENTS = {"k3": (2, 3, 4), "noncompact": (2,)}
+_QUOTIENTS = {"k3": (2, 3, 4), "noncompact": (2,), "ale": (3, 4)}
 
 
 def _numerator_terms(label: int, limit: int) -> Iterator[tuple[int, int]]:
@@ -126,8 +128,9 @@ def _sigma(kind: str, n_terms: int) -> list[int]:
     for k in range(1, n_terms, 2):
         if sigma[k]:
             raise NonIntegralCoefficient(f"unexpected exponent q^({Fraction(12 * k - 3, 24)}) escaped cancellation")
-    if sigma[0] != 2:
-        raise NonIntegralCoefficient(f"coefficient {sigma[0]} at q^(-1/8) is not 2")
+    leading = 2 if 2 in _QUOTIENTS[kind] else 0
+    if sigma[0] != leading:
+        raise NonIntegralCoefficient(f"coefficient {sigma[0]} at q^(-1/8) is not {leading}")
     return sigma
 
 
@@ -135,10 +138,12 @@ def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION
     """The generating function q^{-1/8}(2 - sum A_n q^n), known below truncation - 1/4.
 
     kind "k3" sums all three half-period quotients N_label/theta_label, kind
-    "noncompact" keeps only the label-2 piece.  Dividing by theta_10 =
-    2 q^{1/8}(1 + ...) costs the series q^{1/4} of its truncation.  Every
-    odd power of q^{1/2} must cancel and the leading coefficient must be 2;
-    anything else raises NonIntegralCoefficient.
+    "noncompact" keeps only the label-2 piece and kind "ale" the label-3 and
+    label-4 pieces, Sigma - Sigma^circ = -16 q^{-1/8} sum ALE_n q^n.  Dividing
+    by theta_10 = 2 q^{1/8}(1 + ...) costs the series q^{1/4} of its
+    truncation.  Every odd power of q^{1/2} must cancel and the leading
+    coefficient must be 2 (0 for "ale"); anything else raises
+    NonIntegralCoefficient.
     """
     trunc = FracExp.of(truncation).units24 - 6
     # s_k x^k sits at q^{k/2 - 1/8}, i.e. 12k - 3 units: keep the k with 12k - 3 < trunc
@@ -151,8 +156,8 @@ class CoeffTable:
     """Integer multiplicity table: values[n] for 1 <= n <= n_max.
 
     kind "k3" values are positive; "ale" values are positive (sixteenths of
-    the difference); "noncompact" values alternate in sign on the tabulated
-    range n <= 10.
+    the difference); "noncompact" values have the sign (-1)^n at every
+    tabulated n, the sign of the dominant c = 2 term of their series.
     """
 
     kind: str
@@ -165,8 +170,8 @@ class CoeffTable:
         if self.kind == "ale" and any(v <= 0 for v in self.values.values()):
             raise SignViolation("ALE multiplicities must be positive")
         if self.kind == "noncompact":
-            for n in range(1, min(self.n_max, 10) + 1):
-                if self.values[n] * (-1) ** n <= 0:
+            for n, v in self.values.items():
+                if v * (-1) ** n <= 0:
                     raise SignViolation(f"noncompact sign pattern broken at n = {n}")
 
 
@@ -181,23 +186,14 @@ def coeff_table(kind: str, n_max: int, truncation: ExponentLike | None = None) -
     if truncation is not None and FracExp.of(truncation).units24 - 6 <= 24 * n_max - 3:
         raise BeyondTruncation(f"truncation too small to read off n = {n_max}")
 
-    def table(series_kind: str) -> dict[int, int]:
-        sigma = _sigma(series_kind, 2 * n_max + 1)
-        return {n: -sigma[2 * n] for n in range(1, n_max + 1)}
-
-    if kind in ("k3", "noncompact"):
-        return CoeffTable(kind, table(kind), n_max)
-    if kind == "ale":
-        compact = table("k3")
-        noncompact = table("noncompact")
-        values = {}
-        for n in range(1, n_max + 1):
-            diff = compact[n] - noncompact[n]
-            if diff % 16:
-                raise NonIntegralCoefficient(f"difference of the two tables at n = {n} is not divisible by 16")
-            values[n] = diff // 16
-        return CoeffTable("ale", values, n_max)
-    raise UnknownName(f"no coefficient table of kind {kind!r}")
+    sigma = _sigma(kind, 2 * n_max + 1)
+    scale = 16 if kind == "ale" else 1
+    values = {}
+    for n in range(1, n_max + 1):
+        values[n], rest = divmod(-sigma[2 * n], scale)
+        if rest:
+            raise NonIntegralCoefficient(f"ALE coefficient at n = {n} is not divisible by 16")
+    return CoeffTable(kind, values, n_max)
 
 
 # -- numeric verification -------------------------------------------------
@@ -228,19 +224,15 @@ def decomposition_residual(z, tau, n_terms: int, variant: str = "k3") -> float:
     model = 0j
     if variant == "k3":
         model += 20.0 * _massless(Fraction(0), z, tau) - 2.0 * _massless(Fraction(1, 2), z, tau)
-        weights = coeff_table("k3", n_terms).values if n_terms else {}
+        kind, scale = "k3", 1
     elif variant == "decompactified":
         model += 16.0 * _massless(Fraction(0), z, tau)
-        if n_terms:
-            compact = coeff_table("k3", n_terms).values
-            circ = coeff_table("noncompact", n_terms).values
-            weights = {n: compact[n] - circ[n] for n in compact}
-        else:
-            weights = {}
+        kind, scale = "ale", 16
     else:
         raise UnknownName(f"no decomposition variant {variant!r}")
+    weights = coeff_table(kind, n_terms).values if n_terms else {}
     for n, a_n in weights.items():
-        model += a_n * _massive(n, z, tau)
+        model += scale * a_n * _massive(n, z, tau)
     return abs(genus - model)
 
 

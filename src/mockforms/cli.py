@@ -19,6 +19,12 @@ rademacher takes a list of them.  verify --tolerance bounds the identities
 and kloosterman checks; the other suites have fixed bounds.  A flag that
 would be ignored is a usage error.
 
+argparse does all parsing and range checking (counts and --c-max lists are
+`type=` callables) and picks the handler (`set_defaults(handler=...)`); each
+handler reads the parsed namespace.  `main` adds only the two checks that
+span flags: --tolerance on a fixed-bound suite and several --c-max values
+for shadow or pofn.
+
 Nothing is persisted between runs: the multiplier sums are memoised only in
 the process (rademacher.DEFAULT_CACHE).
 """
@@ -31,30 +37,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import characters, rademacher, shadow
 from .errors import MockformsError
 from .qseries import FracExp
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    command: str
-    kind: str = "k3"
-    n: int = 1
-    n_max: int = 10
-    c_max_list: list[int] = field(default_factory=lambda: [20])
-    per_c: bool = False
-    with_entropy: bool = False
-    suite: str = "all"
-    fmt: str = "json"
-    tolerance: Optional[float] = None
+__all__ = ["main"]
 
 
 def _fmt6(x: float) -> str:
@@ -62,8 +51,8 @@ def _fmt6(x: float) -> str:
     return format(x, ".6g")
 
 
-def _emit_rows(cfg: RunConfig, header: list[str], rows: list[dict], meta: dict, out) -> None:
-    if cfg.fmt == "json":
+def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[dict], meta: dict, out) -> None:
+    if args.fmt == "json":
         json.dump({**meta, "rows": rows}, out)
         out.write("\n")
     else:
@@ -76,84 +65,81 @@ def _emit_rows(cfg: RunConfig, header: list[str], rows: list[dict], meta: dict, 
 # -- subcommands ---------------------------------------------------------
 
 
-def cmd_coeffs(cfg: RunConfig, out) -> int:
-    table = characters.coeff_table(cfg.kind, cfg.n_max)
-    rows: list[dict] = [{"n": n, "exact": str(table.values[n])} for n in range(1, cfg.n_max + 1)]
+def cmd_coeffs(args: argparse.Namespace, out) -> int:
+    table = characters.coeff_table(args.kind, args.n_max)
+    rows: list[dict] = [{"n": n, "exact": str(table.values[n])} for n in range(1, args.n_max + 1)]
     header = ["n", "exact"]
-    if cfg.with_entropy:
+    if args.entropy:
         # plot data: growth of log |A_n| against the Cardy-type exponent
         for row in rows:
             n = row["n"]
             row["log_exact"] = math.log(abs(table.values[n]))
             row["entropy"] = rademacher.cardy_entropy(n)
         header += ["log_exact", "entropy"]
-    _emit_rows(cfg, header, rows, {"kind": cfg.kind}, out)
+    _emit_rows(args, header, rows, {"kind": args.kind}, out)
     return 0
 
 
-def _term_count_to_c_max(kind: str, terms: int) -> int:
-    return 2 * terms if kind == "noncompact" else terms
-
-
-def cmd_rademacher(cfg: RunConfig, out) -> int:
-    biggest = _term_count_to_c_max(cfg.kind, max(cfg.c_max_list))
-    partial = rademacher.exact_coefficient(cfg.kind, cfg.n, biggest)
-    exact = characters.coeff_table(cfg.kind, cfg.n).values[cfg.n]
+def cmd_rademacher(args: argparse.Namespace, out) -> int:
+    # N terms of the even-modulus noncompact family reach modulus 2N
+    biggest = max(args.c_max) * (2 if args.kind == "noncompact" else 1)
+    partial = rademacher.exact_coefficient(args.kind, args.n, biggest)
+    exact = characters.coeff_table(args.kind, args.n).values[args.n]
     partials = {}
-    for terms in cfg.c_max_list:
+    for terms in args.c_max:
         partials[str(terms)] = math.fsum(t for _, t in partial.terms[:terms])
     payload = {
-        "kind": cfg.kind,
-        "n": cfg.n,
+        "kind": args.kind,
+        "n": args.n,
         "exact": str(exact),
-        "leading": rademacher.leading_asymptotic(cfg.kind, cfg.n),
+        "leading": rademacher.leading_asymptotic(args.kind, args.n),
         "partial": partials,
     }
-    if cfg.per_c:
+    if args.per_c:
         payload["per_c"] = [{"c": c, "term": t} for c, t in partial.terms]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         json.dump(payload, out)
         out.write("\n")
     else:
         writer = csv.writer(out)
         writer.writerow(["kind", "n", "exact", "leading", "terms", "partial"])
-        for terms in cfg.c_max_list:
-            writer.writerow([cfg.kind, cfg.n, str(exact), _fmt6(payload["leading"]),
+        for terms in args.c_max:
+            writer.writerow([args.kind, args.n, str(exact), _fmt6(payload["leading"]),
                              terms, _fmt6(partials[str(terms)])])
-        if cfg.per_c:
+        if args.per_c:
             writer.writerow(["c", "term", "", "", "", ""])
             for c, t in partial.terms:
                 writer.writerow([c, _fmt6(t), "", "", "", ""])
     return 0
 
 
-def cmd_shadow(cfg: RunConfig, out) -> int:
-    c_max = cfg.c_max_list[0]
-    reference = shadow.shadow_reference_coefficients(8 * cfg.n_max + 1)
+def cmd_shadow(args: argparse.Namespace, out) -> int:
+    c_max = args.c_max[0]
+    reference = shadow.shadow_reference_coefficients(8 * args.n_max + 1)
     rows = []
-    for n in range(0, cfg.n_max + 1):
+    for n in range(0, args.n_max + 1):
         exponent = 8 * n + 1
         computed = shadow.shadow_coefficient(n, c_max).value
         rows.append({"exponent": exponent, "computed": computed,
                      "reference": reference[exponent]})
-    _emit_rows(cfg, ["exponent", "computed", "reference"], rows, {"c_max": c_max}, out)
+    _emit_rows(args, ["exponent", "computed", "reference"], rows, {"c_max": c_max}, out)
     return 0
 
 
-def cmd_pofn(cfg: RunConfig, out) -> int:
+def cmd_pofn(args: argparse.Namespace, out) -> int:
     from .qseries import partition_series
-    value = rademacher.rademacher_partition(cfg.n, cfg.c_max_list[0])
-    exact = int(partition_series(FracExp(24 * (cfg.n + 1))).coefficient(cfg.n))
+    value = rademacher.rademacher_partition(args.n, args.c_max[0])
+    exact = int(partition_series(FracExp(24 * (args.n + 1))).coefficient(args.n))
     rounded = round(value)
-    payload = {"n": cfg.n, "series": value, "rounded": rounded,
+    payload = {"n": args.n, "series": value, "rounded": rounded,
                "exact": str(exact), "match": rounded == exact}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         json.dump(payload, out)
         out.write("\n")
     else:
         writer = csv.writer(out)
         writer.writerow(["n", "series", "rounded", "exact", "match"])
-        writer.writerow([cfg.n, _fmt6(value), rounded, str(exact), rounded == exact])
+        writer.writerow([args.n, _fmt6(value), rounded, str(exact), rounded == exact])
     return 0 if rounded == exact else 1
 
 
@@ -305,15 +291,15 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
         runner, default_tol = _SUITES[name]
         if default_tol is None:
             checks = runner()
         else:
-            checks = runner(cfg.tolerance if cfg.tolerance is not None else default_tol)
+            checks = runner(args.tolerance if args.tolerance is not None else default_tol)
         for check, residual, bound in checks:
             ok = residual <= bound
             failed += 0 if ok else 1
@@ -325,6 +311,27 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _parse_c_max(raw: str) -> list[int]:
+    """argparse type: a comma-separated list of positive term counts."""
+    try:
+        values = [int(part) for part in raw.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid term count list {raw!r}") from None
+    if not values or any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("term counts must be positive integers")
+    return values
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mockforms",
                                      description="Exact and Rademacher-type multiplicity tables "
@@ -334,88 +341,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="exact integer coefficient tables")
     p.add_argument("--kind", choices=("k3", "noncompact", "ale"), required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_at_least(1), required=True)
     p.add_argument("--entropy", action="store_true",
                    help="add log|A_n| and the Cardy-type exponent (plot data)")
+    p.set_defaults(handler=cmd_coeffs)
 
     p = sub.add_parser("rademacher", help="truncated series vs exact value")
     p.add_argument("--kind", choices=("k3", "noncompact"), default="k3")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c-max", default="20",
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--c-max", type=_parse_c_max, default="20",
                    help="comma-separated term counts, e.g. 5,20")
     p.add_argument("--per-c", action="store_true")
+    p.set_defaults(handler=cmd_rademacher)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), default="all")
     p.add_argument("--tolerance", type=float, default=None,
                    help="bound for the identities and kloosterman checks; "
                         "the other suites have fixed bounds")
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("shadow", help="shadow coefficients vs exact pattern")
-    p.add_argument("--c-max", default="800")
-    p.add_argument("--n-max", type=int, default=11)
+    p.add_argument("--c-max", type=_parse_c_max, default="800")
+    p.add_argument("--n-max", type=_at_least(0), default=11)
+    p.set_defaults(handler=cmd_shadow)
 
     p = sub.add_parser("pofn", help="partition-number calibration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c-max", default="20")
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--c-max", type=_parse_c_max, default="20")
+    p.set_defaults(handler=cmd_pofn)
     return parser
 
 
-def _parse_c_max(raw: str) -> list[int]:
-    try:
-        values = [int(part) for part in raw.split(",") if part]
-    except ValueError:
-        raise ValueError(f"invalid --c-max value {raw!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise ValueError("--c-max values must be positive integers")
-    return values
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    cfg = RunConfig(command=args.command, fmt=args.fmt)
-    try:
-        if args.command == "coeffs":
-            if args.n_max < 1:
-                raise ValueError("--n-max must be >= 1")
-            cfg.kind, cfg.n_max = args.kind, args.n_max
-            cfg.with_entropy = args.entropy
-        elif args.command == "rademacher":
-            if args.n < 1:
-                raise ValueError("--n must be >= 1")
-            cfg.kind, cfg.n = args.kind, args.n
-            cfg.c_max_list = _parse_c_max(args.c_max)
-            cfg.per_c = args.per_c
-        elif args.command == "verify":
-            if args.tolerance is not None and args.suite != "all" and _SUITES[args.suite][1] is None:
-                raise ValueError(f"--tolerance does not apply to the {args.suite} suite")
-            cfg.suite, cfg.tolerance = args.suite, args.tolerance
-        elif args.command == "shadow":
-            if args.n_max < 0:
-                raise ValueError("--n-max must be >= 0")
-            cfg.n_max = args.n_max
-            cfg.c_max_list = _parse_c_max(args.c_max)
-        elif args.command == "pofn":
-            if args.n < 1:
-                raise ValueError("--n must be >= 1")
-            cfg.n = args.n
-            cfg.c_max_list = _parse_c_max(args.c_max)
-        if args.command in ("shadow", "pofn") and len(cfg.c_max_list) > 1:
-            raise ValueError(f"{args.command} takes a single --c-max value")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # the checks that span flags: a flag that would be ignored is a usage error
+    error = None
+    if args.command == "verify" and args.tolerance is not None and args.suite != "all" \
+            and _SUITES[args.suite][1] is None:
+        error = f"--tolerance does not apply to the {args.suite} suite"
+    elif args.command in ("shadow", "pofn") and len(args.c_max) > 1:
+        error = f"{args.command} takes a single --c-max value"
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
-    handler = {"coeffs": cmd_coeffs, "rademacher": cmd_rademacher, "verify": cmd_verify,
-               "shadow": cmd_shadow, "pofn": cmd_pofn}[cfg.command]
     buffer = io.StringIO()
     try:
-        code = handler(cfg, buffer)
+        code = args.handler(args, buffer)
     except MockformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

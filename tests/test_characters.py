@@ -120,6 +120,13 @@ class TestMultiplicitySeries:
         sigma = multiplicity_series("noncompact", 6)
         assert sigma.coefficient(F(1) - F(1, 8)) == 6  # A_1 = -6
 
+    @pytest.mark.parametrize("truncation", [FracExp(24 * 12), FracExp(24 * 60 + 5)])
+    def test_ale_is_the_difference_of_k3_and_noncompact(self, truncation):
+        # Sigma - Sigma^circ = 8 (N_3/theta_00 + N_4/theta_01): the label-2 piece cancels
+        ale = multiplicity_series("ale", truncation)
+        assert ale == multiplicity_series("k3", truncation) - multiplicity_series("noncompact", truncation)
+        assert ale.coefficient(F(7, 8)) == -16 * 6
+
     def test_numeric_agreement_with_lerch_sums_on_grid(self):
         sigma = multiplicity_series("k3", 22)
         for t in (1.1j, 0.1 + 1.25j, -0.2 + 1.6j):
@@ -169,6 +176,20 @@ class TestCoeffTable:
         with pytest.raises(NonIntegralCoefficient, match="not divisible by 16"):
             coeff_table("ale", 3)
 
+    def test_ale_is_sixteenth_of_the_two_table_difference(self):
+        # the ALE sum of the label-3 and label-4 quotients against the whole
+        # k3 and noncompact tables subtracted
+        compact, circ = coeff_table("k3", 1000).values, coeff_table("noncompact", 1000).values
+        oracle = {}
+        for n in range(1, 1001):
+            oracle[n], rest = divmod(compact[n] - circ[n], 16)
+            assert rest == 0
+        assert coeff_table("ale", 1000).values == oracle
+
+    def test_unknown_kind(self):
+        with pytest.raises(UnknownName):
+            coeff_table("bogus", 3)
+
     @pytest.mark.parametrize("kind", ["k3", "noncompact", "ale"])
     def test_matches_fraction_long_division(self, kind):
         assert coeff_table(kind, 150).values == fraction_table(kind, 150)
@@ -188,6 +209,15 @@ class TestCoeffTable:
     def test_sign_invariant_enforced(self):
         with pytest.raises(SignViolation):
             CoeffTable("noncompact", {1: 6, 2: 14}, 2)  # A_1 must be negative
+
+    def test_noncompact_sign_checked_at_every_tabulated_n(self):
+        values = dict(zip(range(1, 11), NONCOMPACT_TABLE))
+        with pytest.raises(SignViolation, match="n = 11"):
+            CoeffTable("noncompact", {**values, 11: 400}, 11)
+        # a hand-built table with a gap is checked on the n it has
+        with pytest.raises(SignViolation, match="n = 3"):
+            CoeffTable("noncompact", {1: -6, 3: 28}, 3)
+        assert CoeffTable("noncompact", {1: -6, 3: -28}, 3).values == {1: -6, 3: -28}
 
     def test_sign_violations_have_their_own_type(self):
         # a sign or positivity break is not an integrality failure

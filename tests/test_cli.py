@@ -58,6 +58,22 @@ class TestCoeffs:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout, recorded with the ALE table taken as the difference
+    # of the whole k3 and noncompact tables and with the flags copied into a
+    # separate configuration object before dispatch
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--suite", "all"),
+         "7fce635857841ff279c1ec90399ec6fe33dba240d14d2582f3485401fd3bb091"),
+        (("coeffs", "--kind", "ale", "--n-max", "1000"),
+         "aaab8df12bb26d7e76ef7ae9bf7c6ba731671f056cd5dc1f0c09f19cd1349483"),
+        (("--format", "csv", "coeffs", "--kind", "ale", "--n-max", "1000", "--entropy"),
+         "b53417c51f4050e563d4f7b05b37ff921ec463a8c92a9b82cc9f28222396809b"),
+    ])
+    def test_ale_tables_and_suites_byte_identical(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_entropy_plot_data(self, capsys):
         code, out = run(capsys, "--format", "csv", "coeffs", "--kind", "k3", "--n-max", "2", "--entropy")
         assert code == 0
@@ -73,6 +89,21 @@ class TestCoeffs:
 
     def test_bad_kind_exits_2(self):
         assert main(["coeffs", "--kind", "bogus", "--n-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--kind", "k3", "--n-max", "0"),
+    ("rademacher", "--n", "0"),
+    ("rademacher", "--n", "2", "--c-max", "0"),
+    ("rademacher", "--n", "2", "--c-max", "5,zero"),
+    ("shadow", "--n-max", "-1"),
+    ("pofn", "--n", "0"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err and "Traceback" not in captured.err
 
 
 class TestRademacher:
@@ -240,6 +271,21 @@ def _readme_commands() -> list[str]:
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("mockforms ")]
+
+
+def _readme_library_example() -> str:
+    """The python block under the README's library example heading."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_states_its_values():
+    scope: dict = {}
+    exec(_readme_library_example(), scope)
+    assert [scope["table"].values[n] for n in range(1, 11)] == [
+        90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136]
+    assert str(scope["partial"].cumulative).startswith("11592.421")
+    assert round(scope["shadow"].value, 4) == -72.0946
 
 
 class TestReadmeCommands:
