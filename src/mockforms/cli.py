@@ -25,8 +25,8 @@ handler reads the parsed namespace.  `main` adds only the two checks that
 span flags: --tolerance on a fixed-bound suite and several --c-max values
 for shadow or pofn.
 
-Nothing is persisted between runs: the multiplier sums are memoised only in
-the process (rademacher.DEFAULT_CACHE).
+Nothing is persisted between runs: each series computes its multiplier sums
+in one pass over its moduli and keeps nothing after the call.
 """
 
 from __future__ import annotations

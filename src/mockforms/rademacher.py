@@ -8,22 +8,30 @@ where K(n, c) is a Kloosterman-type sum over residues d mod c, gcd(d, c) = 1,
 with phase e^{-3 pi i s(d,c) + 2 pi i d n / c} built from the Dedekind sum
 s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
 [1, 4c] with k^2 = 1 - 8n (mod 8c), and that is how every series here
-computes it.  The square roots are found per prime power of 8c: the 2-part
-2^{3 + v_2(c)} is split off by its bits and only the odd part of c is
-trial-divided.  Every prime power is first tested for a root (Euler's
-criterion for odd p), and an empty root set, K = 0, returns there, before
-any root is taken.  Empty sums are common: 63 % of the 17 565 (n, c) pairs
+computes it.  One kernel, _root_sets, walks all the moduli of a series for
+its fixed n.  The roots mod 8c come in pairs k, k + 4c, so the k < 4c are
+joined by the Chinese remainder theorem directly modulo 4c.  The 2-part of
+c is split off by its bits, and a 2-adic root of 1 - 8n is lifted once per
+series.
+The roots modulo the odd part o of c, and modulo each prime power p^e of
+o, depend on o and p^e alone, not on c, so each is found once per series
+and kept in dicts that live only for the call.  Every odd prime power is
+first tested for a root (Euler's criterion), and an empty root set, K = 0,
+is found before any root is taken; a later c with the same odd part exits
+on a dict lookup.  Empty sums are common: 63 % of the 17 565 (n, c) pairs
 of the k3 and noncompact series for n <= 30 (400 and 800 moduli), and 45 %
 of the 10 800 pairs of the k3 series at n = 11 (1200 moduli) and the shadow
-series for n <= 11 (800 moduli).  Prime roots are closed forms, one
-power for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
-Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e and the
-Chinese remainder theorem joins the prime powers.  That costs
-O(2^omega(c) log c) integer steps per modulus instead of phi(c) exact
-Dedekind sums.  The sums are exactly real and returned as floats; the
-coefficient series memoise them per (c, n mod c) in DEFAULT_CACHE, a plain
-dict that lives as long as the process.  The partition-number and shadow
-series use the same roots.
+series for n <= 11 (800 moduli).  Prime roots are closed forms, one power
+for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
+Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  Per
+modulus that leaves trial division of a new odd part, one modular inverse
+and O(2^omega(c)) integer steps, a sine and a correctly rounded sum (fsum)
+per root, instead of phi(c) exact Dedekind sums.  The sums are exactly
+real and returned as floats.  The series, the shadow series and the
+partition-number series (roots modulo 24c) each call the kernel once and
+memoise nothing between calls; kloosterman_quadratic is the kernel on one
+modulus, and kloosterman_sum memoises it per (c, n mod c) in DEFAULT_CACHE,
+a plain dict that lives as long as the process.
 
 The Dedekind-phase form (multiplier_phases) is kept as the reference the
 quadratic form is checked against.  Its phase is reduced modulo 2 in exact
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -149,8 +158,8 @@ def multiplier_phases(c: int) -> tuple[tuple[int, complex], ...]:
 
 # -- Kloosterman sums -------------------------------------------------------
 
-# Memo of the multiplier sums: (c, n mod c) -> K(n, c).  Only kloosterman_sum
-# inserts, one entry per miss, so the k3 and noncompact series share entries.
+# Memo of kloosterman_sum: (c, n mod c) -> K(n, c), one entry per miss.  The
+# series do not read it: their one pass over the moduli costs less than it.
 DEFAULT_CACHE: dict[tuple[int, int], float] = {}
 
 
@@ -203,10 +212,10 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _square_class(a: int, p: int, e: int) -> tuple[int, int] | None:
-    """None when x^2 = a (mod p^e) has no root; else (h, u) with a = p^{2h} u (mod p^e).
+    """None when x^2 = a (mod p^e) has no root, p odd; else (h, u) with a = p^{2h} u (mod p^e).
 
     u is a unit and a square modulo p^{e-2h}, or u = 0 when p^e divides a.
-    The test is Euler's criterion (odd p) or a residue mod 8 (p = 2); no root is taken.
+    The test is Euler's criterion; no root is taken.
     """
     a %= p ** e
     if a == 0:
@@ -215,13 +224,7 @@ def _square_class(a: int, p: int, e: int) -> tuple[int, int] | None:
     while a % p == 0:
         a //= p
         v += 1
-    if v % 2:
-        return None
-    k = e - v
-    if p == 2:
-        if k >= 2 and a & (3 if k == 2 else 7) != 1:
-            return None
-    elif pow(a, (p - 1) >> 1, p) != 1:
+    if v % 2 or pow(a, (p - 1) >> 1, p) != 1:
         return None
     return v // 2, a
 
@@ -230,75 +233,102 @@ def _prime_power_roots(p: int, e: int, h: int, u: int) -> list[int]:
     """Every x mod p^e with x^2 = p^{2h} u (mod p^e), for (h, u) from _square_class."""
     if u == 0:
         return list(range(0, p ** e, p ** ((e + 1) // 2)))
-    # x = p^h y with y^2 = u (mod p^k): 2 roots y for odd p, 1, 2 or 4 for p = 2
+    # x = p^h y with y^2 = u (mod p^k), two roots y
     k = e - 2 * h
     q = p ** k
-    if p != 2:
-        y = _sqrt_mod_prime(u % p, p)
-        if k > 1:
-            for _ in range(k.bit_length()):  # Newton (Hensel) steps double the precision
-                y = (y - (y * y - u) * pow(2 * y, -1, q)) % q
-        units = [y, q - y]
-    elif k <= 2:
-        units = [1] if k == 1 else [1, 3]
-    else:
-        y = 1  # a root mod 8, lifted one bit at a time: y or y + 2^{j-1} works mod 2^{j+1}
-        for j in range(3, k):
-            if (y * y - u) & ((2 << j) - 1):
-                y += 1 << (j - 1)
-        units = [y, q - y, (y + q // 2) % q, (q // 2 - y) % q]
+    y = _sqrt_mod_prime(u % p, p)
+    if k > 1:
+        for _ in range(k.bit_length()):  # Newton (Hensel) steps double the precision
+            y = (y - (y * y - u) * pow(2 * y, -1, q)) % q
     if h == 0:
-        return units
+        return [y, q - y]
     # y is free mod p^{k+h} = p^{e-h}
     ph = p ** h
-    return [ph * (y + t * q) % p ** e for y in units for t in range(ph)]
+    return [ph * (z + t * q) % p ** e for z in (y, q - y) for t in range(ph)]
 
 
-def _factor(m: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing m >= 1.
+def _odd_part_roots(a: int, o: int, local: dict) -> list[int] | None:
+    """Every y in [0, o) with y^2 = a (mod o) for an odd o, in no set order; None if there is none.
 
-    The 2-part is split off by its bits; only the odd part is trial-divided.
+    o is trial-divided.  Each prime power is looked up in `local` (p^e ->
+    (p, e, h, u) once tested, its roots once taken, None if it has no
+    root), so it is tested (_square_class) and rooted at most once per
+    `local`.  Every prime power of o is tested before any root is taken,
+    so an empty root set takes none.  The roots are joined by the Chinese
+    remainder theorem, one prime power at a time (Garner's form).
     """
-    e = (m & -m).bit_length() - 1
-    factors = [(2, e)] if e else []
-    m >>= e
+    powers = []
     p = 3
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            e = 1
-            while m % p == 0:
-                m //= p
+    while p * p <= o:
+        if o % p == 0:
+            q, e = p, 1
+            o //= p
+            while o % p == 0:
+                o //= p
+                q *= p
                 e += 1
-            factors.append((p, e))
+            powers.append((p, e, q))
         p += 2
-    if m > 1:
-        factors.append((m, 1))
-    return factors
+    if o > 1:
+        powers.append((o, 1, o))
+    for p, e, q in powers:
+        if q not in local:
+            cls = _square_class(a, p, e)
+            local[q] = None if cls is None else (p, e) + cls
+        if local[q] is None:
+            return None
+    roots, mod = [0], 1
+    for p, e, q in powers:
+        local_roots = local[q]
+        if type(local_roots) is tuple:
+            local_roots = local[q] = _prime_power_roots(*local_roots)
+        inv = pow(mod, -1, q)
+        roots = [x + mod * ((y - x) * inv % q) for x in roots for y in local_roots]
+        mod *= q
+    return roots
 
 
-def _square_roots(a: int, m: int) -> list[int]:
-    """Every x in [0, m) with x^2 = a (mod m), ascending.
+def _root_sets(a: int, moduli: Iterable[int], m: int) -> Iterator[tuple[int, list[int]]]:
+    """(c, roots) for each c of moduli in order: every x in [0, mc) with x^2 = a (mod 2mc).
 
-    Every prime power of m is tested for a root first, so an empty root set
-    returns before any root is taken.  Otherwise the prime-power roots are
-    joined by the Chinese remainder theorem: x = sum of x_q E_q over the
-    prime powers q of m, with E_q = 1 (mod q) and E_q = 0 (mod m/q).
+    The kernel of every multiplier sum.  a = 1 (mod 8) and m is 4 or 12,
+    so mc = 2^v o with o odd and v >= 2.  Modulo 2^{v+1} the roots are +-r
+    and +-r + 2^v for one 2-adic root r of a, so modulo 2^v they are +-r,
+    and the roots modulo 2mc are the x yielded here and x + mc.  The roots
+    modulo o depend on o alone: every c with the same odd part shares
+    them, and every o shares the roots of its prime powers, so a c whose
+    o has no root exits on a dict lookup.  Each x joins +-r to a root y
+    mod o by the Chinese remainder theorem; the roots come in no set order.
     """
-    classes = []
-    for p, e in _factor(m):
-        cls = _square_class(a, p, e)
-        if cls is None:
-            return []
-        classes.append((p, e) + cls)
-    roots = [0]
-    for p, e, h, u in classes:
-        q = p ** e
-        rest = m // q
-        idempotent = rest * pow(rest, -1, q)
-        local = [x * idempotent for x in _prime_power_roots(p, e, h, u)]
-        roots = [r + x for r in roots for x in local]
-    return sorted([r % m for r in roots])
+    r, bound = 1, 8  # r^2 = a (mod bound), lifted a bit at a time as the moduli need
+    local: dict[int, tuple | list[int] | None] = {}  # odd prime power -> class or roots, see _odd_part_roots
+    by_odd: dict[int, list[int] | None] = {}  # odd part o -> roots mod o, or None
+    for c in moduli:
+        mc = m * c
+        q2 = mc & -mc
+        o = mc // q2
+        if o not in by_odd:
+            by_odd[o] = _odd_part_roots(a, o, local)
+        ys = by_odd[o]
+        if ys is None:
+            yield c, []
+            continue
+        while bound <= q2:  # r or r + bound/2 is a root mod 2 bound
+            if (r * r - a) & (2 * bound - 1):
+                r += bound >> 1
+            bound <<= 1
+        inv = pow(o, -1, q2)
+        yield c, [y + o * ((s - y) * inv % q2) for y in ys for s in (r, -r)]
+
+
+def _quadratic_sums(n: int, moduli: Iterable[int]) -> list[float]:
+    """kloosterman_quadratic(n, c) for each c of moduli, in order, in one pass of _root_sets."""
+    sin, pi, sqrt, fsum = math.sin, math.pi, math.sqrt, math.fsum
+    sums = []
+    for c, ks in _root_sets(1 - 8 * n, moduli, 4):
+        c2 = 2 * c
+        sums.append(sqrt(c) / 2 * fsum([sin(pi * k / c2) if k & 3 == 1 else -sin(pi * k / c2) for k in ks]))
+    return sums
 
 
 def kloosterman_quadratic(n: int, c: int) -> float:
@@ -308,13 +338,12 @@ def kloosterman_quadratic(n: int, c: int) -> float:
 
     with (-4/k) = +1 for k = 1 mod 4 and -1 for k = 3 mod 4.  The pairing
     k <-> 4c - k cancels the cosines, so the value is exactly real:
-    (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)), summed over ascending k.
+    (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)), a correctly rounded sum (fsum).
+    The series use the same kernel over all their moduli at once.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    sines = [(1 if k % 4 == 1 else -1) * math.sin(math.pi * k / (2 * c))
-             for k in _square_roots(1 - 8 * n, 8 * c) if k < 4 * c]
-    return math.sqrt(c) / 2 * math.fsum(sines)
+    return _quadratic_sums(n, (c,))[0]
 
 
 # -- Bessel closed forms -----------------------------------------------------
@@ -374,9 +403,9 @@ def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
     pref = 4.0 * math.pi / (8.0 * n - 1.0) ** 0.25
     root = math.pi * math.sqrt(8.0 * n - 1.0)
     partial = RademacherPartial(n=n, kind=kind)
-    for c in _moduli(kind, c_max):
-        term = pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman_sum(n, c)
-        partial.terms.append((c, term))
+    moduli = _moduli(kind, c_max)
+    for c, kloosterman in zip(moduli, _quadratic_sums(n, moduli)):
+        partial.terms.append((c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman))
     partial.cumulative = math.fsum(t for _, t in partial.terms)
     return partial
 
@@ -404,20 +433,28 @@ def cardy_entropy(n: int) -> float:
 # -- partition-number calibration --------------------------------------------
 
 
+def _partition_sums(n: int, moduli: Iterable[int]) -> list[float]:
+    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of _root_sets."""
+    cos, pi, fsum = math.cos, math.pi, math.fsum
+    sums = []
+    for c, xs in _root_sets(1 - 24 * n, moduli, 12):
+        c6 = 6 * c  # the roots mod 24c are x and x + 12c
+        sums.append(fsum([(1 if d % 12 in (1, 11) else -1) * cos(pi * d / c6) for x in xs for d in (x, x + 12 * c)]))
+    return sums
+
+
 def partition_multiplier_sum(n: int, c: int) -> float:
     """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
 
-    The roots d come from the same square-root enumeration as
-    kloosterman_quadratic.  The pairing d <-> 24c - d cancels the sines, so
-    the value is exactly real: sum (12/d) cos(pi d / (6c)) over ascending d.
-    Every root has d^2 = 1 (mod 24), so (12/d) is +1 for d = +-1 (mod 12)
-    and -1 for d = +-5 (mod 12), never 0.
+    The roots d come from the same kernel as kloosterman_quadratic.  The
+    pairing d <-> 24c - d cancels the sines, so the value is exactly real:
+    sum (12/d) cos(pi d / (6c)), a correctly rounded sum (fsum).  Every root
+    has d^2 = 1 (mod 24), so (12/d) is +1 for d = +-1 (mod 12) and -1 for
+    d = +-5 (mod 12), never 0.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    cosines = [(1 if d % 12 in (1, 11) else -1) * math.cos(math.pi * d / (6 * c))
-               for d in _square_roots(1 - 24 * n, 24 * c)]
-    return math.fsum(cosines)
+    return _partition_sums(n, (c,))[0]
 
 
 def rademacher_partition(n: int, c_max: int = 20) -> float:
@@ -430,8 +467,6 @@ def rademacher_partition(n: int, c_max: int = 20) -> float:
         raise ValueError("n and c_max must be positive")
     pref = math.pi / (24.0 * n - 1.0) ** 0.75
     root = math.pi * math.sqrt(24.0 * n - 1.0)
-    terms = []
-    for c in range(1, c_max + 1):
-        dsum = partition_multiplier_sum(n, c)
-        terms.append(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum)
-    return math.fsum(terms)
+    moduli = range(1, c_max + 1)
+    return math.fsum(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum
+                     for c, dsum in zip(moduli, _partition_sums(n, moduli)))

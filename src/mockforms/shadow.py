@@ -38,7 +38,7 @@ from .analytic import (
 )
 from .errors import UnknownName
 from .qseries import FracExp, eta_cubed_series
-from .rademacher import _dedekind_euclid, kloosterman_quadratic
+from .rademacher import _dedekind_euclid, _quadratic_sums
 
 __all__ = [
     "ShadowCoeff",
@@ -74,10 +74,9 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     if n < 0 or c_max < 1:
         raise ValueError("n must be nonnegative and c_max positive")
     root = math.pi * math.sqrt(8.0 * n + 1.0)
-    terms = []
-    for c in range(1, c_max + 1):
-        bessel = bessel_half("J", root / (2.0 * c))
-        terms.append(4.0 * math.pi / c * bessel * kloosterman_quadratic(-n, c))
+    moduli = range(1, c_max + 1)
+    terms = [4.0 * math.pi / c * bessel_half("J", root / (2.0 * c)) * kloosterman
+             for c, kloosterman in zip(moduli, _quadratic_sums(-n, moduli))]
     value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
     return ShadowCoeff(n=n, c_max=c_max, value=value)
 

@@ -256,7 +256,7 @@ class TestDeterminism:
 
 class TestRemovedOptions:
     def test_cache_dir_is_a_usage_error(self, capsys):
-        # the multiplier sums are memoised in the process only; no flag persists them
+        # nothing is persisted between runs; no flag persists the multiplier sums
         assert main(["--cache-dir", "x", "coeffs", "--kind", "k3", "--n-max", "1"]) == 2
         assert main(["--cache-dir=x", "coeffs", "--kind", "k3", "--n-max", "1"]) == 2
         captured = capsys.readouterr()

@@ -27,7 +27,7 @@ from mockforms.rademacher import (
     rademacher_partition,
     sawtooth,
 )
-from mockforms.rademacher import _sqrt_mod_prime, _square_roots
+from mockforms.rademacher import _partition_sums, _quadratic_sums, _root_sets, _sqrt_mod_prime
 
 from oracles import dedekind_phase_sum, k3_series_truncation
 
@@ -44,15 +44,22 @@ def is_square_mod(a: int, p: int) -> bool:
 
 @st.composite
 def root_path_cases(draw):
-    """(a, m): m = shape * q * p^e, a = p^k t, with m small enough for a full scan."""
+    """(a, c, m): c = shape * q * p^e, a = 1 (mod 8) divisible by p^k, 2mc small enough for a full scan."""
     p = draw(st.sampled_from(ROOT_PATH_PRIMES))
     q = draw(st.sampled_from([q for q in (1, 3, 5, 7, 11, 13) if q != p]))
-    shape = draw(st.sampled_from((1, 8, 24)))
-    e_max = max(e for e in range(1, 8) if e == 1 or shape * q * p ** e <= 40000)
+    shape = draw(st.sampled_from((1, 2, 8)))
+    m = draw(st.sampled_from((4, 12)))
+    e_max = max(e for e in range(1, 8) if e == 1 or 2 * m * shape * q * p ** e <= 80000)
     e = draw(st.integers(1, e_max))
     k = draw(st.integers(0, e + 1))
-    t = draw(st.integers(-10 ** 6, 10 ** 6))
-    return p ** k * t, shape * q * p ** e
+    t = draw(st.integers(-10 ** 5, 10 ** 5))
+    # a = p^k (8t + s) with p^k s = 1 (mod 8)
+    return p ** k * (8 * t + pow(p ** k, -1, 8)), shape * q * p ** e, m
+
+
+def scanned_roots(a: int, c: int, m: int) -> list[int]:
+    """Every x in [0, mc) with x^2 = a (mod 2mc), by a full scan."""
+    return [x for x in range(m * c) if (x * x - a) % (2 * m * c) == 0]
 
 
 class TestSawtooth:
@@ -152,14 +159,12 @@ class TestKloosterman:
                 assert type(kloosterman_sum(n, c)) is float
         assert worst < 1e-9
 
-    def test_even_family_matches_full_sum(self, monkeypatch):
-        # the noncompact series reuses the k3 memo entries at the even moduli
-        monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
-        for n, m in ((1, 7), (4, 30), (9, 60)):
-            exact_coefficient("k3", n, 2 * m)
-            size = len(rademacher.DEFAULT_CACHE)
-            exact_coefficient("noncompact", n, 2 * m)
-            assert len(rademacher.DEFAULT_CACHE) == size, (n, m)
+    def test_even_family_matches_full_sum(self):
+        # the noncompact series has the k3 multiplier sums, and terms, at every even modulus
+        for n, m in ((1, 7), (4, 30), (9, 60), (30, 400)):
+            assert _quadratic_sums(n, range(2, 2 * m + 1, 2)) == _quadratic_sums(n, range(1, 2 * m + 1))[1::2]
+            k3 = exact_coefficient("k3", n, 2 * m).terms
+            assert exact_coefficient("noncompact", n, 2 * m).terms == k3[1::2], (n, m)
 
 
 class TestKloostermanQuadratic:
@@ -208,20 +213,30 @@ class TestKloostermanQuadratic:
                     assert abs(kloosterman_quadratic(n, c) - expected) < 1e-12, (n, c, v)
 
     def test_square_roots_against_full_scan(self):
-        for m in range(1, 600):
-            squares = {}
-            for x in range(m):
-                squares.setdefault(x * x % m, []).append(x)
-            for a in list(range(-10, 30)) + [0, m, 5 * m + 4]:
-                assert _square_roots(a, m) == squares.get(a % m, []), (a, m)
+        # the kernel's root sets, over a run of moduli and one modulus at a time
+        for m, c_max in ((4, 300), (12, 120)):
+            squares = [{} for _ in range(c_max + 1)]
+            for c in range(1, c_max + 1):
+                for x in range(m * c):
+                    squares[c].setdefault(x * x % (2 * m * c), []).append(x)
+            for a in [1 - 8 * n for n in range(-12, 31)] + [1 - 24 * n for n in range(1, 40)]:
+                walk = list(_root_sets(a, range(1, c_max + 1), m))
+                assert [c for c, _ in walk] == list(range(1, c_max + 1))
+                for c, roots in walk:
+                    assert sorted(roots) == squares[c].get(a % (2 * m * c), []), (a, c, m)
+            for c in range(1, c_max + 1):
+                for a in (1, 9, -7, -23, 1 - 8 * (2 * m * c + 5)):
+                    [(_, roots)] = _root_sets(a, (c,), m)
+                    assert sorted(roots) == squares[c].get(a % (2 * m * c), []), (a, c, m)
 
     @settings(max_examples=200, deadline=None)
     @given(case=root_path_cases())
     def test_square_roots_at_every_root_path(self, case):
-        # prime powers of each closed-form class, bare and inside 8c and 24c,
-        # with targets divisible by p^k and a second odd prime before or after p
-        a, m = case
-        assert _square_roots(a, m) == [x for x in range(m) if (x * x - a) % m == 0], (a, m)
+        # prime powers of each closed-form class, with targets divisible by p^k,
+        # a second odd prime before or after p and 2-parts 1, 2 and 8 of c
+        a, c, m = case
+        [(_, roots)] = _root_sets(a, (c,), m)
+        assert sorted(roots) == scanned_roots(a, c, m), (a, c, m)
 
     def test_prime_roots_by_residue_class(self):
         # Tonelli-Shanks (p = 1 mod 8), Atkin (p = 5 mod 8), one power (p = 3 mod 4)
@@ -238,18 +253,21 @@ class TestKloostermanQuadratic:
         assert seen == {1, 3, 5, 7}
 
     def test_empty_root_sets_take_no_root(self, monkeypatch):
-        # the first odd prime has no root and a later one has: the enumeration
-        # must return before it takes any prime-power root
+        # one odd prime has no root and the other has, in either order: the
+        # kernel must return before it takes any prime-power root
         def no_roots_taken(*args):
             raise AssertionError("a root was taken for an empty root set")
 
         monkeypatch.setattr(rademacher, "_prime_power_roots", no_roots_taken)
         for p in (17, 41, 13, 29, 7, 23):
-            for shape in (8, 24):
-                m = shape * 5 * p
-                a = next(a for a in range(1, m, 8) if not is_square_mod(a, 5) and is_square_mod(a, p)
-                         and a % 3 == 1)
-                assert _square_roots(a, m) == [] == [x for x in range(m) if (x * x - a) % m == 0], (a, m)
+            for m in (4, 12):
+                for shape in (1, 2, 8):
+                    c = shape * 5 * p
+                    for rootless, rooted in ((5, p), (p, 5)):
+                        a = next(a for a in range(1, 8 * c, 8) if not is_square_mod(a, rootless)
+                                 and is_square_mod(a, rooted) and a % 3 == 1)
+                        [(_, roots)] = _root_sets(a, (c,), m)
+                        assert roots == [] == scanned_roots(a, c, m), (a, c, m)
         for c in range(1, 301):
             scan = odd_roots_by_square(c)
             for n in range(-20, 41):
@@ -287,6 +305,72 @@ class TestKloostermanQuadratic:
         shadow.shadow_coefficient(1, 60)
         rademacher_partition(40, 20)
         assert rademacher._phase_rows == {}
+
+
+def partition_scan_value(n: int, c: int, roots_by_square: dict[int, list[int]]) -> float:
+    """fsum of (12/d) cos(pi d / (6c)) over every d mod 24c with d^2 = 1 - 24n, from a full scan."""
+    return math.fsum(KRONECKER_12[d % 12] * math.cos(math.pi * d / (6 * c))
+                     for d in roots_by_square.get((1 - 24 * n) % (24 * c), ()))
+
+
+def residue_roots_by_square(m: int) -> dict[int, list[int]]:
+    """Every d in [0, m) grouped by d^2 mod m, by a full scan."""
+    by_square: dict[int, list[int]] = {}
+    for d in range(m):
+        by_square.setdefault(d * d % m, []).append(d)
+    return by_square
+
+
+# Moduli of the deep 2-parts, of odd prime powers, of a prime square sharing
+# its prime with 1 - 8n, and primes p = 1 (mod 8), whose roots take Tonelli-Shanks
+DEEP_MODULI = (512, 1024, 3 ** 5, 9 * 49, 9, 27, 2 * 27, 25, 4 * 125, 49, 17, 41, 73, 97, 113, 2 * 17 * 41, 17 ** 2)
+
+
+class TestSeriesKernel:
+    """One pass of the kernel over a series' moduli against full residue scans, bit for bit."""
+
+    def test_quadratic_pass_bit_identical_to_odd_k_scan(self):
+        scans = {c: odd_roots_by_square(c) for c in range(1, 201)}
+        # the k3 and noncompact series (n <= 30) and the shadow series (-n for n <= 11)
+        for n in list(range(1, 31)) + list(range(0, -12, -1)):
+            expected = [quadratic_scan_value(scans[c].get((1 - 8 * n) % (8 * c), ()), c) for c in range(1, 201)]
+            assert _quadratic_sums(n, range(1, 201)) == expected, n
+
+    def test_quadratic_pass_on_deep_moduli(self):
+        scans = {c: odd_roots_by_square(c) for c in DEEP_MODULI}
+        branches = set()
+        for n in list(range(-11, 61)) + [8, 26, 1 + 9 * 27, 26 + 3 ** 6]:
+            a = 1 - 8 * n
+            expected = [quadratic_scan_value(scans[c].get(a % (8 * c), ()), c) for c in DEEP_MODULI]
+            assert _quadratic_sums(n, DEEP_MODULI) == expected, n
+            assert [kloosterman_quadratic(n, c) for c in DEEP_MODULI] == expected, n
+            for p, e in ((3, 5), (3, 2), (5, 3), (7, 2)):
+                cls = rademacher._square_class(a, p, e)
+                if cls is not None and cls[0] > 0:
+                    branches.add("u = 0" if cls[1] == 0 else "h > 0")
+        assert branches == {"u = 0", "h > 0"}
+
+    def test_partition_pass_bit_identical_to_full_residue_scan(self):
+        moduli = list(range(1, 61)) + [512, 243, 441, 17 * 41]
+        scans = {c: residue_roots_by_square(24 * c) for c in moduli}
+        for n in list(range(1, 201)) + [1 + 9 * 27, 26 + 3 ** 6]:
+            expected = [partition_scan_value(n, c, scans[c]) for c in moduli]
+            assert _partition_sums(n, moduli) == expected, n
+
+    def test_prime_power_roots_are_shared_across_moduli(self, monkeypatch):
+        # one k3 series at 1200 moduli tests each odd prime power once, not
+        # once per modulus it divides
+        seen: dict[tuple[int, int], int] = {}
+        square_class = rademacher._square_class
+
+        def counted(a, p, e):
+            seen[p, e] = seen.get((p, e), 0) + 1
+            return square_class(a, p, e)
+
+        monkeypatch.setattr(rademacher, "_square_class", counted)
+        exact_coefficient("k3", 11, 1200)
+        assert seen and max(seen.values()) == 1
+        assert all(p % 2 == 1 and p ** e <= 1200 for p, e in seen)
 
 
 def odd_roots_by_square(c: int) -> dict[int, list[int]]:
@@ -338,6 +422,13 @@ class TestExactCoefficient:
     def test_noncompact_uses_even_moduli_only(self):
         partial = exact_coefficient("noncompact", 5, 20)
         assert [c for c, _ in partial.terms] == list(range(2, 21, 2))
+
+    def test_noncompact_without_moduli_is_empty(self):
+        # c_max = 1 leaves no even modulus: an empty partial, not an error
+        for n in (1, 2, 11):
+            partial = exact_coefficient("noncompact", n, 1)
+            assert partial.terms == [] and partial.cumulative == 0.0
+            assert _quadratic_sums(n, range(2, 2, 2)) == []
 
     def test_leading_terms(self):
         for n, (_, lead, _, _) in REFERENCE_K3_TABLE.items():
