@@ -19,9 +19,10 @@ rademacher takes a list of them.  verify --tolerance bounds the identities
 and kloosterman checks; the other suites have fixed bounds.  A flag that
 would be ignored is a usage error.
 
-argparse does all parsing and range checking (counts and --c-max lists are
-`type=` callables) and picks the handler (`set_defaults(handler=...)`); each
-handler reads the parsed namespace.  `main` adds only the two checks that
+argparse does all parsing and range checking (counts, --c-max lists and
+--tolerance, finite and >= 0, are `type=` callables) and picks the
+handler (`set_defaults(handler=...)`); each handler reads the parsed
+namespace.  `main` adds only the two checks that
 span flags: --tolerance on a fixed-bound suite and several --c-max values
 for shadow or pofn.
 
@@ -321,6 +322,14 @@ def _at_least(minimum: int):
     return integer
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type: a finite bound >= 0."""
+    value = float(raw)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {raw}")
+    return value
+
+
 def _parse_c_max(raw: str) -> list[int]:
     """argparse type: a comma-separated list of positive term counts."""
     try:
@@ -356,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), default="all")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="bound for the identities and kloosterman checks; "
                         "the other suites have fixed bounds")
     p.set_defaults(handler=cmd_verify)

@@ -15,17 +15,21 @@ c is split off by its bits, and a 2-adic root of 1 - 8n is lifted once per
 series.
 The roots modulo the odd part o of c, and modulo each prime power p^e of
 o, depend on o and p^e alone, not on c, so each is found once per series
-and kept in dicts that live only for the call.  Every odd prime power is
-first tested for a root (Euler's criterion), and an empty root set, K = 0,
-is found before any root is taken; a later c with the same odd part exits
-on a dict lookup.  Empty sums are common: 63 % of the 17 565 (n, c) pairs
-of the k3 and noncompact series for n <= 30 (400 and 800 moduli), and 45 %
-of the 10 800 pairs of the k3 series at n = 11 (1200 moduli) and the shadow
-series for n <= 11 (800 moduli).  Prime roots are closed forms, one power
-for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
-Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  Per
-modulus that leaves trial division of a new odd part, one modular inverse
-and O(2^omega(c)) integer steps, a sine and a correctly rounded sum (fsum)
+and kept in one memo that lives only for the call.  A new odd part is
+split at its least prime p into the power of p and a cofactor; the roots
+modulo each are looked up, or found and kept, and joined by one Chinese
+remainder step.  The series visit their moduli in ascending order, so the
+prime powers of a new odd part were already met at smaller moduli, and a
+c whose odd part has no root, K = 0, exits on a memo lookup.  Empty sums
+are common: 63 % of the 17 565 (n, c) pairs of the k3 and noncompact
+series for n <= 30 (400 and 800 moduli), and 45 % of the 10 800 pairs of
+the k3 series at n = 11 (1200 moduli) and the shadow series for n <= 11
+(800 moduli).  Euler's criterion tells whether a prime power has roots;
+prime roots are closed forms, one power for p = 3 (mod 4) and Atkin's
+formula for p = 5 (mod 8), with Tonelli-Shanks only for p = 1 (mod 8);
+Hensel lifting reaches p^e.  Per modulus that leaves trial division of a
+new odd part up to its least prime, one modular inverse and
+O(2^omega(c)) integer steps, a sine and a correctly rounded sum (fsum)
 per root, instead of phi(c) exact Dedekind sums.  The sums are exactly
 real and returned as floats.  The series, the shadow series and the
 partition-number series (roots modulo 24c) each call the kernel once and
@@ -211,80 +215,62 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _square_class(a: int, p: int, e: int) -> tuple[int, int] | None:
-    """None when x^2 = a (mod p^e) has no root, p odd; else (h, u) with a = p^{2h} u (mod p^e).
+def _prime_power_roots(a: int, p: int, e: int) -> list[int] | None:
+    """Every x mod p^e with x^2 = a (mod p^e), p an odd prime, in no set order; None if there is none.
 
-    u is a unit and a square modulo p^{e-2h}, or u = 0 when p^e divides a.
-    The test is Euler's criterion; no root is taken.
+    With a = p^{2h} u (mod p^e), u a unit, the roots are x = p^h y with
+    y^2 = u (mod p^{e-2h}); Euler's criterion on u decides whether there
+    are any before a root is taken.  u = 0 when p^e divides a.
     """
-    a %= p ** e
+    pe = p ** e
+    a %= pe
     if a == 0:
-        return e, 0
+        return list(range(0, pe, p ** ((e + 1) // 2)))
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v % 2 or pow(a, (p - 1) >> 1, p) != 1:
         return None
-    return v // 2, a
-
-
-def _prime_power_roots(p: int, e: int, h: int, u: int) -> list[int]:
-    """Every x mod p^e with x^2 = p^{2h} u (mod p^e), for (h, u) from _square_class."""
-    if u == 0:
-        return list(range(0, p ** e, p ** ((e + 1) // 2)))
-    # x = p^h y with y^2 = u (mod p^k), two roots y
-    k = e - 2 * h
+    h, k = v // 2, e - v  # x = p^h y with y^2 = a (mod p^k), two roots y
     q = p ** k
-    y = _sqrt_mod_prime(u % p, p)
+    y = _sqrt_mod_prime(a % p, p)
     if k > 1:
         for _ in range(k.bit_length()):  # Newton (Hensel) steps double the precision
-            y = (y - (y * y - u) * pow(2 * y, -1, q)) % q
+            y = (y - (y * y - a) * pow(2 * y, -1, q)) % q
     if h == 0:
         return [y, q - y]
     # y is free mod p^{k+h} = p^{e-h}
     ph = p ** h
-    return [ph * (z + t * q) % p ** e for z in (y, q - y) for t in range(ph)]
+    return [ph * (z + t * q) % pe for z in (y, q - y) for t in range(ph)]
 
 
-def _odd_part_roots(a: int, o: int, local: dict) -> list[int] | None:
-    """Every y in [0, o) with y^2 = a (mod o) for an odd o, in no set order; None if there is none.
+def _odd_roots(a: int, o: int, memo: dict[int, list[int] | None]) -> list[int] | None:
+    """Every y in [0, o) with y^2 = a (mod o) for an odd o > 1, in no set order; None if there is none.
 
-    o is trial-divided.  Each prime power is looked up in `local` (p^e ->
-    (p, e, h, u) once tested, its roots once taken, None if it has no
-    root), so it is tested (_square_class) and rooted at most once per
-    `local`.  Every prime power of o is tested before any root is taken,
-    so an empty root set takes none.  The roots are joined by the Chinese
-    remainder theorem, one prime power at a time (Garner's form).
+    o is trial-divided only up to its least prime p and split as q * r,
+    with q the power of p in o.  The roots mod q and mod r are looked up
+    in memo, or found and kept there, and joined by one Chinese remainder
+    step; the result is kept as memo[o].
     """
-    powers = []
     p = 3
-    while p * p <= o:
-        if o % p == 0:
-            q, e = p, 1
-            o //= p
-            while o % p == 0:
-                o //= p
-                q *= p
-                e += 1
-            powers.append((p, e, q))
+    while o % p and p * p <= o:
         p += 2
-    if o > 1:
-        powers.append((o, 1, o))
-    for p, e, q in powers:
-        if q not in local:
-            cls = _square_class(a, p, e)
-            local[q] = None if cls is None else (p, e) + cls
-        if local[q] is None:
-            return None
-    roots, mod = [0], 1
-    for p, e, q in powers:
-        local_roots = local[q]
-        if type(local_roots) is tuple:
-            local_roots = local[q] = _prime_power_roots(*local_roots)
-        inv = pow(mod, -1, q)
-        roots = [x + mod * ((y - x) * inv % q) for x in roots for y in local_roots]
-        mod *= q
+    if o % p:
+        p = o
+    r, e = o // p, 1
+    while r % p == 0:
+        r //= p
+        e += 1
+    q = o // r
+    if q not in memo:
+        memo[q] = _prime_power_roots(a, p, e)
+    roots = memo[q]
+    if r > 1 and roots is not None:
+        ys = memo[r] if r in memo else _odd_roots(a, r, memo)
+        inv = pow(q, -1, r)
+        roots = None if ys is None else [x + q * ((y - x) * inv % r) for x in roots for y in ys]
+    memo[o] = roots
     return roots
 
 
@@ -295,21 +281,18 @@ def _root_sets(a: int, moduli: Iterable[int], m: int) -> Iterator[tuple[int, lis
     so mc = 2^v o with o odd and v >= 2.  Modulo 2^{v+1} the roots are +-r
     and +-r + 2^v for one 2-adic root r of a, so modulo 2^v they are +-r,
     and the roots modulo 2mc are the x yielded here and x + mc.  The roots
-    modulo o depend on o alone: every c with the same odd part shares
-    them, and every o shares the roots of its prime powers, so a c whose
-    o has no root exits on a dict lookup.  Each x joins +-r to a root y
-    mod o by the Chinese remainder theorem; the roots come in no set order.
+    modulo o depend on o alone, so one memo, odd o -> roots mod o or None,
+    serves every c of the call (_odd_roots), and a c whose odd part has no
+    root yields [] on a lookup.  Each x joins +-r to a root y mod o by the
+    Chinese remainder theorem; the roots come in no set order.
     """
     r, bound = 1, 8  # r^2 = a (mod bound), lifted a bit at a time as the moduli need
-    local: dict[int, tuple | list[int] | None] = {}  # odd prime power -> class or roots, see _odd_part_roots
-    by_odd: dict[int, list[int] | None] = {}  # odd part o -> roots mod o, or None
+    memo: dict[int, list[int] | None] = {1: [0]}
     for c in moduli:
         mc = m * c
         q2 = mc & -mc
         o = mc // q2
-        if o not in by_odd:
-            by_odd[o] = _odd_part_roots(a, o, local)
-        ys = by_odd[o]
+        ys = memo[o] if o in memo else _odd_roots(a, o, memo)
         if ys is None:
             yield c, []
             continue

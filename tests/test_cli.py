@@ -98,6 +98,9 @@ class TestCoeffs:
     ("rademacher", "--n", "2", "--c-max", "5,zero"),
     ("shadow", "--n-max", "-1"),
     ("pofn", "--n", "0"),
+    ("verify", "--tolerance", "nan"),
+    ("verify", "--tolerance", "inf"),
+    ("verify", "--tolerance", "-1"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2

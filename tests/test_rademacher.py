@@ -252,13 +252,9 @@ class TestKloostermanQuadratic:
                     assert 0 <= r < p and r * r % p == a, (a, p)
         assert seen == {1, 3, 5, 7}
 
-    def test_empty_root_sets_take_no_root(self, monkeypatch):
+    def test_empty_root_sets_take_no_root(self):
         # one odd prime has no root and the other has, in either order: the
-        # kernel must return before it takes any prime-power root
-        def no_roots_taken(*args):
-            raise AssertionError("a root was taken for an empty root set")
-
-        monkeypatch.setattr(rademacher, "_prime_power_roots", no_roots_taken)
+        # root set is empty and so is the sum
         for p in (17, 41, 13, 29, 7, 23):
             for m in (4, 12):
                 for shape in (1, 2, 8):
@@ -345,9 +341,13 @@ class TestSeriesKernel:
             assert _quadratic_sums(n, DEEP_MODULI) == expected, n
             assert [kloosterman_quadratic(n, c) for c in DEEP_MODULI] == expected, n
             for p, e in ((3, 5), (3, 2), (5, 3), (7, 2)):
-                cls = rademacher._square_class(a, p, e)
-                if cls is not None and cls[0] > 0:
-                    branches.add("u = 0" if cls[1] == 0 else "h > 0")
+                # a = p^v u (mod p^e): u = 0 when p^e divides a, else an
+                # even v > 0 with u a square mod p takes the h = v/2 > 0 branch
+                v = p_adic_valuation(a, p, e)
+                if v == e:
+                    branches.add("u = 0")
+                elif v and v % 2 == 0 and is_square_mod(a // p ** v, p):
+                    branches.add("h > 0")
         assert branches == {"u = 0", "h > 0"}
 
     def test_partition_pass_bit_identical_to_full_residue_scan(self):
@@ -358,19 +358,51 @@ class TestSeriesKernel:
             assert _partition_sums(n, moduli) == expected, n
 
     def test_prime_power_roots_are_shared_across_moduli(self, monkeypatch):
-        # one k3 series at 1200 moduli tests each odd prime power once, not
-        # once per modulus it divides
-        seen: dict[tuple[int, int], int] = {}
-        square_class = rademacher._square_class
+        # one k3 series at 1200 moduli roots each odd prime power once, and
+        # computes each odd part once, not once per modulus it divides
+        rooted: dict[tuple[int, int], int] = {}
+        split: dict[int, int] = {}
+        prime_power_roots, odd_roots = rademacher._prime_power_roots, rademacher._odd_roots
 
-        def counted(a, p, e):
-            seen[p, e] = seen.get((p, e), 0) + 1
-            return square_class(a, p, e)
+        def counted_prime_power(a, p, e):
+            rooted[p, e] = rooted.get((p, e), 0) + 1
+            return prime_power_roots(a, p, e)
 
-        monkeypatch.setattr(rademacher, "_square_class", counted)
+        def counted_odd(a, o, memo):
+            split[o] = split.get(o, 0) + 1
+            return odd_roots(a, o, memo)
+
+        monkeypatch.setattr(rademacher, "_prime_power_roots", counted_prime_power)
+        monkeypatch.setattr(rademacher, "_odd_roots", counted_odd)
         exact_coefficient("k3", 11, 1200)
-        assert seen and max(seen.values()) == 1
-        assert all(p % 2 == 1 and p ** e <= 1200 for p, e in seen)
+        assert rooted and max(rooted.values()) == 1
+        assert all(p % 2 == 1 and p ** e <= 1200 for p, e in rooted)
+        assert split and max(split.values()) == 1
+        assert all(o % 2 == 1 and 1 < o <= 1200 for o in split)
+
+    def test_walk_order_does_not_change_the_root_sets(self):
+        # the memo is filled in the order the moduli come: a descending and a
+        # shuffled walk must give the root sets of the ascending one
+        c_max = 400
+        ascending = list(range(1, c_max + 1))
+        shuffled = ascending[:]
+        random.Random(14).shuffle(shuffled)
+        for m, targets in ((4, [1 - 8 * n for n in range(-11, 31)] + [1 - 8 * (1 + 9 * 27)]),
+                           (12, [1 - 24 * n for n in range(1, 41)] + [1 - 24 * (26 + 3 ** 6)])):
+            for a in targets:
+                expected = {c: sorted(roots) for c, roots in _root_sets(a, ascending, m)}
+                for order in (list(reversed(ascending)), shuffled):
+                    walk = list(_root_sets(a, order, m))
+                    assert [c for c, _ in walk] == order
+                    assert {c: sorted(roots) for c, roots in walk} == expected, (a, m)
+
+
+def p_adic_valuation(a: int, p: int, e: int) -> int:
+    """The largest v <= e with p^v dividing a."""
+    v = 0
+    while v < e and a % p ** (v + 1) == 0:
+        v += 1
+    return v
 
 
 def odd_roots_by_square(c: int) -> dict[int, list[int]]:
