@@ -8,10 +8,11 @@ verify      named verification suites with per-check pass/fail lines
 shadow      shadow-series coefficients against the exact 24 eta(8 tau)^3 pattern
 pofn        partition-number calibration of the Rademacher machinery
 
-Output is JSON (default) or RFC-4180 CSV; reals are emitted with shortest
-round-trip repr in JSON and 6 significant digits in CSV, so identical flags
-produce byte-identical output.  Exit codes: 0 success, 1 verification or
-consistency failure, 2 usage error.
+Output is JSON (default) or RFC-4180 CSV; verify prints text lines and
+takes no --format.  Reals are emitted with shortest round-trip repr in JSON
+and 6 significant digits in CSV, so identical flags produce byte-identical
+output.  Exit codes: 0 success, 1 verification or consistency failure, 2
+usage error.
 
 --c-max counts series terms: for the noncompact family (even moduli only)
 the terms are c = 2, 4, ..., 2*N, so N terms reach modulus 2*N.  Only
@@ -22,9 +23,9 @@ would be ignored is a usage error.
 argparse does all parsing and range checking (counts, --c-max lists and
 --tolerance, finite and >= 0, are `type=` callables) and picks the
 handler (`set_defaults(handler=...)`); each handler reads the parsed
-namespace.  `main` adds only the two checks that
-span flags: --tolerance on a fixed-bound suite and several --c-max values
-for shadow or pofn.
+namespace.  `main` adds only the checks that span flags: --tolerance on a
+fixed-bound suite, --format with verify and several --c-max values for
+shadow or pofn.
 
 Nothing is persisted between runs: each series computes its multiplier sums
 in one pass over its moduli and keeps nothing after the call.
@@ -53,7 +54,7 @@ def _fmt6(x: float) -> str:
 
 
 def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[dict], meta: dict, out) -> None:
-    if args.fmt == "json":
+    if args.fmt != "csv":
         json.dump({**meta, "rows": rows}, out)
         out.write("\n")
     else:
@@ -98,7 +99,7 @@ def cmd_rademacher(args: argparse.Namespace, out) -> int:
     }
     if args.per_c:
         payload["per_c"] = [{"c": c, "term": t} for c, t in partial.terms]
-    if args.fmt == "json":
+    if args.fmt != "csv":
         json.dump(payload, out)
         out.write("\n")
     else:
@@ -134,7 +135,7 @@ def cmd_pofn(args: argparse.Namespace, out) -> int:
     rounded = round(value)
     payload = {"n": args.n, "series": value, "rounded": rounded,
                "exact": str(exact), "match": rounded == exact}
-    if args.fmt == "json":
+    if args.fmt != "csv":
         json.dump(payload, out)
         out.write("\n")
     else:
@@ -345,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mockforms",
                                      description="Exact and Rademacher-type multiplicity tables "
                                                  "for the K3 elliptic genus")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="exact integer coefficient tables")
@@ -393,6 +394,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "verify" and args.tolerance is not None and args.suite != "all" \
             and _SUITES[args.suite][1] is None:
         error = f"--tolerance does not apply to the {args.suite} suite"
+    elif args.command == "verify" and args.fmt is not None:
+        error = "--format does not apply to verify"
     elif args.command in ("shadow", "pofn") and len(args.c_max) > 1:
         error = f"{args.command} takes a single --c-max value"
     if error:

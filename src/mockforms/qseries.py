@@ -4,15 +4,17 @@ Every exponent that occurs in this problem (1/24 from eta, 1/8 from theta
 characteristics and the q^{-1/8} prefactor, half-integers from theta
 constants, integers from Lambert sums) is a multiple of 1/24, so exponents
 are stored as integer counts of 1/24 units and never touch floating point.
-Coefficients are `fractions.Fraction`: exact long division (`f / g`, and
-`invert` as `1 / g`) by the theta constant 2q^{1/8}(1 + q + ...) introduces
-dyadic denominators even though the final extracted coefficients are integers.
+Coefficients are `fractions.Fraction`.
 
-The multiplicity tables do not use this module: `characters` builds them by
-integer long division on plain lists.  `QSeries` remains for the public
-series API (`half_period_numerator`, `multiplicity_series`, `named_series`)
-and for the eta-cubed and partition expansions that the shadow reference
-pattern and the `pofn` calibration read.
+The package builds only closed forms and integer data here: eta by Euler's
+pentagonal theorem, the partition numbers (read by `pofn` and the
+acceptance criteria) by his pentagonal recurrence on plain integers, and
+the theta constants; `characters` hands its integer tables out as `QSeries`
+views.  No code in the package multiplies or divides series.  The ring
+(`+`, `-`, `*`, `/`, `invert`) and `evaluate` stay as the tests' independent
+oracle (`Fraction` long division against the integer tables, numeric sums
+against the analytic layer), and the benchmark tracer wraps `invert` and
+`*` by name.
 
 A series carries an explicit truncation: it represents its stored terms plus
 an unknown tail O(q^truncation).  Arithmetic propagates the tightest
@@ -32,10 +34,7 @@ __all__ = [
     "FracExp",
     "QSeries",
     "DEFAULT_TRUNCATION",
-    "named_series",
     "eta_series",
-    "eta_cubed_series",
-    "euler_product_series",
     "partition_series",
     "theta_constant_series",
 ]
@@ -225,14 +224,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        result = QSeries.one(FracExp(self._trunc))
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Exact long division; the divisor needs a nonzero leading coefficient.
 
@@ -270,12 +261,6 @@ class QSeries:
         """
         return QSeries.one(FracExp(self._trunc - self._offset)) / self
 
-    def substitute_qm(self, m: int) -> "QSeries":
-        """Replace q by q^m; exponents and truncation scale exactly."""
-        if m < 1:
-            raise ValueError("substitution power must be >= 1")
-        return QSeries._raw({u * m: c for u, c in self._coeffs.items()}, self._trunc * m)
-
     def truncate(self, truncation: ExponentLike) -> "QSeries":
         trunc = min(self._trunc, _units(truncation))
         return QSeries._raw({u: c for u, c in self._coeffs.items() if u < trunc}, trunc)
@@ -290,39 +275,49 @@ class QSeries:
         return total
 
 
-# -- named series ---------------------------------------------------------
-
-
-def euler_product_series(truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """prod_{n>=1} (1 - q^n), expanded to the requested truncation."""
-    trunc = _units(truncation)
-    coeffs = {0: Fraction(1)}
-    n = 1
-    while 24 * n < trunc:
-        step = 24 * n
-        for u in sorted(coeffs, reverse=True):
-            if u + step < trunc:
-                coeffs[u + step] = coeffs.get(u + step, Fraction(0)) - coeffs[u]
-        coeffs = {u: c for u, c in coeffs.items() if c != 0}
-        n += 1
-    return QSeries._raw(coeffs, trunc)
+# -- closed-form expansions -------------------------------------------------
 
 
 def eta_series(truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """q^{1/24} prod (1 - q^n)."""
+    """q^{1/24} prod (1 - q^n) = sum over integers k of (-1)^k q^{(6k-1)^2/24}.
+
+    Euler's pentagonal theorem: (6k-1)^2/24 = 1/24 + k(3k-1)/2, a generalised
+    pentagonal number, and k, -k (exponents (6k-1)^2, (6k+1)^2 units) share
+    the sign.
+    """
     trunc = _units(truncation)
-    base = euler_product_series(FracExp(trunc - 1))
-    return QSeries._raw({u + 1: c for u, c in base._coeffs.items()}, trunc)
-
-
-def eta_cubed_series(truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    eta = eta_series(truncation)
-    return eta * eta * eta
+    coeffs: dict[int, Fraction] = {}
+    k = 0
+    while (6 * k - 1) ** 2 < trunc:
+        sign = Fraction(-1 if k % 2 else 1)
+        coeffs[(6 * k - 1) ** 2] = sign
+        if k and (6 * k + 1) ** 2 < trunc:
+            coeffs[(6 * k + 1) ** 2] = sign
+        k += 1
+    return QSeries._raw(coeffs, trunc)
 
 
 def partition_series(truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """Generating function of the partition numbers, 1/prod(1 - q^n)."""
-    return euler_product_series(truncation).invert()
+    """Generating function of the partition numbers, 1/prod(1 - q^n).
+
+    p(n) comes from Euler's pentagonal recurrence on plain integers,
+    p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
+    A truncation <= 0 leaves the product no leading term to invert.
+    """
+    trunc = _units(truncation)
+    if trunc <= 0:
+        raise ZeroLeadingCoefficient(
+            f"1/prod(1 - q^n) below truncation q^({Fraction(trunc, 24)}) inverts the zero series")
+    p = [1]
+    for n in range(1, (trunc - 1) // 24 + 1):
+        total = 0
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= n:  # g + k = k(3k+1)/2
+            pair = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += pair if k % 2 else -pair
+            k += 1
+        p.append(total)
+    return QSeries._raw({24 * n: Fraction(c) for n, c in enumerate(p)}, trunc)
 
 
 def theta_constant_series(label: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
@@ -349,24 +344,3 @@ def theta_constant_series(label: str, truncation: ExponentLike = DEFAULT_TRUNCAT
     else:
         raise UnknownName(f"no theta constant labelled {label!r}")
     return QSeries._raw(coeffs, trunc)
-
-
-_NAMED = {
-    "eta": eta_series,
-    "eta_cubed": eta_cubed_series,
-    "partition_gen": partition_series,
-    "theta10_const": lambda t: theta_constant_series("10", t),
-    "theta00_const": lambda t: theta_constant_series("00", t),
-    "theta01_const": lambda t: theta_constant_series("01", t),
-}
-
-
-def named_series(name: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
-    """Build one of the standard exact expansions by name."""
-    try:
-        builder = _NAMED[name]
-    except KeyError:
-        raise UnknownName(f"no named series {name!r}") from None
-    if _units(truncation) <= 0:
-        raise ValueError("truncation must be positive")
-    return builder(truncation)

@@ -6,8 +6,10 @@ from, and its anti-holomorphic derivative is (up to normalisation) the cusp
 form 24 eta(8 tau)^3.  This module checks all of that numerically:
 
 * shadow_coefficient sums the convergent J-Bessel/Kloosterman series for the
-  q^{8n+1} coefficients of the derivative and compares against the exact
+  q^{8n+1} coefficients of the derivative, to be compared against the exact
   integer pattern 24, -72, 120, -168, ... at square exponents (2m+1)^2.
+  shadow_reference_coefficients writes that pattern down from Jacobi's
+  identity eta^3 = sum_m (-1)^m (2m+1) q^{(2m+1)^2/8}, in plain integers.
 * multiplicity_completion evaluates the completed sum 8 sum_w mu_hat(w; tau)
   and exposes its modular transformation residuals to the tests.
 * holomorphic_anomaly_residual / laplacian_residual verify the defining
@@ -37,7 +39,6 @@ from .analytic import (
     nonholomorphic_correction,
 )
 from .errors import UnknownName
-from .qseries import FracExp, eta_cubed_series
 from .rademacher import _dedekind_euclid, _quadratic_sums
 
 __all__ = [
@@ -84,16 +85,17 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
 def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
     """Exact coefficients of 24 eta(8 tau)^3 at exponents 1, 9, 17, ... (mod 8).
 
-    Nonzero only at odd squares (2m+1)^2, where the value is 24 (-1)^m (2m+1).
+    Jacobi's identity eta(tau)^3 = sum_{m>=0} (-1)^m (2m+1) q^{(2m+1)^2/8}
+    makes them nonzero only at odd squares (2m+1)^2, where the value is
+    24 (-1)^m (2m+1).
     """
     if max_exponent < 1:
         raise ValueError("max_exponent must be positive")
-    cube = eta_cubed_series(FracExp(3 * (max_exponent + 1))).substitute_qm(8)
-    out = {}
-    exponent = 1
-    while exponent <= max_exponent:
-        out[exponent] = int(24 * cube.coefficient(exponent))
-        exponent += 8
+    out = dict.fromkeys(range(1, max_exponent + 1, 8), 0)
+    m = 0
+    while (2 * m + 1) ** 2 <= max_exponent:
+        out[(2 * m + 1) ** 2] = 24 * (-1) ** m * (2 * m + 1)
+        m += 1
     return out
 
 

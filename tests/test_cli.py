@@ -174,6 +174,14 @@ class TestVerify:
             assert captured.out == ""
             assert captured.err == f"error: --tolerance does not apply to the {suite} suite\n"
 
+    def test_format_is_a_usage_error(self, capsys):
+        # verify prints text lines, so a format would be ignored
+        for fmt in ("json", "csv"):
+            assert main(["--format", fmt, "verify", "--suite", "dedekind"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --format does not apply to verify\n"
+
 
 class TestShadow:
     def test_diagnostic_mode_never_fails(self, capsys):
@@ -203,6 +211,12 @@ class TestPofn:
         assert code == 0
         payload = json.loads(out)
         assert payload["rounded"] == 42 and payload["exact"] == "42" and payload["match"]
+
+    def test_exact_reference_at_n1000(self, capsys):
+        # 20 double-precision terms cannot round p(1000), but the exact
+        # reference is printed in full
+        code, out = run(capsys, "pofn", "--n", "1000")
+        assert json.loads(out)["exact"] == "24061467864032622473692149727991"
 
     def test_p1_single_term(self, capsys):
         code, out = run(capsys, "pofn", "--n", "1", "--c-max", "1")

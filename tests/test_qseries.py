@@ -1,21 +1,20 @@
-"""Exact q-series arithmetic: ring laws, division and inversion, named expansions."""
+"""Exact q-series arithmetic (ring laws, division and inversion) and the closed-form expansions."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from mockforms.errors import BeyondTruncation, UnknownName, ZeroLeadingCoefficient
+from mockforms.errors import BeyondTruncation, ZeroLeadingCoefficient
 from mockforms.qseries import (
     DEFAULT_TRUNCATION,
     FracExp,
     QSeries,
-    eta_cubed_series,
     eta_series,
-    euler_product_series,
-    named_series,
+    partition_series,
     theta_constant_series,
 )
+from mockforms.shadow import shadow_reference_coefficients
 
 from oracles import euler_product_coeffs, partition_count, pentagonal_coeffs, triple_product_coeffs
 
@@ -79,14 +78,15 @@ class TestArithmetic:
         assert (a * b).coefficient(F(2, 24)) == 1
 
     def test_eta_cubed_matches_triple_product_and_sign_pattern(self):
-        # brute-force triple product oracle vs the odd-square sign pattern 1, -3, 5, -7
-        cubed = eta_cubed_series(31)
-        oracle = triple_product_coeffs(30)
-        for e, expected in oracle.items():
-            assert cubed.coefficient(F(1, 8) + e) == expected
+        # 24 eta(8 tau)^3 = 24 q prod (1 - q^{8n})^3: the brute-force triple
+        # product oracle at q^{1+8j}, and the odd-square sign pattern 1, -3, 5, -7
+        reference = shadow_reference_coefficients(1 + 8 * 40)
+        oracle = triple_product_coeffs(40)
+        for j in range(41):
+            assert reference[1 + 8 * j] == 24 * oracle.get(j, 0)
         m = 0
-        while m * (m + 1) // 2 + 1 < 30:
-            assert cubed.coefficient(F(1, 8) + m * (m + 1) // 2) == (-1) ** m * (2 * m + 1)
+        while (2 * m + 1) ** 2 <= 1 + 8 * 40:
+            assert reference[(2 * m + 1) ** 2] == 24 * (-1) ** m * (2 * m + 1)
             m += 1
 
     def test_ring_laws_randomised(self):
@@ -145,30 +145,8 @@ class TestArithmetic:
             QSeries.zero(10).invert()
 
     def test_invert_euler_product_counts_partitions(self):
-        inv = euler_product_series(12).invert()
+        inv = QSeries(euler_product_coeffs(11), 12).invert()
         assert inv.coefficient(10) == partition_count(10) == 42
-
-    def test_substitute_identity(self):
-        rng = random.Random(5)
-        f = random_series(rng)
-        assert f.substitute_qm(1) == f
-
-    def test_substitute_monomial(self):
-        m = QSeries.monomial(1, F(1, 8), 2)
-        assert m.substitute_qm(8).coefficient(1) == 1
-
-    def test_substitute_preserves_coefficients(self):
-        rng = random.Random(6)
-        for _ in range(50):
-            f = random_series(rng)
-            m = rng.randrange(1, 9)
-            g = f.substitute_qm(m)
-            for e, c in f.items():
-                assert g.coefficient(FracExp(e.units24 * m)) == c
-
-    def test_substitute_eta_cubed_to_8tau(self):
-        sub = eta_cubed_series(8).substitute_qm(8)
-        assert [sub.coefficient(k) for k in (1, 9, 25, 49)] == [1, -3, 5, -7]
 
     def test_exponents_stay_on_lattice(self):
         rng = random.Random(8)
@@ -189,31 +167,22 @@ class TestCoefficientAccess:
         with pytest.raises(BeyondTruncation):
             eta_series(4).coefficient(5)
 
-    def test_eta_cubed_times_scaled(self):
-        sub = eta_cubed_series(8).substitute_qm(8)
-        assert sub.coefficient(9) == -3
-
-
 class TestNamedSeries:
     def test_eta_leading_term(self):
-        eta = named_series("eta", FracExp(240))
+        eta = eta_series(FracExp(240))
         assert eta.offset == FracExp(1)
         assert eta.coefficient(F(1, 24)) == 1
 
     def test_theta10_leading(self):
-        th = named_series("theta10_const", FracExp(240))
+        th = theta_constant_series("10", FracExp(240))
         assert th.offset == FracExp(3)
         assert th.coefficient(F(1, 8)) == 2
 
     def test_partition_gen_against_enumeration(self):
-        pg = named_series("partition_gen", FracExp(24 * 21))
+        pg = partition_series(FracExp(24 * 21))
         assert pg.coefficient(5) == partition_count(5) == 7
         for n in range(0, 21):
             assert pg.coefficient(n) == partition_count(n)
-
-    def test_unknown_name(self):
-        with pytest.raises(UnknownName):
-            named_series("zeta", FracExp(24))
 
     def test_eta_pentagonal_pattern_to_50_terms(self):
         # product expansion oracle and the closed pentagonal pattern, both in-test
@@ -242,3 +211,30 @@ class TestEvaluate:
         expected = 2 * cmath.exp(2j * cmath.pi * tau * F(-1, 8)) \
             - 90 * cmath.exp(2j * cmath.pi * tau * F(7, 8))
         assert abs(f.evaluate(tau) - expected) < 1e-14
+
+
+class TestPartitionSeries:
+    def test_matches_fraction_inverse_of_euler_product(self):
+        # the pentagonal recurrence against Fraction long division of the
+        # literal product expansion, truncation included
+        inverse = QSeries(euler_product_coeffs(300), 301).invert()
+        assert partition_series(FracExp(24 * 301)) == inverse
+
+    @pytest.mark.parametrize("n, p_n", [
+        (1000, 24061467864032622473692149727991),
+        (2000, 4720819175619413888601432406799959512200344166),
+    ])
+    def test_pinned_large_values(self, n, p_n):
+        assert partition_series(FracExp(24 * (n + 1))).coefficient(n) == p_n
+
+    @pytest.mark.parametrize("truncation", [0, -3, FracExp(0), FracExp(-1)])
+    def test_nonpositive_truncation_raises(self, truncation):
+        with pytest.raises(ZeroLeadingCoefficient):
+            partition_series(truncation)
+
+
+def test_eta_matches_euler_product_to_300_terms():
+    # the closed pentagonal form against the literal product, truncation included
+    truncation = FracExp(24 * 300 + 1)
+    product = QSeries({FracExp(24 * n + 1): c for n, c in euler_product_coeffs(299).items()}, truncation)
+    assert eta_series(truncation) == product
