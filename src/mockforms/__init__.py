@@ -7,7 +7,6 @@ from .analytic import (
     EllipticArg,
     FlowOffset,
     ModularPoint,
-    affine_su2_character,
     bessel_half,
     dedekind_eta,
     elliptic_genus,
@@ -15,7 +14,6 @@ from .analytic import (
     lerch_completion,
     lerch_difference,
     lerch_sum,
-    level_theta,
     nonholomorphic_correction,
     spectral_flow_offset,
     superconformal_character,
@@ -67,9 +65,9 @@ from .shadow import (
 )
 
 __all__ = [
-    "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "affine_su2_character", "bessel_half",
+    "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "bessel_half",
     "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference", "lerch_sum",
-    "level_theta", "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
+    "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
     "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
     "multiplicity_series", "BesselOverflow", "BeyondTruncation", "MockformsError",
     "NonIntegralCoefficient", "NonPositiveArgument", "NotCoprime", "PoleAtArgument",

@@ -5,14 +5,14 @@ point: _reduce walks tau into |Re tau| <= 1/2, |tau| >= 1, the transformation
 laws carry the value there (for mu_hat: Zwegers, Mock Theta Functions,
 arXiv:0807.4834, Prop. 1.4, Prop. 1.5 and Thm. 1.11), z goes into the period
 parallelogram, and the direct sums run where a few terms converge, so the
-cost does not depend on Im tau.  Jacobi thetas, level-P thetas
-(q^{a^2/4P} e^{2 pi i a z} theta_00(2Pz + a tau; 2P tau)), the affine and
-massive characters built on them, and eta (q^{1/24} theta_00((tau+1)/2; 3 tau),
-Jacobi's triple product) are theta_00 at shifted arguments.  Large or small
-factors travel as (log, value) pairs, whose rounding grows as Im tau falls
-(theta_00 is good to ~1e-13 relative at Im tau = 1e-3, ~1e-9 at 1e-5); a
-value past a double raises ValueOverflow.  Only the massless sum form's
-q-series and R are still summed at tau; half-integer Bessels are closed forms.
+cost does not depend on Im tau.  Jacobi thetas, the level-1 massive
+character q^{h-3/8} theta_10(z)^2 / eta^3 built on them, and eta
+(q^{1/24} theta_00((tau+1)/2; 3 tau), Jacobi's triple product) are theta_00
+at shifted arguments.  Large or small factors travel as (log, value) pairs,
+whose rounding grows as Im tau falls (theta_00 is good to ~1e-13 relative
+at Im tau = 1e-3, ~1e-9 at 1e-5); a value past a double raises
+ValueOverflow.  Only the massless sum forms' q-series and R are still summed
+at tau; half-integer Bessels are closed forms.
 
 The two kernels every evaluation ends in run at the reduced point, where a
 few terms settle, and form each term from the one before it by a running
@@ -29,9 +29,9 @@ of the running sum (_settle; the theta_00 kernel tests a pair of terms at a
 time, the Lerch kernel the Appell term and t_n together), so results are
 deterministic.  A series whose term budget runs out raises
 QuadratureNonConvergence, never a truncated sum.  Every pole guard is
-relative and raises PoleAtArgument: a theta_11 (the affine denominator too,
--i theta_11(2z)) below 1e-10 of its largest term at the reduced point, or a
-denominator within 1e-10 of zero relative to its larger part.
+relative and raises PoleAtArgument: a theta_11 (the massless sum forms'
+denominator theta_11(2z) too) below 1e-10 of its largest term at the reduced
+point, or a denominator within 1e-10 of zero relative to its larger part.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -66,8 +66,6 @@ __all__ = [
     "nonholomorphic_correction",
     "lerch_completion",
     "bessel_half",
-    "level_theta",
-    "affine_su2_character",
     "superconformal_character",
     "elliptic_genus",
     "lerch_difference",
@@ -314,7 +312,10 @@ def jacobi_theta(label: str, z, tau) -> complex:
 
 
 def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
-    """theta_11(2z) as (log, value); PoleAtArgument where value, in units of its largest term, is tiny."""
+    """theta_11(2z) as (log, value), the denominator of the massless sum forms.
+
+    Raises PoleAtArgument where value, in units of its largest term, is tiny.
+    """
     log, value = _theta_parts("11", 2.0 * z, t)
     if abs(value) < POLE_EPS:
         raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
@@ -529,63 +530,6 @@ def bessel_half(kind: str, x: float) -> float:
     raise UnknownName(f"no half-integer bessel kind {kind!r}")
 
 
-# -- level-P theta series and affine characters -------------------------------
-
-
-def _level_theta_parts(P: int, a: int, z: complex, t: complex) -> tuple[complex, complex]:
-    """(log, value) with vartheta_{P,a}(z; tau) = exp(log) * value.
-
-    Completing the square in n gives
-    vartheta_{P,a}(z; tau) = q^{a^2/4P} e^{2 pi i a z} theta_00(2Pz + a tau; 2P tau).
-    a matters only mod 2P and is first taken with |a| <= P, which keeps the
-    prefactor's exponent, and so its rounding, small.
-    """
-    a -= 2 * P * round(a / (2 * P))
-    log, value = _theta_parts("00", 2 * P * z + a * t, 2 * P * t)
-    return log + 2j * math.pi * (a * a * t / (4.0 * P) + a * z), value
-
-
-def _difference(first: tuple[complex, complex], second: tuple[complex, complex]) -> tuple[complex, complex]:
-    """(log, value) of the difference of two (log, value) pairs, in units of the larger exponent."""
-    (log1, v1), (log2, v2) = first, second
-    if log1.real >= log2.real:
-        return log1, v1 - cmath.exp(log2 - log1) * v2
-    return log2, cmath.exp(log1 - log2) * v1 - v2
-
-
-def level_theta(P: int, a: int, z, tau) -> complex:
-    """sum_n q^{(2Pn+a)^2/(4P)} e^{2 pi i z (2Pn+a)}; periodic in a mod 2P (see _level_theta_parts)."""
-    if P < 1:
-        raise ValueError("level P must be positive")
-    return _scaled(*_level_theta_parts(P, a, _z(z), _tau(tau)))
-
-
-def _affine_parts(k: int, ell, z: complex, t: complex) -> tuple[complex, complex]:
-    """(log, value) of the affine SU(2) character; see affine_su2_character."""
-    if k < 0:
-        raise ValueError("level k must be nonnegative")
-    a = Fraction(ell) * 2 + 1
-    if a.denominator != 1:
-        raise UnsupportedSpec(f"isospin {ell} is not a half-integer")
-    a = int(a)
-    num_log, num = _difference(_level_theta_parts(k + 2, a, z, t), _level_theta_parts(k + 2, -a, z, t))
-    den_log, den = _theta11_of_2z(z, t)
-    # vartheta_{2,1} - vartheta_{2,-1} = -i theta_11(2z)
-    return num_log - den_log, 1j * num / den
-
-
-def affine_su2_character(k: int, ell, z, tau) -> complex:
-    """Affine SU(2) character at level k and isospin ell:
-
-        chi_{k,ell} = (vartheta_{k+2, 2 ell + 1} - vartheta_{k+2, -2 ell - 1})
-                      / (vartheta_{2, 1} - vartheta_{2, -1})
-
-    Even in z.  The denominator is -i theta_11(2z); where it vanishes (z on
-    the half-period lattice, e.g. z = 0) it raises PoleAtArgument.
-    """
-    return _scaled(*_affine_parts(k, ell, _z(z), _tau(tau)))
-
-
 # -- spectral flow -------------------------------------------------------------
 
 
@@ -609,6 +553,12 @@ class FlowOffset:
             return self.const == other
         return NotImplemented
 
+    def __hash__(self) -> int:
+        # an offset equal to the number const must hash like it
+        if self.tau_coeff == 0:
+            return hash(self.const)
+        return hash((self.const, self.tau_coeff))
+
 
 _FLOW = {
     "NS": FlowOffset(Fraction(0), Fraction(0)),
@@ -631,11 +581,11 @@ def spectral_flow_offset(sector: str) -> FlowOffset:
 
 @dataclass(frozen=True)
 class CharSpec:
-    """Parameters of an N=4 character: kind, level, weight, isospin, sector.
+    """Parameters of a level-1 N=4 character: kind, level, weight, isospin, sector.
 
-    Massless (BPS) needs h = k/4 and 0 <= ell <= k/2; massive (non-BPS) needs
-    h > k/4 and ell in {1/2, ..., k/2}.  Isospins live on the half-integer
-    lattice.  Violations raise UnsupportedSpec.
+    The K3 elliptic genus decomposes into level-1 characters only, so k must
+    be 1.  Massless (BPS) then needs h = 1/4 and ell in {0, 1/2}; massive
+    (non-BPS) needs h > 1/4 and ell = 1/2.  Violations raise UnsupportedSpec.
     """
 
     kind: str
@@ -651,21 +601,19 @@ class CharSpec:
             raise UnsupportedSpec(f"unknown character kind {self.kind!r}")
         if self.sector not in SECTORS:
             raise UnsupportedSpec(f"unknown sector {self.sector!r}")
-        if self.k < 1:
-            raise UnsupportedSpec("level k must be a positive integer")
-        if (2 * self.ell).denominator != 1:
-            raise UnsupportedSpec(f"isospin {self.ell} is not a half-integer")
-        quarter = Fraction(self.k, 4)
+        if self.k != 1:
+            raise UnsupportedSpec(f"only level k = 1 is supported, not {self.k}")
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
         if self.kind == "massive":
             if not self.h > quarter:
-                raise UnsupportedSpec("massive representations need h > k/4")
-            if not (Fraction(1, 2) <= self.ell <= Fraction(self.k, 2)):
-                raise UnsupportedSpec("massive isospin must lie in {1/2, ..., k/2}")
+                raise UnsupportedSpec("massive representations need h > 1/4")
+            if self.ell != half:
+                raise UnsupportedSpec("massive isospin must be 1/2")
         else:
             if self.h != quarter:
-                raise UnsupportedSpec("massless representations need h = k/4")
-            if not (0 <= self.ell <= Fraction(self.k, 2)):
-                raise UnsupportedSpec("massless isospin must lie in {0, ..., k/2}")
+                raise UnsupportedSpec("massless representations need h = 1/4")
+            if self.ell not in (0, half):
+                raise UnsupportedSpec("massless isospin must be 0 or 1/2")
 
 
 def _theta_sq_over_eta3(label: str, z: complex, t: complex) -> tuple[complex, complex]:
@@ -693,23 +641,21 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
     return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
-def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> complex:
-    """Ramond-sector massless character evaluated literally at argument w:
+def _massless_half_sum(w: complex, t: complex) -> complex:
+    """Ramond-sector massless character of isospin 1/2, evaluated literally at argument w:
 
         (i / theta_11(2w)) (theta_10(w)^2 / eta^3)
-        sum_{eps=+-1} sum_m eps e^{4 pi i eps w ((k+1)m + ell)}
-                      q^{(k+1)m^2 + 2 ell m} / (1 + e^{-2 pi i eps w} q^{-m})^2
+        sum_{eps=+-1} sum_m eps e^{4 pi i eps w (2m + 1/2)}
+                      q^{2m^2 + m} / (1 + e^{-2 pi i eps w} q^{-m})^2
 
     Other sectors are reached by shifting w.  Terms with m > 0 are rewritten
     to keep q^{-m} out of the numerator.
     """
-    le = float(ell)
-
     def pair(m: int) -> complex:
         out = 0j
         for eps in (1, -1):
-            q_exp = (k + 1) * m * m + 2.0 * le * m
-            osc = 4.0 * eps * w * ((k + 1) * m + le)
+            q_exp = 2 * m * m + m
+            osc = 4.0 * eps * w * (2 * m + 0.5)
             if m <= 0:
                 den = 1.0 + cmath.exp(1j * math.pi * (-2.0 * eps * w - 2.0 * t * m))
                 if abs(den) < POLE_EPS:
@@ -724,18 +670,19 @@ def _massless_general_sum(k: int, ell: Fraction, w: complex, t: complex) -> comp
                 out += eps * cmath.exp(1j * math.pi * (2.0 * t * (q_exp + 2 * m) + osc + 4.0 * eps * w)) / (den * den)
         return out
 
-    total = _outward(pair, 2.0 * math.pi * (k + 1) * t.imag, t.imag, "massless character sum")
+    total = _outward(pair, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
     th2_log, th2 = _theta11_of_2z(w, t)
     log, value = _theta_sq_over_eta3("10", w, t)
     return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
 def superconformal_character(spec: CharSpec, z, tau) -> complex:
-    """Evaluate an N=4 character.
+    """Evaluate a level-1 N=4 character.
 
-    The closed formulas are written in the Ramond sector (massive, general
-    massless) or the tilded-Ramond sector (the level-1 isospin-0 compact sum
-    and the Lerch form); other sectors are evaluated by shifting z by the
+    The massive character is q^{h - 3/8} theta_10(w)^2 / eta^3 and the
+    isospin-1/2 massless sum form a literal sum, both written in the Ramond
+    sector; the isospin-0 compact sum and the Lerch form are written in the
+    tilded-Ramond sector.  Other sectors are evaluated by shifting z by the
     spectral-flow offset difference.
     """
     z = _z(z)
@@ -743,25 +690,23 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     flow = spectral_flow_offset(spec.sector)
 
     if spec.kind == "massless_mu_form":
-        if spec.k != 1 or spec.ell != 0:
-            raise UnsupportedSpec("the Lerch form is the level-1, isospin-0 massless character")
+        if spec.ell != 0:
+            raise UnsupportedSpec("the Lerch form is the isospin-0 massless character")
         w = z + (flow - _FLOW["Rtilde"]).at(t)
         log, value = _theta_sq_over_eta3("11", w, t)
         return _scaled(log, value * lerch_sum(w, t))
 
     if spec.kind == "massless_sum_form":
-        if spec.k == 1 and spec.ell == 0:
+        if spec.ell == 0:
             w = z + (flow - _FLOW["Rtilde"]).at(t)
             return _massless_compact_sum(w, t)
         w = z + (flow - _FLOW["R"]).at(t)
-        return _massless_general_sum(spec.k, spec.ell, w, t)
+        return _massless_half_sum(w, t)
 
     # massive
     w = z + (flow - _FLOW["R"]).at(t)
-    exponent = spec.h - spec.ell ** 2 / (spec.k + 1) - Fraction(spec.k, 4)
     log, value = _theta_sq_over_eta3("10", w, t)
-    chi_log, chi = _affine_parts(spec.k - 1, spec.ell - Fraction(1, 2), w, t)
-    return _scaled(log + chi_log + 2j * math.pi * t * float(exponent), value * chi)
+    return _scaled(log + 2j * math.pi * t * float(spec.h - Fraction(3, 8)), value)
 
 
 # -- elliptic genera and the two-argument kernel ------------------------------
@@ -790,6 +735,14 @@ def elliptic_genus(variant: str, z, tau) -> complex:
     if variant == "a1":
         return 0.5 * pair
     raise UnknownName(f"no elliptic genus variant {variant!r}")
+
+
+def _difference(first: tuple[complex, complex], second: tuple[complex, complex]) -> tuple[complex, complex]:
+    """(log, value) of the difference of two (log, value) pairs, in units of the larger exponent."""
+    (log1, v1), (log2, v2) = first, second
+    if log1.real >= log2.real:
+        return log1, v1 - cmath.exp(log2 - log1) * v2
+    return log2, cmath.exp(log1 - log2) * v1 - v2
 
 
 def lerch_difference(z, w, tau) -> complex:

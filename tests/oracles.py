@@ -128,13 +128,152 @@ def lerch_rounding_scale(z: complex, tau: complex) -> float:
     return mu * (math.fsum(map(abs, lerch)) / abs(sum(lerch)) + math.fsum(map(abs, th)) / abs(sum(th)))
 
 
-def vartheta_sum(P: int, a: int, z: complex, tau: complex, n_range: int = 80) -> complex:
-    """Level-P theta series by fixed-range summation."""
-    total = 0j
-    for n in range(-n_range, n_range + 1):
-        m = 2 * P * n + a
-        total += cmath.exp(2j * math.pi * (tau * m * m / (4.0 * P) + z * m))
-    return total
+# -- exact (q, y) series for the character decomposition ---------------------
+#
+# A series is a dict {(e, k): int} for sum c q^{e/8} y^k, kept below
+# q^{e_max/8}; every exponent e is >= 0, so a product needs no terms past
+# the cut.
+
+
+def qy_product(a: dict, b: dict, e_max: int) -> dict:
+    """a * b below q^{e_max/8}."""
+    by_e: dict[int, list[tuple[int, int]]] = {}
+    for (e, k), c in b.items():
+        by_e.setdefault(e, []).append((k, c))
+    b_rows = sorted(by_e.items())
+    out: dict[tuple[int, int], int] = {}
+    for (e1, k1), c1 in a.items():
+        for e2, row in b_rows:
+            e = e1 + e2
+            if e >= e_max:
+                break
+            for k2, c2 in row:
+                key = (e, k1 + k2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def qy_binomials(factors, e_max: int) -> dict:
+    """prod (1 - q^{e/8} y^k) over the pairs (e, k) in factors, each e > 0, below q^{e_max/8}."""
+    out = {(0, 0): 1}
+    for e, k in factors:
+        step = dict(out)
+        for (e1, k1), c in out.items():
+            if e1 + e < e_max:
+                key = (e1 + e, k1 + k)
+                step[key] = step.get(key, 0) - c
+        out = {key: c for key, c in step.items() if c}
+    return out
+
+
+def qy_quotient(num: dict, den: dict[int, int], e_max: int) -> dict:
+    """num / den below q^{e_max/8}, den a series in q alone ({e: c}), by one long division per y-power.
+
+    den's lowest term c0 q^{e0/8} must divide exactly at every step (c0 = 1
+    makes it monic), so num must be known below q^{(e_max + e0)/8}.
+    """
+    e0 = min(den)
+    c0 = den[e0]
+    rest = sorted((e - e0, c) for e, c in den.items() if e != e0)
+    rows: dict[int, dict[int, int]] = {}
+    for (e, k), c in num.items():
+        rows.setdefault(k, {})[e] = c
+    out = {}
+    for k, row in rows.items():
+        for e in range(min(row), e_max + e0):
+            c = row.pop(e, 0)
+            if not c:
+                continue
+            coeff, remainder = divmod(c, c0)
+            if remainder:
+                raise ValueError(f"inexact division at q^{e}/8 y^{k}")
+            out[(e - e0, k)] = coeff
+            for d, cd in rest:
+                if e + d >= e_max + e0:
+                    break
+                row[e + d] = row.get(e + d, 0) - coeff * cd
+    return out
+
+
+def theta_square_qy(label: str, e_max: int) -> dict:
+    """theta_label(z)^2 with y = e^{2 pi i z}, as the literal double sum over the theta lattice.
+
+    Writing k = j/2 (j odd for "11" and "10", even for "00" and "01"), the
+    term q^{k^2/2} y^k is q^{j^2/8} y^{j/2}, so a pair (j1, j2) gives
+    q^{(j1^2 + j2^2)/8} y^{(j1 + j2)/2}, with sign (-1)^{k1 + k2} for "11"
+    and "01".
+    """
+    odd = label in ("11", "10")
+    signed = label in ("11", "01")
+    bound = math.isqrt(e_max) + 1
+    js = [j for j in range(-bound, bound + 1) if j % 2 == odd]
+    out: dict[tuple[int, int], int] = {}
+    for j1 in js:
+        for j2 in js:
+            e = j1 * j1 + j2 * j2
+            if e < e_max:
+                k = (j1 + j2) // 2
+                out[(e, k)] = out.get((e, k), 0) + (-1 if signed and k % 2 else 1)
+    return out
+
+
+def theta_mu_qy(e_max: int) -> dict:
+    """theta_11(z)^2 mu(z; tau) / q^{1/8}, in the annulus |q| < |y| < 1.
+
+    theta_11^2 mu = q^{1/8} (1 - y) P sum_n (-1)^n y^n q^{n(n+1)/2} / (1 - y q^n)
+    with P = prod_{n>=1} (1 - q^n)(1 - y q^n)(1 - q^n / y) from its binomials.
+    The n = 0 term 1/(1 - y) enters as exactly 1 after the (1 - y) product;
+    n >= 1 expands as sum_{j>=0} y^j q^{nj} and n <= -1 as
+    -sum_{j>=1} y^{-j} q^{-nj}.
+    """
+    n_max = e_max // 8 + 1
+    p = qy_binomials([(8 * n, k) for n in range(1, n_max + 1) for k in (0, 1, -1)], e_max)
+    appell: dict[tuple[int, int], int] = {}
+    for n in range(1, n_max + 1):
+        for sign, m in ((1, n), (-1, -n)):  # the n >= 1 and n <= -1 terms
+            e_n = 4 * m * (m + 1)  # q^{m(m+1)/2}
+            j = 0 if m > 0 else 1
+            while e_n + 8 * n * j < e_max:
+                key = (e_n + 8 * n * j, m + sign * j)
+                appell[key] = appell.get(key, 0) + sign * (-1 if m % 2 else 1)
+                j += 1
+    bracket = qy_product(appell, {(0, 0): 1, (0, 1): -1}, e_max)
+    bracket[(0, 0)] = bracket.get((0, 0), 0) + 1
+    return qy_product(p, bracket, e_max)
+
+
+def decomposition_mismatches(variant: str, weights: dict[int, int], n_max: int) -> list[tuple[int, int]]:
+    """The (e, k) below q^{n_max} where the two sides of the decomposition differ.
+
+    variant "k3":              Z eta^3 = theta_11^2 (24 mu + q^{-1/8} sum_n weights[n] q^n)
+    variant "decompactified":  Z eta^3 = theta_11^2 (16 mu + 16 q^{-1/8} sum_n weights[n] q^n)
+
+    with Z = 8 sum theta_l(z)^2 / theta_l(0)^2 over l in {10, 00, 01} (k3)
+    or {00, 01} (decompactified), eta^3 = q^{1/8} prod (1 - q^n)^3 from its
+    binomials, and the common q^{1/8} divided out of both sides.
+    """
+    labels, c_mu, scale = {"k3": (("10", "00", "01"), 24, 1),
+                           "decompactified": (("00", "01"), 16, 16)}[variant]
+    e_max = 8 * n_max
+    genus: dict[tuple[int, int], int] = {}
+    for label in labels:
+        # theta_10(0)^2 starts at q^{1/4}, so its quotient needs the numerator past the cut
+        square = theta_square_qy(label, e_max + 8)
+        at_zero: dict[int, int] = {}
+        for (e, _), c in square.items():
+            at_zero[e] = at_zero.get(e, 0) + c
+        eight = {key: 8 * c for key, c in square.items()}
+        for key, c in qy_quotient(eight, {e: c for e, c in at_zero.items() if c}, e_max).items():
+            genus[key] = genus.get(key, 0) + c
+    cubed = qy_binomials([(8 * n, 0) for n in range(1, n_max + 1) for _ in range(3)], e_max)
+    lhs = qy_product(genus, cubed, e_max)
+
+    rhs = {key: c_mu * c for key, c in theta_mu_qy(e_max).items()}
+    theta_sq = {(e - 2, k): c for (e, k), c in theta_square_qy("11", e_max + 2).items()}  # / q^{1/4}
+    weight_series = {(8 * n, 0): scale * w for n, w in weights.items() if w}
+    for key, c in qy_product(theta_sq, weight_series, e_max).items():
+        rhs[key] = rhs.get(key, 0) + c
+    return sorted(key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
 
 
 def k3_series_truncation(n: int, c_max: int) -> float:

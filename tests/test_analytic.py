@@ -13,7 +13,6 @@ from mockforms.analytic import (
     EllipticArg,
     FlowOffset,
     ModularPoint,
-    affine_su2_character,
     bessel_half,
     dedekind_eta,
     elliptic_genus,
@@ -21,7 +20,6 @@ from mockforms.analytic import (
     lerch_completion,
     lerch_difference,
     lerch_sum,
-    level_theta,
     nonholomorphic_correction,
     spectral_flow_offset,
     superconformal_character,
@@ -47,7 +45,6 @@ from oracles import (
     lerch_sum_fixed,
     theta_sum,
     theta_terms,
-    vartheta_sum,
 )
 
 F = Fraction
@@ -395,56 +392,6 @@ class TestBesselHalf:
             bessel_half("K", 1.0)
 
 
-class TestLevelTheta:
-    def test_index_shift_periodicity(self):
-        for P, a in ((2, 1), (3, 2)):
-            lhs = level_theta(P, a, 0.1 + 0.02j, 1.1j)
-            rhs = level_theta(P, a + 2 * P, 0.1 + 0.02j, 1.1j)
-            assert abs(lhs - rhs) < 1e-13
-
-    def test_reflection_at_z_zero(self):
-        assert abs(level_theta(2, 1, 0.0, 1.3j) - level_theta(2, -1, 0.0, 1.3j)) < 1e-13
-
-    def test_against_fixed_range_oracle(self):
-        got = level_theta(1, 1, 0.1, 1.1j)
-        assert abs(got - vartheta_sum(1, 1, 0.1, 1.1j)) < 1e-12
-
-
-class TestAffineCharacter:
-    def test_trivial_representation(self):
-        for z in ZS:
-            assert abs(affine_su2_character(0, 0, z, 1.2j) - 1.0) < 1e-12
-
-    def test_against_direct_quotient(self):
-        z, t = 0.13, 1.2j
-        num = vartheta_sum(3, 2, z, t) - vartheta_sum(3, -2, z, t)
-        den = vartheta_sum(2, 1, z, t) - vartheta_sum(2, -1, z, t)
-        assert abs(affine_su2_character(1, F(1, 2), z, t) - num / den) < 1e-12
-
-    def test_even_in_z(self):
-        z, t = 0.21 + 0.03j, 1.1j
-        assert abs(affine_su2_character(2, 1, z, t) - affine_su2_character(2, 1, -z, t)) < 1e-12
-
-    # chi_{1,1/2} at Im tau = 1e-4 and 1e-5, where the direct sums of vartheta
-    # at tau cancel by more than a double holds.  Reference values: mpmath at
-    # 300 digits (unchanged at 400), numerator and denominator summed
-    # literally from the definition, sum_n q^{(2Pn+a)^2/4P} e^{2 pi i z (2Pn+a)},
-    # over |n| <= 4000 (unchanged at 4500).
-    @pytest.mark.parametrize("z, t, expected", [
-        (0.13 + 0.01j, 0.3 + 1e-4j, 1.8107829183171032359e-11 + 2.9549291602797581562e-11j),
-        (0.13 + 0.01j, 0.3 + 1e-5j, 1.3058640736325084249e-105 + 2.130976491718082826e-105j),
-        (0.13, 0.3 + 1e-5j, 6.7355163870615634815e-133 + 1.099136377991002192e-132j),
-    ], ids=("im_tau_1e-4", "im_tau_1e-5", "real_z_im_tau_1e-5"))
-    def test_small_im_tau_against_high_precision(self, z, t, expected):
-        got = affine_su2_character(1, F(1, 2), z, t)
-        assert abs(got - expected) <= 1e-8 * abs(expected)
-
-    def test_denominator_vanishes_at_origin(self):
-        # the denominator is -i theta_11(2z), whose zero is a pole like any other
-        with pytest.raises(PoleAtArgument):
-            affine_su2_character(1, F(1, 2), 0.0, 1.2j)
-
-
 class TestCharacters:
     def test_sum_form_equals_mu_form(self):
         for z in ZS:
@@ -507,7 +454,48 @@ class TestCharacters:
         with pytest.raises(UnsupportedSpec):
             CharSpec("massless_sum_form", 1, F(1, 2), 0)  # wrong weight
         with pytest.raises(UnsupportedSpec):
-            superconformal_character(CharSpec("massless_mu_form", 2, F(1, 2), 0), 0.2, 1.2j)
+            superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), F(1, 2)), 0.2, 1.2j)  # isospin 0 only
+        # level 1 only: the constructor refuses every other level
+        with pytest.raises(UnsupportedSpec):
+            CharSpec("massless_mu_form", 2, F(1, 2), 0)
+        with pytest.raises(UnsupportedSpec):
+            CharSpec("massive", 2, F(3, 2), 1)
+        with pytest.raises(UnsupportedSpec):
+            CharSpec("massless_sum_form", 0, F(0), 0)
+
+    # The massive character q^{n - 1/8} theta_10(w)^2 / eta^3 at small Im tau,
+    # where the walk to the reduced point loses digits as Im tau falls.  w is
+    # z + 1/2 in the tilded-Ramond sector and z in the Ramond sector.
+    # Reference values: mpmath at 300 digits, theta_10 and eta summed
+    # literally over |k| <= 1500 (4000 at Im tau = 1e-5; the same 20 digits
+    # with 20 % more terms), at the exact binary values of the double inputs:
+    #     mp.mp.dps = 300
+    #     z, t = mp.mpc(0.13, 0.01), mp.mpc(0.3, 1e-3)
+    #     w, n, h = z + mp.mpf(1) / 2, 1, mp.mpf(1) / 2
+    #     th = mp.fsum(mp.exp(1j * mp.pi * (t * (k + h) ** 2 + 2 * (k + h) * w)) for k in range(-1500, 1500))
+    #     eta = mp.fsum((-1) ** m * mp.exp(2j * mp.pi * t * mp.mpf((6 * m + 1) ** 2) / 24) for m in range(-1500, 1501))
+    #     mp.exp(2j * mp.pi * t * (n - mp.mpf(1) / 8)) * th ** 2 / eta ** 3
+    # The bounds are three times the error measured when they were set
+    # (1.6e-13, 7.9e-12, 1.9e-9 at the three Im tau, in both sectors).
+    @pytest.mark.parametrize("sector, n, t, expected, bound", [
+        ("Rtilde", 1, 0.3 + 1e-3j, -12.020147475549500387 + 36.994208440648187242j, 3 * 1.6e-13),
+        ("Rtilde", 1, 0.3 + 1e-4j, 2.1422472880719899079e24 - 1.5564337603099815633e24j, 3 * 7.9e-12),
+        ("Rtilde", 1, 0.3 + 1e-5j, 1.3786086459992584643e257 - 1.0016178121891817331e257j, 3 * 1.9e-9),
+        ("R", 5, 0.3 + 1e-3j, -37.93258163128069851 + 4.6988627560765044556e-7j, 3 * 1.6e-13),
+        ("R", 5, 0.3 + 1e-4j, 2.1368699935566089913e24 + 1.5525269271159416279e24j, 3 * 7.9e-12),
+        ("R", 5, 0.3 + 1e-5j, 1.3782622087185173956e257 + 1.0013661079821210649e257j, 3 * 1.9e-9),
+    ], ids=("Rtilde_n1_im_tau_1e-3", "Rtilde_n1_im_tau_1e-4", "Rtilde_n1_im_tau_1e-5",
+            "R_n5_im_tau_1e-3", "R_n5_im_tau_1e-4", "R_n5_im_tau_1e-5"))
+    def test_massive_small_im_tau(self, sector, n, t, expected, bound):
+        got = superconformal_character(CharSpec("massive", 1, F(1, 4) + n, F(1, 2), sector), 0.13 + 0.01j, t)
+        assert abs(got - expected) <= bound * abs(expected)
+
+    def test_massive_has_no_pole_at_theta11_2z_zero(self):
+        # theta_11(2w) vanishes at w = 0, where the massive character is finite
+        t = 1.2j
+        got = superconformal_character(CharSpec("massive", 1, F(5, 4), F(1, 2), "R"), 0.0, t)
+        expected = cmath.exp(2j * math.pi * t * 0.875) * jacobi_theta("10", 0.0, t) ** 2 / dedekind_eta(t) ** 3
+        assert abs(got - expected) < 1e-12 * abs(expected)
 
     def test_ramond_sector_uses_theta10(self):
         # R-sector massive character carries [theta_10]^2: check via the flow shift
@@ -571,7 +559,6 @@ class TestDeterminism:
         assert jacobi_theta("11", z, t) == jacobi_theta("11", z, t)
         assert dedekind_eta(t) == dedekind_eta(t)
         assert lerch_sum(z, t) == lerch_sum(z, t)
-        assert level_theta(3, 2, z, t) == level_theta(3, 2, z, t)
         assert nonholomorphic_correction(t, "sum") == nonholomorphic_correction(t, "sum")
 
 
@@ -582,16 +569,15 @@ class TestTruncation:
     SERIES = (
         ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t, "sum")),
         ("Lerch sum", lerch_sum),
-        # level_theta is theta_00 at the reduced point, so it exhausts that kernel
-        ("theta series", lambda z, t: level_theta(3, 2, z, t)),
+        ("theta series", lambda z, t: jacobi_theta("00", z, t)),
         ("massless character sum",
          lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)),
         ("massless character sum",
-         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 2, F(1, 2), F(1, 2)), z, t)),
+         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), z, t)),
     )
 
     @pytest.mark.parametrize("what, series", SERIES,
-                             ids=("correction", "lerch", "level_theta", "massless_compact", "massless_general"))
+                             ids=("correction", "lerch", "theta00", "massless_compact", "massless_half"))
     def test_exhausted_budget_raises(self, monkeypatch, what, series):
         series(self.z, self.t)  # settles at the real tail bound
         monkeypatch.setattr(analytic, "TAIL_EPS", -1.0)
@@ -606,6 +592,13 @@ class TestSpectralFlow:
     def test_half_unit_shifts(self):
         assert spectral_flow_offset("NStilde") - spectral_flow_offset("NS") == F(1, 2)
         assert spectral_flow_offset("Rtilde") - spectral_flow_offset("R") == F(1, 2)
+
+    def test_equal_numbers_hash_equal(self):
+        # an offset with no tau part equals its constant, so it must hash like it
+        half = spectral_flow_offset("NStilde") - spectral_flow_offset("NS")
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        assert half in {F(1, 2)} and spectral_flow_offset("NS") in {0}
+        assert len({spectral_flow_offset("R"), spectral_flow_offset("Rtilde"), FlowOffset(F(0), F(1, 2))}) == 2
 
     def test_tau_dependence(self):
         offset = spectral_flow_offset("Rtilde")

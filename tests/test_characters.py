@@ -20,6 +20,8 @@ from mockforms.errors import BeyondTruncation, NonIntegralCoefficient, PoleAtArg
 from mockforms.qseries import FracExp, QSeries, eta_series, theta_constant_series
 from mockforms.rademacher import exact_coefficient
 
+from oracles import decomposition_mismatches
+
 F = Fraction
 
 COMPACT_TABLE = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136]
@@ -260,6 +262,33 @@ class TestDecomposition:
     def test_pole_guard_propagates(self):
         with pytest.raises(PoleAtArgument):
             decomposition_residual(0.0, 1.5j, 2)
+
+
+def _weights(variant, n_max):
+    """The tables' weights for the exact decomposition below q^{n_max}: A_n with A_0 = -2, or ALE_n."""
+    if variant == "k3":
+        return {0: -2, **coeff_table("k3", n_max - 1).values}
+    return dict(coeff_table("ale", n_max - 1).values)
+
+
+class TestDecompositionIdentity:
+    # The paper's decomposition as an identity of integer series in q^{1/8}
+    # and y, coefficient by coefficient below q^N (tests/oracles.py):
+    #   Z_K3 eta^3  = theta_11^2 (24 mu + q^{-1/8} sum_{n>=0} A_n q^n),  A_0 = -2;
+    #   Z_dec eta^3 = theta_11^2 (16 mu + 16 q^{-1/8} sum_{n>=1} ALE_n q^n).
+    # Unlike the numeric decomposition residual, which sees a wrong A_1 only,
+    # this checks every table entry below q^N.
+    @pytest.mark.parametrize("variant", ("k3", "decompactified"))
+    def test_holds_below_q100(self, variant):
+        assert decomposition_mismatches(variant, _weights(variant, 100), 100) == []
+
+    @pytest.mark.parametrize("variant", ("k3", "decompactified"))
+    def test_one_wrong_entry_fails(self, variant):
+        weights = _weights(variant, 30)
+        assert decomposition_mismatches(variant, weights, 30) == []
+        weights[29] += 1
+        # theta_11^2 / q^{1/4} starts -(y - 2 + 1/y): three coefficients at q^29 move
+        assert decomposition_mismatches(variant, weights, 30) == [(8 * 29, -1), (8 * 29, 0), (8 * 29, 1)]
 
 
 class TestIdentityCheck:

@@ -60,10 +60,14 @@ class TestCoeffs:
 
     # sha256 of stdout, recorded with the ALE table taken as the difference
     # of the whole k3 and noncompact tables and with the flags copied into a
-    # separate configuration object before dispatch
+    # separate configuration object before dispatch.  The verify digest was
+    # re-recorded when the massive character became the level-1 closed form:
+    # one line moved, decomposition:k3_residual_n12 from 1.51347e-16 to
+    # 1.48888e-16, the rounding of the affine factor (identically 1) it
+    # no longer multiplies by.
     @pytest.mark.parametrize("argv, digest", [
         (("verify", "--suite", "all"),
-         "7fce635857841ff279c1ec90399ec6fe33dba240d14d2582f3485401fd3bb091"),
+         "6f89b5c71c53f9192a886238a9301640e6a3483f53ab3ac618e800b48ae76710"),
         (("coeffs", "--kind", "ale", "--n-max", "1000"),
          "aaab8df12bb26d7e76ef7ae9bf7c6ba731671f056cd5dc1f0c09f19cd1349483"),
         (("--format", "csv", "coeffs", "--kind", "ale", "--n-max", "1000", "--entropy"),

@@ -6,9 +6,9 @@ import mockforms
 
 PUBLIC = {
     "analytic": {
-        "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "affine_su2_character", "bessel_half",
+        "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "bessel_half",
         "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference", "lerch_sum",
-        "level_theta", "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
+        "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
     },
     "characters": {
         "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
