@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import (
     NonPositiveArgument,
@@ -80,7 +80,7 @@ _GAUSS_CUT = -2.0 * math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CU
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
-Complexish = Union[complex, float, int, Fraction]
+Complexish = complex | float | int | Fraction
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class EllipticArg:
     z: complex
 
 
-def _tau(value: Union[ModularPoint, Complexish]) -> complex:
+def _tau(value: ModularPoint | Complexish) -> complex:
     if isinstance(value, ModularPoint):
         return value.tau
     t = complex(value)
@@ -110,7 +110,7 @@ def _tau(value: Union[ModularPoint, Complexish]) -> complex:
     return t
 
 
-def _z(value: Union[EllipticArg, Complexish]) -> complex:
+def _z(value: EllipticArg | Complexish) -> complex:
     if isinstance(value, EllipticArg):
         return value.z
     if isinstance(value, Fraction):

@@ -32,9 +32,9 @@ numbers out as exact `QSeries` for the public series API.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from . import analytic
 from .analytic import CharSpec, elliptic_genus, jacobi_theta, lerch_difference, superconformal_character

@@ -39,7 +39,6 @@ import io
 import json
 import math
 import sys
-from typing import Optional
 
 from . import characters, rademacher, shadow
 from .errors import MockformsError
@@ -391,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

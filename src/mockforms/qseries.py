@@ -24,9 +24,9 @@ truncation the operands support.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
 
 from .errors import BeyondTruncation, UnknownName, ZeroLeadingCoefficient
 
@@ -38,8 +38,6 @@ __all__ = [
     "partition_series",
     "theta_constant_series",
 ]
-
-ExponentLike = Union["FracExp", int, Fraction]
 
 
 @dataclass(frozen=True, order=True)
@@ -84,6 +82,8 @@ class FracExp:
         return str(self.as_fraction)
 
 
+ExponentLike = FracExp | int | Fraction
+
 #: 60 full powers of q, enough to read off coefficients up to n = 50.
 DEFAULT_TRUNCATION = FracExp(1440)
 
@@ -104,7 +104,7 @@ class QSeries:
 
     __slots__ = ("_coeffs", "_trunc", "_offset")
 
-    def __init__(self, coeffs: Mapping[ExponentLike, Union[int, Fraction]], truncation: ExponentLike):
+    def __init__(self, coeffs: Mapping[ExponentLike, int | Fraction], truncation: ExponentLike):
         trunc = _units(truncation)
         clean: dict[int, Fraction] = {}
         for e, c in coeffs.items():
@@ -142,7 +142,7 @@ class QSeries:
         return cls._raw({0: Fraction(1)}, _units(truncation))
 
     @classmethod
-    def monomial(cls, coeff: Union[int, Fraction], exponent: ExponentLike,
+    def monomial(cls, coeff: int | Fraction, exponent: ExponentLike,
                  truncation: ExponentLike = DEFAULT_TRUNCATION) -> "QSeries":
         return cls({exponent: coeff}, truncation)
 
@@ -205,7 +205,7 @@ class QSeries:
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def __mul__(self, other: Union["QSeries", int, Fraction]) -> "QSeries":
+    def __mul__(self, other: QSeries | int | Fraction) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
             return QSeries._raw({u: c * s for u, c in self._coeffs.items()}, self._trunc)

@@ -8,34 +8,32 @@ where K(n, c) is a Kloosterman-type sum over residues d mod c, gcd(d, c) = 1,
 with phase e^{-3 pi i s(d,c) + 2 pi i d n / c} built from the Dedekind sum
 s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
 [1, 4c] with k^2 = 1 - 8n (mod 8c), and that is how every series here
-computes it.  One kernel, _root_sets, walks all the moduli of a series for
-its fixed n.  The roots mod 8c come in pairs k, k + 4c, so the k < 4c are
-joined by the Chinese remainder theorem directly modulo 4c.  The 2-part of
-c is split off by its bits, and a 2-adic root of 1 - 8n is lifted once per
-series.
-The roots modulo the odd part o of c, and modulo each prime power p^e of
-o, depend on o and p^e alone, not on c, so each is found once per series
-and kept in one memo that lives only for the call.  A new odd part is
-split at its least prime p into the power of p and a cofactor; the roots
-modulo each are looked up, or found and kept, and joined by one Chinese
-remainder step.  The series visit their moduli in ascending order, so the
-prime powers of a new odd part were already met at smaller moduli, and a
-c whose odd part has no root, K = 0, exits on a memo lookup.  Empty sums
-are common: 63 % of the 17 565 (n, c) pairs of the k3 and noncompact
-series for n <= 30 (400 and 800 moduli), and 45 % of the 10 800 pairs of
-the k3 series at n = 11 (1200 moduli) and the shadow series for n <= 11
-(800 moduli).  Euler's criterion tells whether a prime power has roots;
-prime roots are closed forms, one power for p = 3 (mod 4) and Atkin's
-formula for p = 5 (mod 8), with Tonelli-Shanks only for p = 1 (mod 8);
-Hensel lifting reaches p^e.  Per modulus that leaves trial division of a
-new odd part up to its least prime, one modular inverse and
-O(2^omega(c)) integer steps, a sine and a correctly rounded sum (fsum)
-per root, instead of phi(c) exact Dedekind sums.  The sums are exactly
-real and returned as floats.  The series, the shadow series and the
-partition-number series (roots modulo 24c) each call the kernel once and
-memoise nothing between calls; kloosterman_quadratic is the kernel on one
-modulus, and kloosterman_sum memoises it per (c, n mod c) in DEFAULT_CACHE,
-a plain dict that lives as long as the process.
+computes it.  One kernel, _multiplier_products, walks all the moduli of a
+series for its fixed n.  By the Chinese remainder theorem e(k/4c) is a
+product of one phase per prime power of 4c, so each sum is a product of
+one sum per prime power (D. H. Lehmer, Trans. AMS 43, 1938, for the
+partition sums): one sine of a 2-adic root of 1 - 8n, lifted once per
+series, for the 2-part, which carries (-4/k), and for each odd p^e a
+cosine sum over the roots of 1 - 8n mod p^e, one 2 cos when p does not
+divide 1 - 8n.  Those roots depend on p^e alone, so each is found once per
+series and kept in a memo that lives only for the call, and a c with a
+rootless prime power, K = 0, costs no sine.  Empty sums are common: 61 %
+of the 24 000 sums of the k3 and noncompact series for n <= 30 (400 and
+800 moduli), 45 % of the 10 800 of the k3 series at n = 11 (1200 moduli)
+and the shadow series for n <= 11 (800 moduli).  Euler's criterion tells
+whether a prime power has roots; prime roots are closed forms, one power
+for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
+Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  Per
+modulus that leaves trial division up to each least prime, and one
+modular inverse and one sine or cosine per prime power when no prime of c
+divides 1 - 8n, instead of phi(c) exact Dedekind sums.  The sums are
+exactly real, returned as floats, and agree with a sum over the roots
+within rounding, not bit for bit.  The series, the shadow series and the
+partition-number series (12c, whose 3-part carries (d/3)) each call the
+kernel once and memoise nothing between calls; kloosterman_quadratic and
+partition_multiplier_sum are the kernel on one modulus, and
+kloosterman_sum memoises kloosterman_quadratic per (c, n mod c) in
+DEFAULT_CACHE, a plain dict that lives as long as the process.
 
 The Dedekind-phase form (multiplier_phases) is kept as the reference the
 quadratic form is checked against.  Its phase is reduced modulo 2 in exact
@@ -51,10 +49,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .errors import BesselOverflow, NonPositiveArgument, NotCoprime
 
@@ -84,7 +81,7 @@ class DedekindSumValue:
     value: Fraction
 
 
-def sawtooth(x: Union[Fraction, int]) -> Fraction:
+def sawtooth(x: Fraction | int) -> Fraction:
     """((x)): 0 at integers, x - floor(x) - 1/2 otherwise."""
     x = Fraction(x)
     if x.denominator == 1:
@@ -245,73 +242,74 @@ def _prime_power_roots(a: int, p: int, e: int) -> list[int] | None:
     return [ph * (z + t * q) % pe for z in (y, q - y) for t in range(ph)]
 
 
-def _odd_roots(a: int, o: int, memo: dict[int, list[int] | None]) -> list[int] | None:
-    """Every y in [0, o) with y^2 = a (mod o) for an odd o > 1, in no set order; None if there is none.
+def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
+    """P(c) for each c of moduli, in order: sum_{x mod mc, x^2 = a (mod 2mc)} chi(x) e(x/mc) = i^s P(c).
 
-    o is trial-divided only up to its least prime p and split as q * r,
-    with q the power of p in o.  The roots mod q and mod r are looked up
-    in memo, or found and kept there, and joined by one Chinese remainder
-    step; the result is kept as memo[o].
+    a = 1 (mod 8), and m = 4 with chi = (-4/.) and s = 1, or m = 12 with
+    chi = (12/.) = (-4/.)(./3), a = 1 (mod 3) and s = 2.  By the Chinese
+    remainder theorem e(x/mc) = prod_q e(x w / q) over the prime-power
+    parts q of mc, w = (mc/q)^{-1} mod q, so the sum is a product of one
+    sum per part:
+    - 2^v, v >= 2, with the roots +-r of a 2-adic root r lifted once per
+      call, gives 2i (-4/r) sin(2 pi r w / 2^v);
+    - for m = 12, 3^f with the roots +-t gives 2i (t/3) sin(2 pi t w / 3^f);
+    - any other p^e gives sum_y cos(2 pi y w / p^e) over its roots y, one
+      2 cos per pair +-y.
+    Each angle is reduced to [-pi, pi], so a factor does not depend on
+    which root of a pair +-y stands for it.  One memo per call, p^e -> the
+    roots y < p^e / 2 or None, serves every c; a c with a rootless part
+    gives 0.0 before any sine is taken.
     """
-    p = 3
-    while o % p and p * p <= o:
-        p += 2
-    if o % p:
-        p = o
-    r, e = o // p, 1
-    while r % p == 0:
-        r //= p
-        e += 1
-    q = o // r
-    if q not in memo:
-        memo[q] = _prime_power_roots(a, p, e)
-    roots = memo[q]
-    if r > 1 and roots is not None:
-        ys = memo[r] if r in memo else _odd_roots(a, r, memo)
-        inv = pow(q, -1, r)
-        roots = None if ys is None else [x + q * ((y - x) * inv % r) for x in roots for y in ys]
-    memo[o] = roots
-    return roots
-
-
-def _root_sets(a: int, moduli: Iterable[int], m: int) -> Iterator[tuple[int, list[int]]]:
-    """(c, roots) for each c of moduli in order: every x in [0, mc) with x^2 = a (mod 2mc).
-
-    The kernel of every multiplier sum.  a = 1 (mod 8) and m is 4 or 12,
-    so mc = 2^v o with o odd and v >= 2.  Modulo 2^{v+1} the roots are +-r
-    and +-r + 2^v for one 2-adic root r of a, so modulo 2^v they are +-r,
-    and the roots modulo 2mc are the x yielded here and x + mc.  The roots
-    modulo o depend on o alone, so one memo, odd o -> roots mod o or None,
-    serves every c of the call (_odd_roots), and a c whose odd part has no
-    root yields [] on a lookup.  Each x joins +-r to a root y mod o by the
-    Chinese remainder theorem; the roots come in no set order.
-    """
+    sin, cos, tau = math.sin, math.cos, 2 * math.pi
     r, bound = 1, 8  # r^2 = a (mod bound), lifted a bit at a time as the moduli need
-    memo: dict[int, list[int] | None] = {1: [0]}
+    memo: dict[int, list[int] | None] = {}
+    products = []
     for c in moduli:
         mc = m * c
         q2 = mc & -mc
-        o = mc // q2
-        ys = memo[o] if o in memo else _odd_roots(a, o, memo)
-        if ys is None:
-            yield c, []
-            continue
-        while bound <= q2:  # r or r + bound/2 is a root mod 2 bound
-            if (r * r - a) & (2 * bound - 1):
-                r += bound >> 1
-            bound <<= 1
-        inv = pow(o, -1, q2)
-        yield c, [y + o * ((s - y) * inv % q2) for y in ys for s in (r, -r)]
+        rest, p, parts = mc // q2, 3, []
+        while rest > 1:  # trial division up to each least prime
+            while rest % p and p * p <= rest:
+                p += 2
+            if rest % p:
+                p = rest
+            q, e, rest = p, 1, rest // p
+            while rest % p == 0:
+                q, e, rest = q * p, e + 1, rest // p
+            if q not in memo:
+                roots = _prime_power_roots(a, p, e)
+                memo[q] = None if roots is None else [y for y in roots if 2 * y < q]
+            if memo[q] is None:
+                products.append(0.0)
+                break
+            parts.append(q)
+        else:
+            while bound <= q2:  # r or r + bound/2 is a root mod 2 bound
+                if (r * r - a) & (2 * bound - 1):
+                    r += bound >> 1
+                bound <<= 1
+            k = r * pow(mc // q2, -1, q2) % q2
+            value = (2.0 if r & 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q2 else k - q2) / q2)
+            for q in parts:
+                w = pow(mc // q, -1, q)
+                if m == 12 and q % 3 == 0:
+                    [t] = memo[q]
+                    k = t * w % q
+                    value *= (2.0 if t % 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q else k - q) / q)
+                    continue
+                factor = 0.0
+                for y in memo[q]:
+                    k = y * w % q
+                    factor += 2.0 * cos(tau * (k if 2 * k < q else k - q) / q) if y else 1.0
+                value *= factor
+            products.append(value)
+    return products
 
 
 def _quadratic_sums(n: int, moduli: Iterable[int]) -> list[float]:
-    """kloosterman_quadratic(n, c) for each c of moduli, in order, in one pass of _root_sets."""
-    sin, pi, sqrt, fsum = math.sin, math.pi, math.sqrt, math.fsum
-    sums = []
-    for c, ks in _root_sets(1 - 8 * n, moduli, 4):
-        c2 = 2 * c
-        sums.append(sqrt(c) / 2 * fsum([sin(pi * k / c2) if k & 3 == 1 else -sin(pi * k / c2) for k in ks]))
-    return sums
+    """kloosterman_quadratic(n, c) for each c of moduli, in order, in one pass of the kernel."""
+    moduli = list(moduli)  # sum (-4/k) sin(2 pi k / 4c) = Im(i P(c)) = P(c)
+    return [math.sqrt(c) / 2 * product for c, product in zip(moduli, _multiplier_products(1 - 8 * n, moduli, 4))]
 
 
 def kloosterman_quadratic(n: int, c: int) -> float:
@@ -321,8 +319,10 @@ def kloosterman_quadratic(n: int, c: int) -> float:
 
     with (-4/k) = +1 for k = 1 mod 4 and -1 for k = 3 mod 4.  The pairing
     k <-> 4c - k cancels the cosines, so the value is exactly real:
-    (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)), a correctly rounded sum (fsum).
-    The series use the same kernel over all their moduli at once.
+    (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)).  It is formed as a product
+    over the prime powers of 4c, one sine or cosine sum each, so it agrees
+    with the sum over the roots k within rounding.  The series use the same
+    kernel, _multiplier_products, over all their moduli at once.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
@@ -417,23 +417,20 @@ def cardy_entropy(n: int) -> float:
 
 
 def _partition_sums(n: int, moduli: Iterable[int]) -> list[float]:
-    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of _root_sets."""
-    cos, pi, fsum = math.cos, math.pi, math.fsum
-    sums = []
-    for c, xs in _root_sets(1 - 24 * n, moduli, 12):
-        c6 = 6 * c  # the roots mod 24c are x and x + 12c
-        sums.append(fsum([(1 if d % 12 in (1, 11) else -1) * cos(pi * d / c6) for x in xs for d in (x, x + 12 * c)]))
-    return sums
+    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of the kernel."""
+    # the roots mod 24c are x and x + 12c for the roots x mod 12c: 2 Re(i^2 P(c))
+    return [-2.0 * product for product in _multiplier_products(1 - 24 * n, moduli, 12)]
 
 
 def partition_multiplier_sum(n: int, c: int) -> float:
     """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
 
-    The roots d come from the same kernel as kloosterman_quadratic.  The
-    pairing d <-> 24c - d cancels the sines, so the value is exactly real:
-    sum (12/d) cos(pi d / (6c)), a correctly rounded sum (fsum).  Every root
-    has d^2 = 1 (mod 24), so (12/d) is +1 for d = +-1 (mod 12) and -1 for
-    d = +-5 (mod 12), never 0.
+    The pairing d <-> 24c - d cancels the sines, so the value is exactly
+    real: sum (12/d) cos(pi d / (6c)).  Every root has d^2 = 1 (mod 24), so
+    (12/d) = (-4/d)(d/3) is +1 for d = +-1 (mod 12) and -1 for d = +-5
+    (mod 12), never 0.  The kernel of kloosterman_quadratic forms it as a
+    product over the prime powers of 12c, with (d/3) on the 3-part, so it
+    agrees with the sum over the roots d within rounding.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")

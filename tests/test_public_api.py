@@ -1,6 +1,9 @@
 """The package's public names: `mockforms.__all__`, pinned by submodule."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import mockforms
 
@@ -47,3 +50,13 @@ def test_star_import_gives_exactly_all():
     namespace: dict = {}
     exec("from mockforms import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(mockforms.__all__)
+
+
+def test_import_leaves_typing_out():
+    # annotations use collections.abc and X | Y, so neither the package nor
+    # its CLI pays for importing typing at a cold start (-I -S: no site, no
+    # environment, the source tree alone on the path)
+    src = str(Path(mockforms.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import mockforms, mockforms.cli; print('typing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr

@@ -27,7 +27,13 @@ from mockforms.rademacher import (
     rademacher_partition,
     sawtooth,
 )
-from mockforms.rademacher import _partition_sums, _quadratic_sums, _root_sets, _sqrt_mod_prime
+from mockforms.rademacher import (
+    _multiplier_products,
+    _partition_sums,
+    _prime_power_roots,
+    _quadratic_sums,
+    _sqrt_mod_prime,
+)
 
 from oracles import dedekind_phase_sum, k3_series_truncation
 
@@ -60,6 +66,66 @@ def root_path_cases(draw):
 def scanned_roots(a: int, c: int, m: int) -> list[int]:
     """Every x in [0, mc) with x^2 = a (mod 2mc), by a full scan."""
     return [x for x in range(m * c) if (x * x - a) % (2 * m * c) == 0]
+
+
+def odd_prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each odd prime power p^e exactly dividing n, by trial division."""
+    n //= n & -n
+    powers, p = [], 3
+    while n > 1:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            powers.append((p, e))
+        p += 2
+    return powers
+
+
+def scanned_prime_power_roots(a: int, p: int, e: int) -> list[int]:
+    """Every x in [0, p^e) with x^2 = a (mod p^e), by a full scan."""
+    return [x for x in range(p ** e) if (x * x - a) % p ** e == 0]
+
+
+def product_scan_value(a: int, c: int, m: int) -> float:
+    """The kernel's P(c) from a full scan: sum (-4/x) sin(2 pi x / 4c) for m = 4, -sum (12/x) cos(2 pi x / 12c) for m = 12."""
+    if m == 4:
+        return math.fsum((1 if x % 4 == 1 else -1) * math.sin(2 * math.pi * x / (4 * c)) for x in scanned_roots(a, c, 4))
+    return -math.fsum(KRONECKER_12[x % 12] * math.cos(2 * math.pi * x / (12 * c)) for x in scanned_roots(a, c, 12))
+
+
+EPS = 2.0 ** -52  # the spacing of doubles in [1, 2)
+
+
+def rounding_bound(scale: float, roots: int, parts: int) -> float:
+    """Largest |kernel - full scan| that rounding allows for one multiplier sum.
+
+    Both sides are scale times a sum over the same `roots` roots x mod mc
+    of +-1 times a sine or cosine; the kernel forms it as a product of
+    `parts` factors, one per prime power of mc, and each factor sums the
+    terms of R_j roots, with prod R_j = roots.
+    - Every angle is fl(fl(pi) k / q) (or with fl(2 pi), exactly twice
+      fl(pi)) of exact integers k, q and at most 4 pi: three roundings
+      make a relative error below 3 EPS / 2, so an absolute one below
+      6 pi EPS < 19 EPS.  The library sine or cosine adds below one EPS,
+      so every term, for each root it stands for, is off by < 20 EPS.
+    - The scan adds its `roots` terms with fsum: < roots (20 + 1) EPS.
+    - A kernel factor adds at most R_j terms of size <= 2 whose sizes sum
+      to <= R_j in plain floating point, which adds < R_j^2 EPS / 2 to
+      its R_j 20 EPS; |factor| <= R_j.  Over `parts` factors and
+      parts - 1 products the product is off by
+      < roots (parts (20 + roots / 2) + parts / 2) EPS.
+    - The scale sqrt(c) / 2 or -2 adds < 2 roots EPS on the two sides.
+    All of it is below scale roots (parts + 1) (23 + roots / 2) EPS.  The
+    bound is 0 when there is no root: both sides are then exactly 0.0.
+    """
+    return scale * roots * (parts + 1) * (23 + roots / 2) * EPS
+
+
+def prime_count(n: int) -> int:
+    """omega(n): the number of distinct primes of n, the kernel's parts for modulus n."""
+    return (n % 2 == 0) + len(odd_prime_powers(n))
 
 
 class TestSawtooth:
@@ -213,21 +279,24 @@ class TestKloostermanQuadratic:
                     assert abs(kloosterman_quadratic(n, c) - expected) < 1e-12, (n, c, v)
 
     def test_square_roots_against_full_scan(self):
-        # the kernel's root sets, over a run of moduli and one modulus at a time
-        for m, c_max in ((4, 300), (12, 120)):
-            squares = [{} for _ in range(c_max + 1)]
-            for c in range(1, c_max + 1):
-                for x in range(m * c):
-                    squares[c].setdefault(x * x % (2 * m * c), []).append(x)
-            for a in [1 - 8 * n for n in range(-12, 31)] + [1 - 24 * n for n in range(1, 40)]:
-                walk = list(_root_sets(a, range(1, c_max + 1), m))
-                assert [c for c, _ in walk] == list(range(1, c_max + 1))
-                for c, roots in walk:
-                    assert sorted(roots) == squares[c].get(a % (2 * m * c), []), (a, c, m)
-            for c in range(1, c_max + 1):
-                for a in (1, 9, -7, -23, 1 - 8 * (2 * m * c + 5)):
-                    [(_, roots)] = _root_sets(a, (c,), m)
-                    assert sorted(roots) == squares[c].get(a % (2 * m * c), []), (a, c, m)
+        # the roots modulo every odd prime power below 1200, for the targets
+        # of the k3, noncompact, shadow and partition series and targets
+        # divisible by p and p^2; None exactly when the scan finds no root
+        targets = [1 - 8 * n for n in range(-12, 31)] + [1 - 24 * n for n in range(1, 40)]
+        for p in range(3, 1200, 2):
+            if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+                continue
+            for e in range(1, 12):
+                if p ** e >= 1200:
+                    break
+                q = p ** e
+                squares: dict[int, list[int]] = {}
+                for x in range(q):
+                    squares.setdefault(x * x % q, []).append(x)
+                for a in targets + [p * (8 * p + 1), p * p * (8 * p + 1), q, 0]:
+                    roots = _prime_power_roots(a, p, e)
+                    assert (roots is None) == (a % q not in squares), (a, p, e)
+                    assert sorted(roots or []) == squares.get(a % q, []), (a, p, e)
 
     @settings(max_examples=200, deadline=None)
     @given(case=root_path_cases())
@@ -235,8 +304,12 @@ class TestKloostermanQuadratic:
         # prime powers of each closed-form class, with targets divisible by p^k,
         # a second odd prime before or after p and 2-parts 1, 2 and 8 of c
         a, c, m = case
-        [(_, roots)] = _root_sets(a, (c,), m)
-        assert sorted(roots) == scanned_roots(a, c, m), (a, c, m)
+        for p, e in odd_prime_powers(m * c):
+            assert sorted(_prime_power_roots(a, p, e) or []) == scanned_prime_power_roots(a, p, e), (a, p, e)
+        if m == 4 or a % 3 == 1:  # the partition kernel takes a = 1 (mod 3), as 1 - 24n is
+            [got] = _multiplier_products(a, (c,), m)
+            bound = rounding_bound(1, len(scanned_roots(a, c, m)), prime_count(m * c))
+            assert abs(got - product_scan_value(a, c, m)) <= bound, (a, c, m)
 
     def test_prime_roots_by_residue_class(self):
         # Tonelli-Shanks (p = 1 mod 8), Atkin (p = 5 mod 8), one power (p = 3 mod 4)
@@ -252,9 +325,16 @@ class TestKloostermanQuadratic:
                     assert 0 <= r < p and r * r % p == a, (a, p)
         assert seen == {1, 3, 5, 7}
 
-    def test_empty_root_sets_take_no_root(self):
+    def test_empty_root_sets_take_no_root(self, monkeypatch):
         # one odd prime has no root and the other has, in either order: the
-        # root set is empty and so is the sum
+        # sum is exactly 0.0, and a prime after the rootless one is not rooted
+        calls = []
+
+        def counted(a, p, e):
+            calls.append(p)
+            return _prime_power_roots(a, p, e)
+
+        monkeypatch.setattr(rademacher, "_prime_power_roots", counted)
         for p in (17, 41, 13, 29, 7, 23):
             for m in (4, 12):
                 for shape in (1, 2, 8):
@@ -262,22 +342,28 @@ class TestKloostermanQuadratic:
                     for rootless, rooted in ((5, p), (p, 5)):
                         a = next(a for a in range(1, 8 * c, 8) if not is_square_mod(a, rootless)
                                  and is_square_mod(a, rooted) and a % 3 == 1)
-                        [(_, roots)] = _root_sets(a, (c,), m)
-                        assert roots == [] == scanned_roots(a, c, m), (a, c, m)
+                        assert _prime_power_roots(a, rootless, 1) is None
+                        assert scanned_roots(a, c, m) == []
+                        calls.clear()
+                        assert _multiplier_products(a, (c,), m) == [0.0], (a, c, m)
+                        assert calls[-1] == rootless, (a, c, m)
         for c in range(1, 301):
             scan = odd_roots_by_square(c)
             for n in range(-20, 41):
                 if not scan.get((1 - 8 * n) % (8 * c)):
                     assert kloosterman_quadratic(n, c) == 0.0
 
-    def test_bit_identical_to_odd_k_scan(self):
-        # the kernel's value is the scan's, bit for bit: fsum is correctly
-        # rounded, so the order in which the roots come cannot change a bit
+    def test_within_rounding_of_odd_k_scan(self):
+        # the kernel's product agrees with the scan's sum over the roots k
+        # within the rounding both may make (rounding_bound)
         for c in range(1, 301):
             scan = odd_roots_by_square(c)
+            parts = prime_count(4 * c)
             for n in range(-20, 41):
-                expected = quadratic_scan_value(scan.get((1 - 8 * n) % (8 * c), ()), c)
-                assert kloosterman_quadratic(n, c) == expected, (n, c)
+                ks = scan.get((1 - 8 * n) % (8 * c), ())
+                expected = quadratic_scan_value(ks, c)
+                bound = rounding_bound(math.sqrt(c) / 2, len(ks), parts)
+                assert abs(kloosterman_quadratic(n, c) - expected) <= bound, (n, c)
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.integers(1, 5000), n=st.integers(-10 ** 6, 10 ** 6))
@@ -323,23 +409,29 @@ DEEP_MODULI = (512, 1024, 3 ** 5, 9 * 49, 9, 27, 2 * 27, 25, 4 * 125, 49, 17, 41
 
 
 class TestSeriesKernel:
-    """One pass of the kernel over a series' moduli against full residue scans, bit for bit."""
+    """One pass of the kernel over a series' moduli against full residue scans, within rounding."""
 
-    def test_quadratic_pass_bit_identical_to_odd_k_scan(self):
+    def test_quadratic_pass_within_rounding_of_odd_k_scan(self):
         scans = {c: odd_roots_by_square(c) for c in range(1, 201)}
         # the k3 and noncompact series (n <= 30) and the shadow series (-n for n <= 11)
         for n in list(range(1, 31)) + list(range(0, -12, -1)):
-            expected = [quadratic_scan_value(scans[c].get((1 - 8 * n) % (8 * c), ()), c) for c in range(1, 201)]
-            assert _quadratic_sums(n, range(1, 201)) == expected, n
+            got = _quadratic_sums(n, range(1, 201))
+            for c, value in zip(range(1, 201), got):
+                ks = scans[c].get((1 - 8 * n) % (8 * c), ())
+                bound = rounding_bound(math.sqrt(c) / 2, len(ks), prime_count(4 * c))
+                assert abs(value - quadratic_scan_value(ks, c)) <= bound, (n, c)
 
     def test_quadratic_pass_on_deep_moduli(self):
         scans = {c: odd_roots_by_square(c) for c in DEEP_MODULI}
         branches = set()
         for n in list(range(-11, 61)) + [8, 26, 1 + 9 * 27, 26 + 3 ** 6]:
             a = 1 - 8 * n
-            expected = [quadratic_scan_value(scans[c].get(a % (8 * c), ()), c) for c in DEEP_MODULI]
-            assert _quadratic_sums(n, DEEP_MODULI) == expected, n
-            assert [kloosterman_quadratic(n, c) for c in DEEP_MODULI] == expected, n
+            got = _quadratic_sums(n, DEEP_MODULI)
+            for c, value in zip(DEEP_MODULI, got):
+                ks = scans[c].get(a % (8 * c), ())
+                bound = rounding_bound(math.sqrt(c) / 2, len(ks), prime_count(4 * c))
+                assert abs(value - quadratic_scan_value(ks, c)) <= bound, (n, c)
+            assert [kloosterman_quadratic(n, c) for c in DEEP_MODULI] == got, n
             for p, e in ((3, 5), (3, 2), (5, 3), (7, 2)):
                 # a = p^v u (mod p^e): u = 0 when p^e divides a, else an
                 # even v > 0 with u a square mod p takes the h = v/2 > 0 branch
@@ -350,39 +442,62 @@ class TestSeriesKernel:
                     branches.add("h > 0")
         assert branches == {"u = 0", "h > 0"}
 
-    def test_partition_pass_bit_identical_to_full_residue_scan(self):
+    def test_partition_pass_within_rounding_of_full_residue_scan(self):
         moduli = list(range(1, 61)) + [512, 243, 441, 17 * 41]
         scans = {c: residue_roots_by_square(24 * c) for c in moduli}
         for n in list(range(1, 201)) + [1 + 9 * 27, 26 + 3 ** 6]:
-            expected = [partition_scan_value(n, c, scans[c]) for c in moduli]
-            assert _partition_sums(n, moduli) == expected, n
+            got = _partition_sums(n, moduli)
+            for c, value in zip(moduli, got):
+                roots = len(scans[c].get((1 - 24 * n) % (24 * c), ())) // 2
+                bound = rounding_bound(2, roots, prime_count(12 * c))
+                assert abs(value - partition_scan_value(n, c, scans[c])) <= bound, (n, c)
+
+    def test_partition_pass_on_deep_moduli(self):
+        # 3^f exactly dividing c with f >= 3, next to odd primes that divide
+        # 1 - 24n to the first and second power and past their exponent in c
+        moduli = (27, 81, 243, 2 * 81, 27 * 5, 81 * 7, 27 * 25, 27 * 49, 27 * 11 * 13)
+        scans = {c: residue_roots_by_square(24 * c) for c in moduli}
+        branches = set()
+        for n in list(range(1, 121)) + [26, 26 + 25 * 24, 51 + 49 * 24, 1 + 25 * 3 * 24]:
+            a = 1 - 24 * n
+            got = _partition_sums(n, moduli)
+            for c, value in zip(moduli, got):
+                roots = len(scans[c].get(a % (24 * c), ())) // 2
+                bound = rounding_bound(2, roots, prime_count(12 * c))
+                assert abs(value - partition_scan_value(n, c, scans[c])) <= bound, (n, c)
+            assert [partition_multiplier_sum(n, c) for c in moduli] == got, n
+            for p, e in ((5, 2), (7, 2), (11, 1), (13, 1)):
+                v = p_adic_valuation(a, p, e)
+                if v == e:
+                    branches.add(f"p^e | a, p = {p}")
+                elif v:
+                    branches.add(f"p | a, p = {p}")
+        assert {"p^e | a, p = 5", "p^e | a, p = 7", "p^e | a, p = 11", "p | a, p = 5", "p | a, p = 7"} <= branches
 
     def test_prime_power_roots_are_shared_across_moduli(self, monkeypatch):
-        # one k3 series at 1200 moduli roots each odd prime power once, and
-        # computes each odd part once, not once per modulus it divides
+        # one series roots each odd prime power once, however many of its
+        # moduli it divides: the k3 series at 1200 moduli, the shadow series
+        # at 800 and the partition series at 200
         rooted: dict[tuple[int, int], int] = {}
-        split: dict[int, int] = {}
-        prime_power_roots, odd_roots = rademacher._prime_power_roots, rademacher._odd_roots
 
-        def counted_prime_power(a, p, e):
+        def counted(a, p, e):
             rooted[p, e] = rooted.get((p, e), 0) + 1
-            return prime_power_roots(a, p, e)
+            return _prime_power_roots(a, p, e)
 
-        def counted_odd(a, o, memo):
-            split[o] = split.get(o, 0) + 1
-            return odd_roots(a, o, memo)
-
-        monkeypatch.setattr(rademacher, "_prime_power_roots", counted_prime_power)
-        monkeypatch.setattr(rademacher, "_odd_roots", counted_odd)
-        exact_coefficient("k3", 11, 1200)
-        assert rooted and max(rooted.values()) == 1
-        assert all(p % 2 == 1 and p ** e <= 1200 for p, e in rooted)
-        assert split and max(split.values()) == 1
-        assert all(o % 2 == 1 and 1 < o <= 1200 for o in split)
+        monkeypatch.setattr(rademacher, "_prime_power_roots", counted)
+        for series, c_max in ((lambda: exact_coefficient("k3", 11, 1200), 1200),
+                              (lambda: shadow.shadow_coefficient(3, 800), 800),
+                              (lambda: rademacher_partition(37, 200), 200)):
+            rooted.clear()
+            series()
+            assert rooted and max(rooted.values()) == 1
+            assert all(p % 2 == 1 and p ** e <= 12 * c_max for p, e in rooted)
+        assert (3, 5) in rooted  # 243 divides 12c for c = 81, 162
 
     def test_walk_order_does_not_change_the_root_sets(self):
         # the memo is filled in the order the moduli come: a descending and a
-        # shuffled walk must give the root sets of the ascending one
+        # shuffled walk must find the ascending walk's root sets, so its
+        # sums, bit for bit
         c_max = 400
         ascending = list(range(1, c_max + 1))
         shuffled = ascending[:]
@@ -390,11 +505,9 @@ class TestSeriesKernel:
         for m, targets in ((4, [1 - 8 * n for n in range(-11, 31)] + [1 - 8 * (1 + 9 * 27)]),
                            (12, [1 - 24 * n for n in range(1, 41)] + [1 - 24 * (26 + 3 ** 6)])):
             for a in targets:
-                expected = {c: sorted(roots) for c, roots in _root_sets(a, ascending, m)}
+                expected = dict(zip(ascending, _multiplier_products(a, ascending, m)))
                 for order in (list(reversed(ascending)), shuffled):
-                    walk = list(_root_sets(a, order, m))
-                    assert [c for c, _ in walk] == order
-                    assert {c: sorted(roots) for c, roots in walk} == expected, (a, m)
+                    assert dict(zip(order, _multiplier_products(a, order, m))) == expected, (a, m)
 
 
 def p_adic_valuation(a: int, p: int, e: int) -> int:
@@ -456,11 +569,13 @@ class TestExactCoefficient:
         assert [c for c, _ in partial.terms] == list(range(2, 21, 2))
 
     def test_noncompact_without_moduli_is_empty(self):
-        # c_max = 1 leaves no even modulus: an empty partial, not an error
+        # c_max = 1 leaves no even modulus: an empty partial, not an error;
+        # the kernel takes no moduli for partitions either
         for n in (1, 2, 11):
             partial = exact_coefficient("noncompact", n, 1)
             assert partial.terms == [] and partial.cumulative == 0.0
             assert _quadratic_sums(n, range(2, 2, 2)) == []
+            assert _partition_sums(n, ()) == []
 
     def test_leading_terms(self):
         for n, (_, lead, _, _) in REFERENCE_K3_TABLE.items():
@@ -578,17 +693,24 @@ class TestPartitionSeries:
                 assert abs(partition_multiplier_sum(n, c) - expected) < 1e-12, (n, c)
 
 
-    def test_multiplier_sum_bit_identical_to_full_residue_scan(self):
-        # every d mod 24c with d^2 = 1 - 24n and the kernel's own cosine, bit for bit
+    def test_multiplier_sum_within_rounding_of_full_residue_scan(self):
+        # every d mod 24c with d^2 = 1 - 24n, within the rounding both sides may make
         for c in range(1, 41):
-            m = 24 * c
-            roots: dict[int, list[int]] = {}
-            for d in range(m):
-                roots.setdefault(d * d % m, []).append(d)
+            scan = residue_roots_by_square(24 * c)
+            parts = prime_count(12 * c)
             for n in range(1, 201):
-                expected = math.fsum(KRONECKER_12[d % 12] * math.cos(math.pi * d / (6 * c))
-                                     for d in roots.get((1 - 24 * n) % m, ()))
-                assert partition_multiplier_sum(n, c) == expected, (n, c)
+                bound = rounding_bound(2, len(scan.get((1 - 24 * n) % (24 * c), ())) // 2, parts)
+                assert abs(partition_multiplier_sum(n, c) - partition_scan_value(n, c, scan)) <= bound, (n, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 2000), n=st.integers(-10 ** 6, 10 ** 6))
+    def test_multiplier_sum_matches_full_scan_property(self, c, n):
+        # every root has d^2 = 1 (mod 24), so only the d prime to 6 are scanned
+        m, target = 24 * c, (1 - 24 * n) % (24 * c)
+        ds = [d for d in range(1, m, 2) if d % 3 and d * d % m == target]
+        expected = math.fsum(KRONECKER_12[d % 12] * math.cos(math.pi * d / (6 * c)) for d in ds)
+        got = partition_multiplier_sum(n, c)
+        assert type(got) is float and abs(got - expected) <= rounding_bound(2, len(ds) // 2, prime_count(12 * c))
 
 
 class TestCache:
