@@ -438,7 +438,7 @@ class TestCharacters:
             rhs = cmath.exp(-0.25j * math.pi * t) * th * th / dedekind_eta(t) ** 3
             assert abs(half + 2 * zero - rhs) < 1e-9
 
-    def test_massive_closed_form(self):
+    def test_massive_with_trivial_affine_factor(self):
         z, t = 0.21 + 0.05j, 0.1 + 1.3j
         th = jacobi_theta("11", z, t)
         for n in (1, 2, 7):

@@ -51,12 +51,12 @@ class TestCoeffs:
     # sha256 of stdout, recorded with the Fraction q-series tables that the
     # integer long division replaced
     @pytest.mark.parametrize("argv, digest", [
-        pinned(("--format", "json", "coeffs", "--kind", "k3", "--n-max", "300"),
-               "bfb2a3f2c51c9d2afe0948d3f8491591db641a0cc227da9785d82e108265633d"),
-        pinned(("--format", "csv", "coeffs", "--kind", "noncompact", "--n-max", "300"),
-               "7adec03d5d59fb04900779f571cef69ba7b160fcb0e87b981b621670b0078b24"),
-        pinned(("--format", "json", "coeffs", "--kind", "ale", "--n-max", "210", "--entropy"),
-               "05d6fa0344178e40ed88d4e6b5dd98d9965e8816b7a584031c6e3ae6c39a2309"),
+        (("--format", "json", "coeffs", "--kind", "k3", "--n-max", "300"),
+         "bfb2a3f2c51c9d2afe0948d3f8491591db641a0cc227da9785d82e108265633d"),
+        (("--format", "csv", "coeffs", "--kind", "noncompact", "--n-max", "300"),
+         "7adec03d5d59fb04900779f571cef69ba7b160fcb0e87b981b621670b0078b24"),
+        (("--format", "json", "coeffs", "--kind", "ale", "--n-max", "210", "--entropy"),
+         "05d6fa0344178e40ed88d4e6b5dd98d9965e8816b7a584031c6e3ae6c39a2309"),
     ])
     def test_large_tables_byte_identical(self, capsys, argv, digest):
         code, out = run(capsys, *argv)
@@ -71,12 +71,12 @@ class TestCoeffs:
     # 1.48888e-16, the rounding of the affine factor (identically 1) it
     # no longer multiplies by.
     @pytest.mark.parametrize("argv, digest", [
-        pinned(("verify", "--suite", "all"),
-               "6f89b5c71c53f9192a886238a9301640e6a3483f53ab3ac618e800b48ae76710"),
-        pinned(("coeffs", "--kind", "ale", "--n-max", "1000"),
-               "aaab8df12bb26d7e76ef7ae9bf7c6ba731671f056cd5dc1f0c09f19cd1349483"),
-        pinned(("--format", "csv", "coeffs", "--kind", "ale", "--n-max", "1000", "--entropy"),
-               "b53417c51f4050e563d4f7b05b37ff921ec463a8c92a9b82cc9f28222396809b"),
+        (("verify", "--suite", "all"),
+         "6f89b5c71c53f9192a886238a9301640e6a3483f53ab3ac618e800b48ae76710"),
+        (("coeffs", "--kind", "ale", "--n-max", "1000"),
+         "aaab8df12bb26d7e76ef7ae9bf7c6ba731671f056cd5dc1f0c09f19cd1349483"),
+        (("--format", "csv", "coeffs", "--kind", "ale", "--n-max", "1000", "--entropy"),
+         "b53417c51f4050e563d4f7b05b37ff921ec463a8c92a9b82cc9f28222396809b"),
     ])
     def test_ale_tables_and_suites_byte_identical(self, capsys, argv, digest):
         code, out = run(capsys, *argv)
