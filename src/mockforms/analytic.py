@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -83,22 +83,21 @@ SECTORS = ("R", "Rtilde", "NS", "NStilde")
 Complexish = complex | float | int | Fraction
 
 
-@dataclass(frozen=True)
-class ModularPoint:
+class ModularPoint(namedtuple("ModularPoint", "tau")):
     """A point tau in the upper half-plane."""
 
-    tau: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.tau.imag > 0:
-            raise ValueError(f"tau = {self.tau} is not in the upper half-plane")
+    def __new__(cls, tau: complex):
+        if not tau.imag > 0:
+            raise ValueError(f"tau = {tau} is not in the upper half-plane")
+        return super().__new__(cls, tau)
 
 
-@dataclass(frozen=True)
-class EllipticArg:
+class EllipticArg(namedtuple("EllipticArg", "z")):
     """An elliptic argument z; any complex value is allowed."""
 
-    z: complex
+    __slots__ = ()
 
 
 def _tau(value: ModularPoint | Complexish) -> complex:
@@ -533,12 +532,10 @@ def bessel_half(kind: str, x: float) -> float:
 # -- spectral flow -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowOffset:
+class FlowOffset(namedtuple("FlowOffset", "const tau_coeff")):
     """z-offset const + tau_coeff * tau attached to a sector by spectral flow."""
 
-    const: Fraction
-    tau_coeff: Fraction
+    __slots__ = ()
 
     def at(self, tau) -> complex:
         return float(self.const) + float(self.tau_coeff) * _tau(tau)
@@ -558,6 +555,9 @@ class FlowOffset:
         if self.tau_coeff == 0:
             return hash(self.const)
         return hash((self.const, self.tau_coeff))
+
+    # tuple's own != would ignore the __eq__ above
+    __ne__ = object.__ne__
 
 
 _FLOW = {
@@ -579,41 +579,37 @@ def spectral_flow_offset(sector: str) -> FlowOffset:
 # -- superconformal characters -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharSpec:
+class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
     """Parameters of a level-1 N=4 character: kind, level, weight, isospin, sector.
 
     The K3 elliptic genus decomposes into level-1 characters only, so k must
     be 1.  Massless (BPS) then needs h = 1/4 and ell in {0, 1/2}; massive
     (non-BPS) needs h > 1/4 and ell = 1/2.  Violations raise UnsupportedSpec.
+    The constructor stores h and ell as Fractions.
     """
 
-    kind: str
-    k: int
-    h: Fraction
-    ell: Fraction
-    sector: str = "Rtilde"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "ell", Fraction(self.ell))
-        if self.kind not in ("massless_sum_form", "massless_mu_form", "massive"):
-            raise UnsupportedSpec(f"unknown character kind {self.kind!r}")
-        if self.sector not in SECTORS:
-            raise UnsupportedSpec(f"unknown sector {self.sector!r}")
-        if self.k != 1:
-            raise UnsupportedSpec(f"only level k = 1 is supported, not {self.k}")
+    def __new__(cls, kind: str, k: int, h: Fraction, ell: Fraction, sector: str = "Rtilde"):
+        h, ell = Fraction(h), Fraction(ell)
+        if kind not in ("massless_sum_form", "massless_mu_form", "massive"):
+            raise UnsupportedSpec(f"unknown character kind {kind!r}")
+        if sector not in SECTORS:
+            raise UnsupportedSpec(f"unknown sector {sector!r}")
+        if k != 1:
+            raise UnsupportedSpec(f"only level k = 1 is supported, not {k}")
         quarter, half = Fraction(1, 4), Fraction(1, 2)
-        if self.kind == "massive":
-            if not self.h > quarter:
+        if kind == "massive":
+            if not h > quarter:
                 raise UnsupportedSpec("massive representations need h > 1/4")
-            if self.ell != half:
+            if ell != half:
                 raise UnsupportedSpec("massive isospin must be 1/2")
         else:
-            if self.h != quarter:
+            if h != quarter:
                 raise UnsupportedSpec("massless representations need h = 1/4")
-            if self.ell not in (0, half):
+            if ell not in (0, half):
                 raise UnsupportedSpec("massless isospin must be 0 or 1/2")
+        return super().__new__(cls, kind, k, h, ell, sector)
 
 
 def _theta_sq_over_eta3(label: str, z: complex, t: complex) -> tuple[complex, complex]:

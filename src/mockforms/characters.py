@@ -32,8 +32,8 @@ numbers out as exact `QSeries` for the public series API.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic
@@ -151,28 +151,27 @@ def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION
     return QSeries._raw({12 * k - 3: Fraction(c) for k, c in enumerate(sigma)}, trunc)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(namedtuple("CoeffTable", "kind values n_max")):
     """Integer multiplicity table: values[n] for 1 <= n <= n_max.
 
     kind "k3" values are positive; "ale" values are positive (sixteenths of
     the difference); "noncompact" values have the sign (-1)^n at every
-    tabulated n, the sign of the dominant c = 2 term of their series.
+    tabulated n, the sign of the dominant c = 2 term of their series.  The
+    constructor checks the sign of every value.
     """
 
-    kind: str
-    values: dict[int, int]
-    n_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "k3" and any(v <= 0 for v in self.values.values()):
+    def __new__(cls, kind: str, values: dict[int, int], n_max: int):
+        if kind == "k3" and any(v <= 0 for v in values.values()):
             raise SignViolation("compact multiplicities must be positive")
-        if self.kind == "ale" and any(v <= 0 for v in self.values.values()):
+        if kind == "ale" and any(v <= 0 for v in values.values()):
             raise SignViolation("ALE multiplicities must be positive")
-        if self.kind == "noncompact":
-            for n, v in self.values.items():
+        if kind == "noncompact":
+            for n, v in values.items():
                 if v * (-1) ** n <= 0:
                     raise SignViolation(f"noncompact sign pattern broken at n = {n}")
+        return super().__new__(cls, kind, values, n_max)
 
 
 def coeff_table(kind: str, n_max: int, truncation: ExponentLike | None = None) -> CoeffTable:

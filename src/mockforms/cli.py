@@ -339,13 +339,16 @@ def _tolerance(raw: str) -> float:
 
 
 def _parse_c_max(raw: str) -> list[int]:
-    """argparse type: a comma-separated list of positive term counts."""
+    """argparse type: a comma-separated list of distinct positive term counts."""
     try:
         values = [int(part) for part in raw.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid term count list {raw!r}") from None
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("term counts must be positive integers")
+    # JSON keys the partials by count, so a repeat would print fewer rows than CSV
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"term counts must not repeat: {raw!r}")
     return values
 
 

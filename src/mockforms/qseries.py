@@ -24,8 +24,8 @@ truncation the operands support.
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BeyondTruncation, UnknownName, ZeroLeadingCoefficient
@@ -40,11 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class FracExp:
-    """An exact exponent value units24/24."""
+class FracExp(namedtuple("FracExp", "units24")):
+    """An exact exponent value units24/24, ordered by units24."""
 
-    units24: int
+    __slots__ = ()
 
     @staticmethod
     def of(value: ExponentLike) -> "FracExp":

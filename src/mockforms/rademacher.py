@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BesselOverflow, NonPositiveArgument, NotCoprime
@@ -74,11 +74,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DedekindSumValue:
+class DedekindSumValue(namedtuple("DedekindSumValue", "value")):
     """Exact rational value of a Dedekind sum; the denominator divides 6c."""
 
-    value: Fraction
+    __slots__ = ()
 
 
 def sawtooth(x: Fraction | int) -> Fraction:
@@ -355,14 +354,17 @@ def bessel_i_three_half(x: float) -> float:
 # -- exact coefficient series -----------------------------------------------
 
 
-@dataclass
-class RademacherPartial:
-    """Truncated exact series: per-modulus terms in ascending c and the total."""
+class RademacherPartial(namedtuple("RademacherPartial", "n kind terms cumulative")):
+    """Truncated exact series: per-modulus terms in ascending c and the total.
 
-    n: int
-    kind: str
-    terms: list[tuple[int, float]] = field(default_factory=list)
-    cumulative: float = 0.0
+    Made once, from the finished terms list and its sum; without them it is
+    the empty series, a new empty list and 0.0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, kind: str, terms: list[tuple[int, float]] | None = None, cumulative: float = 0.0):
+        return super().__new__(cls, n, kind, [] if terms is None else terms, cumulative)
 
 
 def _moduli(kind: str, c_max: int) -> range:
@@ -385,12 +387,10 @@ def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
         raise ValueError("n and c_max must be positive")
     pref = 4.0 * math.pi / (8.0 * n - 1.0) ** 0.25
     root = math.pi * math.sqrt(8.0 * n - 1.0)
-    partial = RademacherPartial(n=n, kind=kind)
     moduli = _moduli(kind, c_max)
-    for c, kloosterman in zip(moduli, _quadratic_sums(n, moduli)):
-        partial.terms.append((c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman))
-    partial.cumulative = math.fsum(t for _, t in partial.terms)
-    return partial
+    terms = [(c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman)
+             for c, kloosterman in zip(moduli, _quadratic_sums(n, moduli))]
+    return RademacherPartial(n, kind, terms, math.fsum(t for _, t in terms))
 
 
 def leading_asymptotic(kind: str, n: int) -> float:

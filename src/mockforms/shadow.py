@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from .analytic import (
     _completion_walk,
@@ -52,13 +52,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShadowCoeff:
+class ShadowCoeff(namedtuple("ShadowCoeff", "n c_max value")):
     """Computed coefficient of q^{8n+1} in the shadow series (real by pairing)."""
 
-    n: int
-    c_max: int
-    value: float
+    __slots__ = ()
 
 
 def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:

@@ -53,10 +53,13 @@ def test_star_import_gives_exactly_all():
 
 
 def test_import_leaves_typing_out():
-    # annotations use collections.abc and X | Y, so neither the package nor
-    # its CLI pays for importing typing at a cold start (-I -S: no site, no
-    # environment, the source tree alone on the path)
+    # annotations use collections.abc and X | Y, and the records are
+    # namedtuples, so neither the package nor its CLI pays at a cold start
+    # for typing or for dataclasses and the inspect, ast and dis it pulls in
+    # (-I -S: no site, no environment, the source tree alone on the path)
     src = str(Path(mockforms.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import mockforms, mockforms.cli; print('typing' in sys.modules)"
+    heavy = ("typing", "dataclasses", "inspect", "ast", "dis")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms, mockforms.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+    assert done.returncode == 0 and done.stdout == "[]\n", (done.stdout, done.stderr)
