@@ -4,10 +4,7 @@ mock-modular identities."""
 
 from .analytic import (
     CharSpec,
-    EllipticArg,
     FlowOffset,
-    ModularPoint,
-    bessel_half,
     dedekind_eta,
     elliptic_genus,
     jacobi_theta,
@@ -52,7 +49,6 @@ from .rademacher import (
     kloosterman_sum,
     leading_asymptotic,
     rademacher_partition,
-    sawtooth,
 )
 from .shadow import (
     ShadowCoeff,
@@ -65,16 +61,15 @@ from .shadow import (
 )
 
 __all__ = [
-    "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "bessel_half",
-    "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference", "lerch_sum",
-    "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
+    "CharSpec", "FlowOffset", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion",
+    "lerch_difference", "lerch_sum", "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
     "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
     "multiplicity_series", "BesselOverflow", "BeyondTruncation", "MockformsError",
     "NonIntegralCoefficient", "NonPositiveArgument", "NotCoprime", "PoleAtArgument",
     "QuadratureNonConvergence", "SignViolation", "UnknownName", "UnsupportedSpec", "ValueOverflow",
     "ZeroLeadingCoefficient", "DEFAULT_TRUNCATION", "FracExp", "QSeries", "DedekindSumValue",
     "RademacherPartial", "cardy_entropy", "dedekind_sum", "exact_coefficient", "kloosterman_quadratic",
-    "kloosterman_sum", "leading_asymptotic", "rademacher_partition", "sawtooth", "ShadowCoeff",
+    "kloosterman_sum", "leading_asymptotic", "rademacher_partition", "ShadowCoeff",
     "holomorphic_anomaly_residual", "laplacian_residual", "multiplicity_completion", "multiplier_system",
     "shadow_coefficient", "shadow_reference_coefficients",
 ]

@@ -12,7 +12,8 @@ at shifted arguments.  Large or small factors travel as (log, value) pairs,
 whose rounding grows as Im tau falls (theta_00 is good to ~1e-13 relative
 at Im tau = 1e-3, ~1e-9 at 1e-5); a value past a double raises
 ValueOverflow.  Only the massless sum forms' q-series and R are still summed
-at tau; half-integer Bessels are closed forms.
+at tau.  The half-integer Bessel closed forms live in rademacher, next to
+the series that use them.
 
 The two kernels every evaluation ends in run at the reduced point, where a
 few terms settle, and form each term from the one before it by a running
@@ -46,18 +47,14 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
-    NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
     UnknownName,
     UnsupportedSpec,
     ValueOverflow,
 )
-from .rademacher import bessel_i_half, bessel_i_three_half
 
 __all__ = [
-    "ModularPoint",
-    "EllipticArg",
     "CharSpec",
     "FlowOffset",
     "jacobi_theta",
@@ -65,7 +62,6 @@ __all__ = [
     "lerch_sum",
     "nonholomorphic_correction",
     "lerch_completion",
-    "bessel_half",
     "superconformal_character",
     "elliptic_genus",
     "lerch_difference",
@@ -80,41 +76,12 @@ _GAUSS_CUT = -2.0 * math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CU
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
-Complexish = complex | float | int | Fraction
 
-
-class ModularPoint(namedtuple("ModularPoint", "tau")):
-    """A point tau in the upper half-plane."""
-
-    __slots__ = ()
-
-    def __new__(cls, tau: complex):
-        if not tau.imag > 0:
-            raise ValueError(f"tau = {tau} is not in the upper half-plane")
-        return super().__new__(cls, tau)
-
-
-class EllipticArg(namedtuple("EllipticArg", "z")):
-    """An elliptic argument z; any complex value is allowed."""
-
-    __slots__ = ()
-
-
-def _tau(value: ModularPoint | Complexish) -> complex:
-    if isinstance(value, ModularPoint):
-        return value.tau
+def _tau(value) -> complex:
     t = complex(value)
     if not t.imag > 0:
         raise ValueError(f"tau = {t} is not in the upper half-plane")
     return t
-
-
-def _z(value: EllipticArg | Complexish) -> complex:
-    if isinstance(value, EllipticArg):
-        return value.z
-    if isinstance(value, Fraction):
-        return complex(float(value))
-    return complex(value)
 
 
 # -- reduction to the fundamental domain ------------------------------------
@@ -267,17 +234,16 @@ def _theta00_argument(label: str, z: complex, t: complex) -> tuple[complex, comp
     return 0j, z
 
 
-def _theta_direct(label: str, z: complex, t: complex) -> tuple[complex, complex]:
-    """(log, value) with theta_label(z; tau) = exp(log) * value, summed at tau itself.
+def _theta_direct(z: complex, t: complex) -> tuple[complex, complex]:
+    """(log, value) with theta_00(z; tau) = exp(log) * value, summed at tau itself.
 
     z is first moved into the period parallelogram by
     theta_00(z0 + a + b tau) = e^{-i pi b (b tau + 2 z0)} theta_00(z0), which
     only re-indexes the series, so value is the sum in units of its largest
     term.
     """
-    log, w = _theta00_argument(label, z, t)
-    w, more = _theta_lattice(w, t)
-    return log + more, _theta00_sum(w, t)
+    w, log = _theta_lattice(z, t)
+    return log, _theta00_sum(w, t)
 
 
 def _theta_parts(label: str, z: complex, t: complex) -> tuple[complex, complex]:
@@ -294,7 +260,7 @@ def _theta_parts(label: str, z: complex, t: complex) -> tuple[complex, complex]:
         log += more + 0.5 * cmath.log(1j / s) - 1j * math.pi * w * w / s
         w = w / s
     n, t_red = steps[-1]
-    more, value = _theta_direct("00", w + 0.5 * (n % 2), t_red)
+    more, value = _theta_direct(w + 0.5 * (n % 2), t_red)
     return log + more, value
 
 
@@ -307,7 +273,7 @@ def jacobi_theta(label: str, z, tau) -> complex:
     point (see _theta_parts); raises ValueOverflow when |theta| exceeds the
     range of a double.
     """
-    return _scaled(*_theta_parts(label, _z(z), _tau(tau)))
+    return _scaled(*_theta_parts(label, complex(z), _tau(tau)))
 
 
 def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
@@ -492,7 +458,7 @@ def lerch_sum(z, tau) -> complex:
     domain, else computed as lerch_completion + R(tau)/2.  Raises
     PoleAtArgument when z sits on the period lattice.
     """
-    z = _z(z)
+    z = complex(z)
     t = _tau(tau)
     if _reduce(t) != [(0, t)]:
         return lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t, "sum")
@@ -504,29 +470,8 @@ def lerch_completion(z, tau) -> complex:
 
     Evaluated by the direct sums at the reduced point (see _completion_walk).
     """
-    factor, z, t = _completion_walk(_z(z), _tau(tau))
+    factor, z, t = _completion_walk(complex(z), _tau(tau))
     return factor * _completion_direct(z, t)
-
-
-# -- Bessel closed forms ------------------------------------------------------
-
-
-def bessel_half(kind: str, x: float) -> float:
-    """Half-integer Bessel functions in closed form, x > 0:
-
-    I_{1/2}(x) = sqrt(2/(pi x)) sinh x
-    J_{1/2}(x) = sqrt(2/(pi x)) sin x
-    I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x)
-    """
-    if x <= 0:
-        raise NonPositiveArgument("bessel argument must be positive")
-    if kind == "J":
-        return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-    if kind == "I":
-        return bessel_i_half(x)
-    if kind == "I_three_half":
-        return bessel_i_three_half(x)
-    raise UnknownName(f"no half-integer bessel kind {kind!r}")
 
 
 # -- spectral flow -------------------------------------------------------------
@@ -681,7 +626,7 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     tilded-Ramond sector.  Other sectors are evaluated by shifting z by the
     spectral-flow offset difference.
     """
-    z = _z(z)
+    z = complex(z)
     t = _tau(tau)
     flow = spectral_flow_offset(spec.sector)
 
@@ -721,7 +666,7 @@ def elliptic_genus(variant: str, z, tau) -> complex:
     variant "decompactified": the last two terms only, coefficient 8
     variant "a1": the last two terms with coefficient 1/2
     """
-    z = _z(z)
+    z = complex(z)
     t = _tau(tau)
     pair = _theta_quotient_sq("00", z, t) + _theta_quotient_sq("01", z, t)
     if variant == "k3":
@@ -749,8 +694,7 @@ def lerch_difference(z, w, tau) -> complex:
     mu_hat(z) - mu_hat(w), which is the walk's factor times mu(z') - mu(w')
     at the reduced point (see _completion_walk): no R is summed at all.
     """
-    z = _z(z)
-    w = _z(w)
+    z, w = complex(z), complex(w)
     t = _tau(tau)
     log, value = _theta_sq_over_eta3("11", z, t)
     factor, z_red, t_red = _completion_walk(z, t)

@@ -24,8 +24,7 @@ argparse does all parsing and range checking (counts, --c-max lists and
 --tolerance, finite and >= 0, are `type=` callables) and picks the
 handler (`set_defaults(handler=...)`); each handler reads the parsed
 namespace.  `main` adds only the checks that span flags: --tolerance on a
-fixed-bound suite, --format with verify and several --c-max values for
-shadow or pofn.
+fixed-bound suite and --format with verify.
 
 Nothing is persisted between runs: each series computes its multiplier sums
 in one pass over its moduli and keeps nothing after the call.
@@ -115,21 +114,20 @@ def cmd_rademacher(args: argparse.Namespace, out) -> int:
 
 
 def cmd_shadow(args: argparse.Namespace, out) -> int:
-    c_max = args.c_max[0]
     reference = shadow.shadow_reference_coefficients(8 * args.n_max + 1)
     rows = []
     for n in range(0, args.n_max + 1):
         exponent = 8 * n + 1
-        computed = shadow.shadow_coefficient(n, c_max).value
+        computed = shadow.shadow_coefficient(n, args.c_max).value
         rows.append({"exponent": exponent, "computed": computed,
                      "reference": reference[exponent]})
-    _emit_rows(args, ["exponent", "computed", "reference"], rows, {"c_max": c_max}, out)
+    _emit_rows(args, ["exponent", "computed", "reference"], rows, {"c_max": args.c_max}, out)
     return 0
 
 
 def cmd_pofn(args: argparse.Namespace, out) -> int:
     from .qseries import partition_series
-    value = rademacher.rademacher_partition(args.n, args.c_max[0])
+    value = rademacher.rademacher_partition(args.n, args.c_max)
     exact = int(partition_series(FracExp(24 * (args.n + 1))).coefficient(args.n))
     rounded = round(value)
     payload = {"n": args.n, "series": value, "rounded": rounded,
@@ -176,7 +174,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
                                      characters.identity_check("genus_at_zero", 0.0, t))
         shat = shadow._completion_sum(t)
         # eta = q^{1/24} theta_00((tau + 1)/2; 3 tau), summed at 3 tau itself
-        eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct("00", 0.5 * (t + 1.0), 3.0 * t))
+        eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct(0.5 * (t + 1.0), 3.0 * t))
         worst["completion_S"] = max(worst["completion_S"],
                                     abs(shadow.multiplicity_completion(-1 / t) + cmath.sqrt(t / 1j) * shat))
         worst["completion_T"] = max(worst["completion_T"],
@@ -382,13 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("shadow", help="shadow coefficients vs exact pattern")
-    p.add_argument("--c-max", type=_parse_c_max, default="800")
+    p.add_argument("--c-max", type=_at_least(1), default=800)
     p.add_argument("--n-max", type=_at_least(0), default=11)
     p.set_defaults(handler=cmd_shadow)
 
     p = sub.add_parser("pofn", help="partition-number calibration")
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--c-max", type=_parse_c_max, default="20")
+    p.add_argument("--c-max", type=_at_least(1), default=20)
     p.set_defaults(handler=cmd_pofn)
     return parser
 
@@ -406,8 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         error = f"--tolerance does not apply to the {args.suite} suite"
     elif args.command == "verify" and args.fmt is not None:
         error = "--format does not apply to verify"
-    elif args.command in ("shadow", "pofn") and len(args.c_max) > 1:
-        error = f"{args.command} takes a single --c-max value"
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -43,6 +43,11 @@ for c around 1e5.
 
 Summation over c is always in ascending order and totals use compensated
 summation (math.fsum), so results are reproducible bit-for-bit.
+
+The half-integer Bessel functions are closed forms and live here, next to
+the series that call them: I_{1/2} for the coefficient series, I_{3/2} for
+the partition series and J_{1/2} for the shadow series
+(shadow.shadow_coefficient).
 """
 
 from __future__ import annotations
@@ -58,13 +63,13 @@ from .errors import BesselOverflow, NonPositiveArgument, NotCoprime
 __all__ = [
     "DedekindSumValue",
     "RademacherPartial",
-    "sawtooth",
     "dedekind_sum",
     "multiplier_phases",
     "kloosterman_sum",
     "kloosterman_quadratic",
     "bessel_i_half",
     "bessel_i_three_half",
+    "bessel_j_half",
     "exact_coefficient",
     "leading_asymptotic",
     "cardy_entropy",
@@ -78,14 +83,6 @@ class DedekindSumValue(namedtuple("DedekindSumValue", "value")):
     """Exact rational value of a Dedekind sum; the denominator divides 6c."""
 
     __slots__ = ()
-
-
-def sawtooth(x: Fraction | int) -> Fraction:
-    """((x)): 0 at integers, x - floor(x) - 1/2 otherwise."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
 
 
 def _dedekind_direct(d: int, c: int) -> Fraction:
@@ -117,7 +114,7 @@ def _dedekind_euclid(d: int, c: int) -> Fraction:
 def dedekind_sum(d: int, c: int, method: str = "euclid") -> DedekindSumValue:
     """s(d, c) as an exact rational.
 
-    method "direct" evaluates the defining sawtooth sum in O(c) and accepts
+    method "direct" evaluates the defining sum over k mod c in O(c) and accepts
     any d; "euclid" runs the reciprocity recursion in O(log c) exact steps
     and requires gcd(d, c) = 1.
     """
@@ -351,20 +348,20 @@ def bessel_i_three_half(x: float) -> float:
         raise BesselOverflow(f"I_3/2({x}) exceeds the range of a double") from None
 
 
+def bessel_j_half(x: float) -> float:
+    """J_{1/2}(x) = sqrt(2/(pi x)) sin(x), x > 0; bounded, so it never overflows."""
+    if x <= 0:
+        raise NonPositiveArgument("bessel argument must be positive")
+    return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
+
+
 # -- exact coefficient series -----------------------------------------------
 
 
 class RademacherPartial(namedtuple("RademacherPartial", "n kind terms cumulative")):
-    """Truncated exact series: per-modulus terms in ascending c and the total.
-
-    Made once, from the finished terms list and its sum; without them it is
-    the empty series, a new empty list and 0.0.
-    """
+    """Truncated exact series: per-modulus terms (c, term) in ascending c and their compensated sum."""
 
     __slots__ = ()
-
-    def __new__(cls, n: int, kind: str, terms: list[tuple[int, float]] | None = None, cumulative: float = 0.0):
-        return super().__new__(cls, n, kind, [] if terms is None else terms, cumulative)
 
 
 def _moduli(kind: str, c_max: int) -> range:

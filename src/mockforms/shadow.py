@@ -33,13 +33,12 @@ from .analytic import (
     _lerch_direct,
     _scaled,
     _tau,
-    bessel_half,
     dedekind_eta,
     lerch_completion,
     nonholomorphic_correction,
 )
 from .errors import UnknownName
-from .rademacher import _dedekind_euclid, _quadratic_sums
+from .rademacher import _dedekind_euclid, _quadratic_sums, bessel_j_half
 
 __all__ = [
     "ShadowCoeff",
@@ -73,7 +72,7 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
         raise ValueError("n must be nonnegative and c_max positive")
     root = math.pi * math.sqrt(8.0 * n + 1.0)
     moduli = range(1, c_max + 1)
-    terms = [4.0 * math.pi / c * bessel_half("J", root / (2.0 * c)) * kloosterman
+    terms = [4.0 * math.pi / c * bessel_j_half(root / (2.0 * c)) * kloosterman
              for c, kloosterman in zip(moduli, _quadratic_sums(-n, moduli))]
     value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
     return ShadowCoeff(n=n, c_max=c_max, value=value)

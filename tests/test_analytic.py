@@ -10,10 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mockforms import analytic
 from mockforms.analytic import (
     CharSpec,
-    EllipticArg,
     FlowOffset,
-    ModularPoint,
-    bessel_half,
     dedekind_eta,
     elliptic_genus,
     jacobi_theta,
@@ -25,9 +22,7 @@ from mockforms.analytic import (
     superconformal_character,
 )
 from mockforms.errors import (
-    BesselOverflow,
     MockformsError,
-    NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
     UnknownName,
@@ -36,6 +31,7 @@ from mockforms.errors import (
 )
 from mockforms.qseries import eta_series, theta_constant_series
 from mockforms.rademacher import dedekind_sum
+from mockforms.shadow import multiplicity_completion
 
 from oracles import (
     completion_fixed,
@@ -70,16 +66,25 @@ def _abs_sum(terms) -> float:
     return math.fsum(abs(term) for term in terms)
 
 
-class TestDomainTypes:
-    def test_modular_point_guards_upper_half_plane(self):
-        ModularPoint(0.3 + 0.2j)
-        with pytest.raises(ValueError):
-            ModularPoint(1.0 - 0.1j)
-        with pytest.raises(ValueError):
-            jacobi_theta("00", 0.0, 1.0 + 0.0j)
+# Every public entry point that takes tau, called with valid other arguments
+TAU_ENTRY_POINTS = {
+    "jacobi_theta": lambda t: jacobi_theta("00", 0.1, t),
+    "dedekind_eta": dedekind_eta,
+    "lerch_sum": lambda t: lerch_sum(0.2, t),
+    "lerch_completion": lambda t: lerch_completion(0.2, t),
+    "lerch_difference": lambda t: lerch_difference(0.2, 0.3, t),
+    "nonholomorphic_correction": nonholomorphic_correction,
+    "superconformal_character": lambda t: superconformal_character(CharSpec("massive", 1, F(5, 4), F(1, 2)), 0.2, t),
+    "elliptic_genus": lambda t: elliptic_genus("k3", 0.2, t),
+    "multiplicity_completion": multiplicity_completion,
+}
 
-    def test_elliptic_arg_accepts_everything(self):
-        EllipticArg(100.0 - 50j)
+
+@pytest.mark.parametrize("tau", [1.0 + 0j, 0.3 - 0.1j, complex(0.1, math.nan)], ids=("real", "lower", "nan"))
+@pytest.mark.parametrize("entry", TAU_ENTRY_POINTS.values(), ids=TAU_ENTRY_POINTS.keys())
+def test_tau_outside_the_upper_half_plane_is_rejected(entry, tau):
+    with pytest.raises(ValueError, match="upper half-plane"):
+        entry(tau)
 
 
 class TestTheta:
@@ -172,10 +177,10 @@ class TestTheta:
         assert w0 == analytic._theta_lattice(w, t)[0]
         assert abs(w0.imag) <= 0.5 * t.imag and abs(w0.real) <= 0.5
 
-    def test_accepts_wrapped_types(self):
-        a = jacobi_theta("00", EllipticArg(0.1), ModularPoint(1.2j))
-        b = jacobi_theta("00", 0.1, 1.2j)
-        assert a == b
+    def test_fraction_z_is_its_float(self):
+        # complex() of a Fraction goes through float(), so a Fraction z needs no branch of its own
+        for x in (F(1, 3), F(-7, 5), F(10 ** 30 + 1, 3)):
+            assert jacobi_theta("00", x, 1.2j) == jacobi_theta("00", float(x), 1.2j)
 
 
 class TestEta:
@@ -363,33 +368,6 @@ class TestLerchExtremePoints:
                 except MockformsError:
                     continue
                 assert cmath.isfinite(value)
-
-
-class TestBesselHalf:
-    def test_small_argument_law(self):
-        x = 1e-4
-        assert bessel_half("I", x) * math.gamma(1.5) * (2.0 / x) ** 0.5 == pytest.approx(1.0, rel=1e-6)
-
-    def test_j_vanishes_at_pi(self):
-        assert abs(bessel_half("J", math.pi)) < 1e-15
-
-    def test_reference_combination(self):
-        assert 4 * math.pi / 15 ** 0.25 * bessel_half("I", math.pi * math.sqrt(15) / 2) \
-            == pytest.approx(453.018, abs=0.01)
-
-    def test_overflow_is_typed(self):
-        # sinh and cosh leave the double range just above x = 710.47; sin never does
-        for kind in ("I", "I_three_half"):
-            assert math.isfinite(bessel_half(kind, 710.0))
-            with pytest.raises(BesselOverflow):
-                bessel_half(kind, 800.0)
-        assert math.isfinite(bessel_half("J", 800.0))
-
-    def test_guards(self):
-        with pytest.raises(NonPositiveArgument):
-            bessel_half("I", -1.0)
-        with pytest.raises(UnknownName):
-            bessel_half("K", 1.0)
 
 
 class TestCharacters:

@@ -9,9 +9,9 @@ import mockforms
 
 PUBLIC = {
     "analytic": {
-        "CharSpec", "EllipticArg", "FlowOffset", "ModularPoint", "bessel_half",
-        "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference", "lerch_sum",
-        "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
+        "CharSpec", "FlowOffset", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion",
+        "lerch_difference", "lerch_sum", "nonholomorphic_correction", "spectral_flow_offset",
+        "superconformal_character",
     },
     "characters": {
         "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
@@ -25,7 +25,7 @@ PUBLIC = {
     "qseries": {"DEFAULT_TRUNCATION", "FracExp", "QSeries"},
     "rademacher": {
         "DedekindSumValue", "RademacherPartial", "cardy_entropy", "dedekind_sum", "exact_coefficient",
-        "kloosterman_quadratic", "kloosterman_sum", "leading_asymptotic", "rademacher_partition", "sawtooth",
+        "kloosterman_quadratic", "kloosterman_sum", "leading_asymptotic", "rademacher_partition",
     },
     "shadow": {
         "ShadowCoeff", "holomorphic_anomaly_residual", "laplacian_residual", "multiplicity_completion",

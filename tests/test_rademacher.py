@@ -17,6 +17,7 @@ from mockforms.rademacher import (
     DedekindSumValue,
     bessel_i_half,
     bessel_i_three_half,
+    bessel_j_half,
     cardy_entropy,
     dedekind_sum,
     exact_coefficient,
@@ -25,7 +26,6 @@ from mockforms.rademacher import (
     leading_asymptotic,
     partition_multiplier_sum,
     rademacher_partition,
-    sawtooth,
 )
 from mockforms.rademacher import (
     _multiplier_products,
@@ -126,23 +126,6 @@ def rounding_bound(scale: float, roots: int, parts: int) -> float:
 def prime_count(n: int) -> int:
     """omega(n): the number of distinct primes of n, the kernel's parts for modulus n."""
     return (n % 2 == 0) + len(odd_prime_powers(n))
-
-
-class TestSawtooth:
-    def test_integers_map_to_zero(self):
-        for n in (-3, 0, 1, 7):
-            assert sawtooth(n) == 0
-
-    def test_one_third(self):
-        assert sawtooth(F(1, 3)) == F(1, 3) - F(1, 2) == F(-1, 6)
-
-    def test_odd(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            x = F(rng.randrange(-50, 50), rng.randrange(1, 50))
-            if x.denominator == 1:
-                continue
-            assert sawtooth(x) + sawtooth(-x) == 0
 
 
 class TestDedekindSum:
@@ -626,19 +609,26 @@ class TestBesselClosedForms:
         assert scaled == pytest.approx(1.0, rel=1e-5)
 
     def test_positive_argument_required(self):
-        with pytest.raises(NonPositiveArgument):
-            bessel_i_half(0.0)
+        for bessel in (bessel_i_half, bessel_i_three_half, bessel_j_half):
+            with pytest.raises(NonPositiveArgument):
+                bessel(0.0)
+            with pytest.raises(NonPositiveArgument):
+                bessel(-1.0)
+
+    def test_j_vanishes_at_pi(self):
+        assert abs(bessel_j_half(math.pi)) < 1e-15
 
     def test_reference_combination(self):
         value = 4 * math.pi / 15 ** 0.25 * bessel_i_half(math.pi * math.sqrt(15) / 2)
         assert value == pytest.approx(453.018, abs=0.01)
 
     def test_overflow_is_typed(self):
-        # sinh and cosh leave the double range just above x = 710.47
+        # sinh and cosh leave the double range just above x = 710.47; sin never does
         assert math.isfinite(bessel_i_half(710.0)) and math.isfinite(bessel_i_three_half(710.0))
         for bessel in (bessel_i_half, bessel_i_three_half):
             with pytest.raises(BesselOverflow):
                 bessel(711.0)
+        assert math.isfinite(bessel_j_half(800.0))
 
     def test_exact_coefficient_overflow_is_typed(self, monkeypatch):
         # the c = 1 argument pi sqrt(8n - 1)/2 passes 710.47 just above n = 25573

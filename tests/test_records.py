@@ -1,4 +1,4 @@
-"""The nine record types: construction, field access, equality, hashing,
+"""The seven record types: construction, field access, equality, hashing,
 immutability and repr, as a caller sees them, with the checks each one makes."""
 
 from fractions import Fraction as F
@@ -9,10 +9,8 @@ from mockforms import (
     CharSpec,
     CoeffTable,
     DedekindSumValue,
-    EllipticArg,
     FlowOffset,
     FracExp,
-    ModularPoint,
     RademacherPartial,
     ShadowCoeff,
 )
@@ -20,8 +18,6 @@ from mockforms.errors import UnsupportedSpec
 
 # (type, its fields in order with a valid value each, one field changed, hashable)
 RECORDS = [
-    pytest.param(ModularPoint, {"tau": 0.5 + 1.25j}, {"tau": 1.25j}, True, id="ModularPoint"),
-    pytest.param(EllipticArg, {"z": 0.25 - 3j}, {"z": 0.25}, True, id="EllipticArg"),
     pytest.param(FlowOffset, {"const": F(1, 2), "tau_coeff": F(1, 2)}, {"tau_coeff": F(0)}, True, id="FlowOffset"),
     pytest.param(CharSpec, {"kind": "massive", "k": 1, "h": F(5, 4), "ell": F(1, 2), "sector": "R"},
                  {"sector": "NS"}, True, id="CharSpec"),
@@ -80,12 +76,6 @@ class TestDefaults:
         spec = CharSpec("massless_sum_form", 1, F(1, 4), 0)
         assert spec.sector == "Rtilde"
         assert spec == CharSpec(kind="massless_sum_form", k=1, h=F(1, 4), ell=F(0), sector="Rtilde")
-
-    def test_partial_defaults_to_an_empty_series(self):
-        a, b = RademacherPartial(3, "noncompact"), RademacherPartial(n=3, kind="noncompact")
-        assert a == b and a.terms == [] and a.cumulative == 0.0
-        # each record gets its own terms list
-        assert a.terms is not b.terms
 
 
 class TestFracExp:
