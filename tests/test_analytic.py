@@ -22,7 +22,9 @@ from mockforms.analytic import (
     superconformal_character,
 )
 from mockforms.errors import (
+    BesselOverflow,
     MockformsError,
+    NonPositiveArgument,
     PoleAtArgument,
     QuadratureNonConvergence,
     UnknownName,
@@ -30,7 +32,7 @@ from mockforms.errors import (
     ValueOverflow,
 )
 from mockforms.qseries import eta_series, theta_constant_series
-from mockforms.rademacher import dedekind_sum
+from mockforms.rademacher import bessel_i_half, bessel_i_three_half, bessel_j_half, dedekind_sum
 from mockforms.shadow import multiplicity_completion
 
 from oracles import (
@@ -368,6 +370,32 @@ class TestLerchExtremePoints:
                 except MockformsError:
                     continue
                 assert cmath.isfinite(value)
+
+
+class TestBesselHalf:
+    # the half-integer closed forms, called by kind as bessel_half("I" | "I_three_half" | "J") did
+    KINDS = {"I": bessel_i_half, "I_three_half": bessel_i_three_half, "J": bessel_j_half}
+
+    def test_small_argument_law(self):
+        x = 1e-4
+        assert bessel_i_half(x) * math.gamma(1.5) * (2.0 / x) ** 0.5 == pytest.approx(1.0, rel=1e-6)
+
+    def test_reference_combination(self):
+        assert 4 * math.pi / 15 ** 0.25 * bessel_i_half(math.pi * math.sqrt(15) / 2) \
+            == pytest.approx(453.018, abs=0.01)
+
+    def test_overflow_is_typed(self):
+        # sinh and cosh leave the double range just above x = 710.47; sin never does
+        for kind in ("I", "I_three_half"):
+            assert math.isfinite(self.KINDS[kind](710.0))
+            with pytest.raises(BesselOverflow):
+                self.KINDS[kind](800.0)
+        assert math.isfinite(self.KINDS["J"](800.0))
+
+    def test_guards(self):
+        for bessel in self.KINDS.values():
+            with pytest.raises(NonPositiveArgument):
+                bessel(-1.0)
 
 
 class TestCharacters:
