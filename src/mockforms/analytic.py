@@ -26,13 +26,14 @@ thousands of terms, keep one exp per term: recurrence rounding grows with
 the term index.
 
 Truncation policy: a series stops once two consecutive terms fall below 1e-18
-of the running sum (_settle; the theta_00 kernel tests a pair of terms at a
-time, the Lerch kernel the Appell term and t_n together), so results are
-deterministic.  A series whose term budget runs out raises
-QuadratureNonConvergence, never a truncated sum.  Every pole guard is
-relative and raises PoleAtArgument: a theta_11 (the massless sum forms'
-denominator theta_11(2z) too) below 1e-10 of its largest term at the reduced
-point, or a denominator within 1e-10 of zero relative to its larger part.
+of the running sum (_settle, or the same test inline in R's loop; the
+theta_00 kernel tests a pair of terms at a time, the Lerch kernel the Appell
+term and t_n together), so results are deterministic.  A series whose term
+budget runs out raises QuadratureNonConvergence, never a truncated sum.
+Every pole guard is relative and raises PoleAtArgument: a theta_11 (the
+massless sum forms' denominator theta_11(2z) too) below 1e-10 of its largest
+term at the reduced point, or a denominator within 1e-10 of zero relative to
+its larger part.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -79,7 +80,7 @@ SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
 def _tau(value) -> complex:
     t = complex(value)
-    if not t.imag > 0:
+    if not (t.imag > 0 and cmath.isfinite(t)):
         raise ValueError(f"tau = {t} is not in the upper half-plane")
     return t
 
@@ -327,19 +328,25 @@ def nonholomorphic_correction(tau, method: str = "sum") -> complex:
     t = _tau(tau)
     v = t.imag
     if method == "sum":
+        what = "non-holomorphic correction sum"
         scale = math.sqrt(2.0 * math.pi * v)
-        budget = _budget(400, 10.0 / scale, "non-holomorphic correction sum", v)
-
-        def terms():
-            sign, phase = 2.0, -1j * math.pi * t
-            for m in range(budget):
-                k = m + 0.5
-                amp = math.erfc(k * scale)
-                # an erfc that underflowed to 0 leaves a term below e^{-351}
-                yield sign * amp * cmath.exp(phase * k * k) if amp else 0j
-                sign = -sign
-
-        return _settle(0j, terms(), "non-holomorphic correction sum")
+        budget = _budget(400, 10.0 / scale, what, v)
+        total, sign, phase = 0j, 2.0, -1j * math.pi * t
+        small_streak = 0
+        for m in range(budget):
+            k = m + 0.5
+            amp = math.erfc(k * scale)
+            # an erfc that underflowed to 0 leaves a term below e^{-351}
+            term = sign * amp * cmath.exp(phase * k * k) if amp else 0j
+            total += term
+            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
+                small_streak += 1
+                if small_streak >= 2:
+                    return total
+            else:
+                small_streak = 0
+            sign = -sign
+        raise QuadratureNonConvergence(f"{what} did not settle")
     if method == "period_integral":
         base = -t.conjugate()
 
@@ -513,6 +520,13 @@ _FLOW = {
 }
 
 
+# (const, tau_coeff) of _FLOW[sector] - _FLOW[base] as floats, base being a
+# sector the characters are written in: the floats FlowOffset.at would use
+_FLOW_SHIFT = {(sector, base): (float(offset.const - _FLOW[base].const),
+                                float(offset.tau_coeff - _FLOW[base].tau_coeff))
+               for sector, offset in _FLOW.items() for base in ("R", "Rtilde")}
+
+
 def spectral_flow_offset(sector: str) -> FlowOffset:
     """Sector z-offsets, NS unshifted: NS~ adds 1/2, R adds tau/2, R~ adds (1+tau)/2."""
     try:
@@ -522,6 +536,9 @@ def spectral_flow_offset(sector: str) -> FlowOffset:
 
 
 # -- superconformal characters -------------------------------------------------
+
+
+_QUARTER, _HALF = Fraction(1, 4), Fraction(1, 2)
 
 
 class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
@@ -543,16 +560,15 @@ class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
             raise UnsupportedSpec(f"unknown sector {sector!r}")
         if k != 1:
             raise UnsupportedSpec(f"only level k = 1 is supported, not {k}")
-        quarter, half = Fraction(1, 4), Fraction(1, 2)
         if kind == "massive":
-            if not h > quarter:
+            if not h > _QUARTER:
                 raise UnsupportedSpec("massive representations need h > 1/4")
-            if ell != half:
+            if ell != _HALF:
                 raise UnsupportedSpec("massive isospin must be 1/2")
         else:
-            if h != quarter:
+            if h != _QUARTER:
                 raise UnsupportedSpec("massless representations need h = 1/4")
-            if ell not in (0, half):
+            if ell not in (0, _HALF):
                 raise UnsupportedSpec("massless isospin must be 0 or 1/2")
         return super().__new__(cls, kind, k, h, ell, sector)
 
@@ -628,24 +644,29 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     """
     z = complex(z)
     t = _tau(tau)
-    flow = spectral_flow_offset(spec.sector)
+
+    def shifted(base: str) -> complex:
+        # z + (spectral_flow_offset(spec.sector) - _FLOW[base]).at(tau)
+        try:
+            const, tau_coeff = _FLOW_SHIFT[spec.sector, base]
+        except KeyError:
+            raise UnknownName(f"no sector {spec.sector!r}") from None
+        return z + (const + tau_coeff * t)
 
     if spec.kind == "massless_mu_form":
         if spec.ell != 0:
             raise UnsupportedSpec("the Lerch form is the isospin-0 massless character")
-        w = z + (flow - _FLOW["Rtilde"]).at(t)
+        w = shifted("Rtilde")
         log, value = _theta_sq_over_eta3("11", w, t)
         return _scaled(log, value * lerch_sum(w, t))
 
     if spec.kind == "massless_sum_form":
         if spec.ell == 0:
-            w = z + (flow - _FLOW["Rtilde"]).at(t)
-            return _massless_compact_sum(w, t)
-        w = z + (flow - _FLOW["R"]).at(t)
-        return _massless_half_sum(w, t)
+            return _massless_compact_sum(shifted("Rtilde"), t)
+        return _massless_half_sum(shifted("R"), t)
 
     # massive
-    w = z + (flow - _FLOW["R"]).at(t)
+    w = shifted("R")
     log, value = _theta_sq_over_eta3("10", w, t)
     return _scaled(log + 2j * math.pi * t * float(spec.h - Fraction(3, 8)), value)
 

@@ -148,14 +148,16 @@ def cmd_pofn(args: argparse.Namespace, out) -> int:
 def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
     import cmath
 
-    from .analytic import (CharSpec, _completion_direct, _scaled, _theta_direct, dedekind_eta, jacobi_theta,
-                           lerch_completion, superconformal_character)
+    from .analytic import (CharSpec, _completion_direct, _lerch_direct, _scaled, _theta_direct, dedekind_eta,
+                           jacobi_theta, lerch_completion, nonholomorphic_correction, superconformal_character)
     from .rademacher import _dedekind_euclid
     from fractions import Fraction
 
     # One side of each modular law (mu_hat_*, completion_*, eta_gamma) is
     # summed directly at tau, the other reduced to the fundamental domain,
-    # so the laws do not check the reduction against itself.
+    # so the laws do not check the reduction against itself.  The completion's
+    # direct side is 8 (sum_w mu(w) - 3 R / 2) over the half-periods w by
+    # Lerch sums; its reduced side is built from the exact A_n.
     checks: list[tuple[str, float, float]] = []
     zs = (0.23 + 0.11j, 0.41 - 0.07j, 0.13 + 0.05j)
     taus = (0.10 + 0.90j, -0.20 + 1.30j, 0.35 + 1.80j)
@@ -172,7 +174,9 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
         worst["theta_jacobi"] = max(worst["theta_jacobi"], j)
         worst["genus_at_zero"] = max(worst["genus_at_zero"],
                                      characters.identity_check("genus_at_zero", 0.0, t))
-        shat = shadow._completion_sum(t)
+        half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
+        shat = 8.0 * (sum(_scaled(*_lerch_direct(w, t)) for w in half_periods)
+                      - 1.5 * nonholomorphic_correction(t, "sum"))
         # eta = q^{1/24} theta_00((tau + 1)/2; 3 tau), summed at 3 tau itself
         eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct(0.5 * (t + 1.0), 3.0 * t))
         worst["completion_S"] = max(worst["completion_S"],

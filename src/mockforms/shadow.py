@@ -11,7 +11,10 @@ form 24 eta(8 tau)^3.  This module checks all of that numerically:
   shadow_reference_coefficients writes that pattern down from Jacobi's
   identity eta^3 = sum_m (-1)^m (2m+1) q^{(2m+1)^2/8}, in plain integers.
 * multiplicity_completion evaluates the completed sum 8 sum_w mu_hat(w; tau)
-  and exposes its modular transformation residuals to the tests.
+  and exposes its modular transformation residuals to the tests.  At the
+  SL2(Z)-reduced point tau' it needs no Lerch sum: there
+  8 sum_w mu(w; tau') = q'^{-1/8} (2 - sum_n A_n q'^n), |q'| <= e^{-pi sqrt 3},
+  and ten exact A_n leave a tail below 1.0e-20.
 * holomorphic_anomaly_residual / laplacian_residual verify the defining
   differential equations of the completion by finite differences.
 
@@ -30,7 +33,6 @@ from collections import namedtuple
 from fractions import Fraction
 from .analytic import (
     _completion_walk,
-    _lerch_direct,
     _scaled,
     _tau,
     dedekind_eta,
@@ -95,25 +97,34 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
     return out
 
 
-def _completion_sum(t: complex) -> complex:
-    """8 sum over the half-periods w of mu(w; tau) - R(tau)/2, by the direct sums at tau."""
-    half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
-    correction = 1.5 * nonholomorphic_correction(t, "sum")
-    return 8.0 * (sum(_scaled(*_lerch_direct(w, t)) for w in half_periods) - correction)
+# A_1, ..., A_10 (characters.coeff_table("k3", 10)).  At the reduced point
+# |q'| <= e^{-pi sqrt 3} ~ 4.33e-3, where sum_{n > 10} A_n |q'|^n <= 1.0e-20.
+_A_HEAD = (90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136)
 
 
 def multiplicity_completion(tau, kind: str = "k3") -> complex:
     """8 sum over half-periods of mu_hat (kind "k3"), or 8 mu_hat(1/2) ("noncompact").
 
-    Both are evaluated at the SL2(Z)-reduced point, with the multiplier of
-    mu_hat (analytic._completion_walk).
+    Both are evaluated at the SL2(Z)-reduced point tau', with the multiplier
+    of mu_hat (analytic._completion_walk).  For "k3" the half-periods
+    1/2, (1 + tau)/2, tau/2 of tau go to those of tau', where
+
+        8 sum_w mu_hat(w; tau') = q'^{-1/8} (2 - sum_{n>=1} A_n q'^n) - 12 R(tau')
+
+    with the exact multiplicities A_n; ten terms leave a tail below 1.0e-20
+    (|q'| <= e^{-pi sqrt 3}), far below the 2 they are subtracted from.
+    "noncompact" is 8 mu_hat(1/2; tau) through lerch_completion, since the
+    walk can move 1/2 to another half-period.
     """
     t = _tau(tau)
     if kind == "k3":
-        # the half-periods of tau go to those of tau', so the sum has the
-        # multiplier of each mu_hat
         factor, _, t_red = _completion_walk(0j, t)
-        return factor * _completion_sum(t_red)
+        q = cmath.exp(2j * math.pi * t_red)
+        series = 0j
+        for a in reversed(_A_HEAD):
+            series = (series + a) * q
+        holomorphic = _scaled(-0.25j * math.pi * t_red, 2.0 - series)
+        return factor * (holomorphic - 12.0 * nonholomorphic_correction(t_red, "sum"))
     if kind == "noncompact":
         return 8.0 * lerch_completion(0.5, t)
     raise UnknownName(f"no completion of kind {kind!r}")

@@ -82,7 +82,9 @@ TAU_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tau", [1.0 + 0j, 0.3 - 0.1j, complex(0.1, math.nan)], ids=("real", "lower", "nan"))
+@pytest.mark.parametrize("tau", [1.0 + 0j, 0.3 - 0.1j, complex(0.1, math.nan), complex(math.nan, 1.0),
+                                 complex(0.1, math.inf), complex(math.inf, 1.0)],
+                         ids=("real", "lower", "nan", "nan_real", "inf_imag", "inf_real"))
 @pytest.mark.parametrize("entry", TAU_ENTRY_POINTS.values(), ids=TAU_ENTRY_POINTS.keys())
 def test_tau_outside_the_upper_half_plane_is_rejected(entry, tau):
     with pytest.raises(ValueError, match="upper half-plane"):

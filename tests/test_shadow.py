@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mockforms import shadow
 from mockforms.analytic import lerch_completion, nonholomorphic_correction
-from mockforms.errors import UnknownName
+from mockforms.characters import coeff_table
+from mockforms.errors import UnknownName, ValueOverflow
 from mockforms.qseries import FracExp
 from mockforms.shadow import (
     ShadowCoeff,
@@ -146,6 +148,47 @@ class TestCompletionModularity:
         ref = multiplicity_completion_fixed(t)
         scale = 8.0 * sum(lerch_rounding_scale(w, t) for w in (0.5, 0.5 * (1.0 + t), 0.5 * t))
         assert abs(multiplicity_completion(t) - ref) <= 1e-12 * (scale + 12.0 * abs(correction_fixed(t)))
+
+
+def _seeded_reduced_points() -> list[complex]:
+    rng = random.Random(20091019)
+    points = []
+    while len(points) < 300:
+        t = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.86), math.log(300.0))))
+        if abs(t) >= 1.0:
+            points.append(t)
+    return points
+
+
+REDUCED_GRIDS = {
+    "seeded": _seeded_reduced_points(),
+    "arc": [(1.0 - 1e-9) * cmath.exp(1j * math.pi * (1 + k / 20) / 3) for k in range(21)],
+    "edges": [complex(re, im) for re in (-0.5, 0.5) for im in (math.sqrt(0.75), 1.0, 3.0, 40.0, 120.0, 300.0)],
+}
+
+
+class TestCompletionFromTable:
+    def test_head_is_the_exact_table(self):
+        table = coeff_table("k3", 10).values
+        assert shadow._A_HEAD == tuple(table[n] for n in range(1, 11))
+
+    @pytest.mark.parametrize("points", REDUCED_GRIDS.values(), ids=REDUCED_GRIDS.keys())
+    def test_matches_the_lerch_sums(self, points):
+        # Against the three fixed-range Lerch sums at tau.  The completion
+        # vanishes at tau = i and e^{i pi/3}, so the scale is the size of its
+        # two parts.  Both forms carry q^{-1/8} = e^{pi Im tau / 4} through a
+        # rounded exponent, which moves a value by ~1e-16 per unit of that
+        # exponent, so the tolerance grows with it past Im tau = 4/pi.
+        for t in points:
+            q = abs(cmath.exp(2j * math.pi * t))
+            holomorphic = math.exp(0.25 * math.pi * t.imag) * (2 + sum(a * q ** n for n, a in enumerate(shadow._A_HEAD, 1)))
+            scale = (holomorphic + 12.0 * abs(correction_fixed(t))) * max(1.0, 0.25 * math.pi * t.imag)
+            assert abs(multiplicity_completion(t) - multiplicity_completion_fixed(t)) <= 4e-15 * scale, t
+
+    def test_overflow_is_typed(self):
+        # q^{-1/8} = e^{250 pi} is past a double
+        with pytest.raises(ValueOverflow):
+            multiplicity_completion(1000j)
 
 
 class TestMultiplierSystem:
