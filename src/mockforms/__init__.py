@@ -4,7 +4,6 @@ mock-modular identities."""
 
 from .analytic import (
     CharSpec,
-    FlowOffset,
     dedekind_eta,
     elliptic_genus,
     jacobi_theta,
@@ -12,7 +11,6 @@ from .analytic import (
     lerch_difference,
     lerch_sum,
     nonholomorphic_correction,
-    spectral_flow_offset,
     superconformal_character,
 )
 from .characters import (
@@ -61,8 +59,8 @@ from .shadow import (
 )
 
 __all__ = [
-    "CharSpec", "FlowOffset", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion",
-    "lerch_difference", "lerch_sum", "nonholomorphic_correction", "spectral_flow_offset", "superconformal_character",
+    "CharSpec", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference",
+    "lerch_sum", "nonholomorphic_correction", "superconformal_character",
     "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
     "multiplicity_series", "BesselOverflow", "BeyondTruncation", "MockformsError",
     "NonIntegralCoefficient", "NonPositiveArgument", "NotCoprime", "PoleAtArgument",

@@ -57,7 +57,6 @@ from .errors import (
 
 __all__ = [
     "CharSpec",
-    "FlowOffset",
     "jacobi_theta",
     "dedekind_eta",
     "lerch_sum",
@@ -66,7 +65,6 @@ __all__ = [
     "superconformal_character",
     "elliptic_genus",
     "lerch_difference",
-    "spectral_flow_offset",
     "SECTORS",
 ]
 
@@ -307,68 +305,42 @@ def _eta_cubed(t: complex) -> complex:
 # -- the non-holomorphic correction -----------------------------------------
 
 
-def nonholomorphic_correction(tau, method: str = "sum") -> complex:
+def nonholomorphic_correction(tau) -> complex:
     """The non-holomorphic partner R of the Lerch sum.
 
-    method "sum" evaluates the defining series over half-integers; after
-    pairing n with -n-1 it reads
+    Its defining series over half-integers, after pairing n with -n-1, reads
 
         2 sum_{m>=0} (-1)^m erfc((m+1/2) sqrt(2 pi v)) e^{-i pi tau (m+1/2)^2},
 
     real on the imaginary axis.  Term m has modulus 2 erfc(x) e^{x^2/2} with
     x = (m + 1/2) sqrt(2 pi v), below 1e-18 by x ~ 9, so the sum gets
     max(400, 10 / sqrt(2 pi v)) terms; past 100 000 (Im tau below ~1.6e-9)
-    it raises QuadratureNonConvergence instead of summing.
-    method "period_integral" evaluates the same function as
-    (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx;
-    along x = -conj(tau) + i t the square root simplifies and the integral
-    becomes int_0^inf eta(-conj(tau) + i t)^3 / sqrt(2v + t) dt, which is
-    computed with the substitution t = e^s and adaptive trapezoid doubling.
+    it raises QuadratureNonConvergence instead of summing.  The tests check
+    it against the period integral
+    (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx
+    (tests/oracles.py, correction_period_integral).
     """
     t = _tau(tau)
     v = t.imag
-    if method == "sum":
-        what = "non-holomorphic correction sum"
-        scale = math.sqrt(2.0 * math.pi * v)
-        budget = _budget(400, 10.0 / scale, what, v)
-        total, sign, phase = 0j, 2.0, -1j * math.pi * t
-        small_streak = 0
-        for m in range(budget):
-            k = m + 0.5
-            amp = math.erfc(k * scale)
-            # an erfc that underflowed to 0 leaves a term below e^{-351}
-            term = sign * amp * cmath.exp(phase * k * k) if amp else 0j
-            total += term
-            if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
-            sign = -sign
-        raise QuadratureNonConvergence(f"{what} did not settle")
-    if method == "period_integral":
-        base = -t.conjugate()
-
-        def integrand(s: float) -> complex:
-            u = math.exp(s)
-            return _eta_cubed(base + 1j * u) * u / math.sqrt(2.0 * v + u)
-
-        lo, hi = -42.0, 4.6
-        h = 0.5
-        nodes = int((hi - lo) / h)
-        vals = [integrand(lo + i * h) for i in range(nodes + 1)]
-        estimate = h * (sum(vals) - 0.5 * (vals[0] + vals[-1]))
-        for _ in range(16):
-            mid = [integrand(lo + (i + 0.5) * h) for i in range(nodes)]
-            refined = 0.5 * estimate + 0.5 * h * sum(mid)
-            if abs(refined - estimate) < 1e-11 * (1.0 + abs(refined)):
-                return refined
-            estimate = refined
-            h *= 0.5
-            nodes *= 2
-        raise QuadratureNonConvergence("period integral refinement stalled")
-    raise ValueError(f"unknown method {method!r}")
+    what = "non-holomorphic correction sum"
+    scale = math.sqrt(2.0 * math.pi * v)
+    budget = _budget(400, 10.0 / scale, what, v)
+    total, sign, phase = 0j, 2.0, -1j * math.pi * t
+    small_streak = 0
+    for m in range(budget):
+        k = m + 0.5
+        amp = math.erfc(k * scale)
+        # an erfc that underflowed to 0 leaves a term below e^{-351}
+        term = sign * amp * cmath.exp(phase * k * k) if amp else 0j
+        total += term
+        if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+        sign = -sign
+    raise QuadratureNonConvergence(f"{what} did not settle")
 
 
 # -- Lerch sum and its completion -------------------------------------------
@@ -452,7 +424,7 @@ def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]
 
 def _completion_direct(z: complex, t: complex) -> complex:
     """mu(z; tau) - R(tau)/2 by the direct sums at tau itself."""
-    return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t, "sum")
+    return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t)
 
 
 def lerch_sum(z, tau) -> complex:
@@ -468,7 +440,7 @@ def lerch_sum(z, tau) -> complex:
     z = complex(z)
     t = _tau(tau)
     if _reduce(t) != [(0, t)]:
-        return lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t, "sum")
+        return lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t)
     return _scaled(*_lerch_direct(z, t))
 
 
@@ -481,62 +453,12 @@ def lerch_completion(z, tau) -> complex:
     return factor * _completion_direct(z, t)
 
 
-# -- spectral flow -------------------------------------------------------------
-
-
-class FlowOffset(namedtuple("FlowOffset", "const tau_coeff")):
-    """z-offset const + tau_coeff * tau attached to a sector by spectral flow."""
-
-    __slots__ = ()
-
-    def at(self, tau) -> complex:
-        return float(self.const) + float(self.tau_coeff) * _tau(tau)
-
-    def __sub__(self, other: "FlowOffset") -> "FlowOffset":
-        return FlowOffset(self.const - other.const, self.tau_coeff - other.tau_coeff)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FlowOffset):
-            return (self.const, self.tau_coeff) == (other.const, other.tau_coeff)
-        if self.tau_coeff == 0:
-            return self.const == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # an offset equal to the number const must hash like it
-        if self.tau_coeff == 0:
-            return hash(self.const)
-        return hash((self.const, self.tau_coeff))
-
-    # tuple's own != would ignore the __eq__ above
-    __ne__ = object.__ne__
-
-
-_FLOW = {
-    "NS": FlowOffset(Fraction(0), Fraction(0)),
-    "NStilde": FlowOffset(Fraction(1, 2), Fraction(0)),
-    "R": FlowOffset(Fraction(0), Fraction(1, 2)),
-    "Rtilde": FlowOffset(Fraction(1, 2), Fraction(1, 2)),
-}
-
-
-# (const, tau_coeff) of _FLOW[sector] - _FLOW[base] as floats, base being a
-# sector the characters are written in: the floats FlowOffset.at would use
-_FLOW_SHIFT = {(sector, base): (float(offset.const - _FLOW[base].const),
-                                float(offset.tau_coeff - _FLOW[base].tau_coeff))
-               for sector, offset in _FLOW.items() for base in ("R", "Rtilde")}
-
-
-def spectral_flow_offset(sector: str) -> FlowOffset:
-    """Sector z-offsets, NS unshifted: NS~ adds 1/2, R adds tau/2, R~ adds (1+tau)/2."""
-    try:
-        return _FLOW[sector]
-    except KeyError:
-        raise UnknownName(f"no sector {sector!r}") from None
-
-
 # -- superconformal characters -------------------------------------------------
 
+
+# z-offsets (const, tau_coeff) of the sectors under spectral flow, NS
+# unshifted: NS~ adds 1/2, R adds tau/2, R~ adds (1 + tau)/2
+_FLOW = {"NS": (0.0, 0.0), "NStilde": (0.5, 0.0), "R": (0.0, 0.5), "Rtilde": (0.5, 0.5)}
 
 _QUARTER, _HALF = Fraction(1, 4), Fraction(1, 2)
 
@@ -640,18 +562,18 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     isospin-1/2 massless sum form a literal sum, both written in the Ramond
     sector; the isospin-0 compact sum and the Lerch form are written in the
     tilded-Ramond sector.  Other sectors are evaluated by shifting z by the
-    spectral-flow offset difference.
+    difference of the sectors' spectral-flow offsets (_FLOW).
     """
     z = complex(z)
     t = _tau(tau)
 
     def shifted(base: str) -> complex:
-        # z + (spectral_flow_offset(spec.sector) - _FLOW[base]).at(tau)
         try:
-            const, tau_coeff = _FLOW_SHIFT[spec.sector, base]
+            const, tau_coeff = _FLOW[spec.sector]
         except KeyError:
             raise UnknownName(f"no sector {spec.sector!r}") from None
-        return z + (const + tau_coeff * t)
+        base_const, base_tau_coeff = _FLOW[base]
+        return z + ((const - base_const) + (tau_coeff - base_tau_coeff) * t)
 
     if spec.kind == "massless_mu_form":
         if spec.ell != 0:
@@ -668,7 +590,9 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     # massive
     w = shifted("R")
     log, value = _theta_sq_over_eta3("10", w, t)
-    return _scaled(log + 2j * math.pi * t * float(spec.h - Fraction(3, 8)), value)
+    h = spec.h
+    # h - 3/8 as one correctly rounded int / int division, no Fraction arithmetic
+    return _scaled(log + 2j * math.pi * t * ((8 * h.numerator - 3 * h.denominator) / (8 * h.denominator)), value)
 
 
 # -- elliptic genera and the two-argument kernel ------------------------------
@@ -685,7 +609,6 @@ def elliptic_genus(variant: str, z, tau) -> complex:
 
     variant "k3": 8 [ (th10(z)/th10(0))^2 + (th00(z)/th00(0))^2 + (th01(z)/th01(0))^2 ]
     variant "decompactified": the last two terms only, coefficient 8
-    variant "a1": the last two terms with coefficient 1/2
     """
     z = complex(z)
     t = _tau(tau)
@@ -694,8 +617,6 @@ def elliptic_genus(variant: str, z, tau) -> complex:
         return 8.0 * (_theta_quotient_sq("10", z, t) + pair)
     if variant == "decompactified":
         return 8.0 * pair
-    if variant == "a1":
-        return 0.5 * pair
     raise UnknownName(f"no elliptic genus variant {variant!r}")
 
 

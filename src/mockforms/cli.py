@@ -38,6 +38,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import characters, rademacher, shadow
 from .errors import MockformsError
@@ -51,15 +52,22 @@ def _fmt6(x: float) -> str:
     return format(x, ".6g")
 
 
-def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[dict], meta: dict, out) -> None:
+def _emit(args: argparse.Namespace, payload: dict, rows: Iterable[list], out) -> None:
+    """JSON dumps payload; CSV writes rows, the header first, floats through _fmt6."""
     if args.fmt != "csv":
-        json.dump({**meta, "rows": rows}, out)
+        json.dump(payload, out)
         out.write("\n")
     else:
         writer = csv.writer(out)
-        writer.writerow(header)
         for row in rows:
-            writer.writerow([row[h] if not isinstance(row[h], float) else _fmt6(row[h]) for h in header])
+            writer.writerow([_fmt6(x) if isinstance(x, float) else x for x in row])
+
+
+def _table(header: list[str], rows: list[dict]) -> Iterator[list]:
+    """The header, then each row's values in header order; built only when CSV reads it."""
+    yield header
+    for row in rows:
+        yield [row[h] for h in header]
 
 
 # -- subcommands ---------------------------------------------------------
@@ -76,7 +84,7 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
             row["log_exact"] = math.log(abs(table.values[n]))
             row["entropy"] = rademacher.cardy_entropy(n)
         header += ["log_exact", "entropy"]
-    _emit_rows(args, header, rows, {"kind": args.kind}, out)
+    _emit(args, {"kind": args.kind, "rows": rows}, _table(header, rows), out)
     return 0
 
 
@@ -95,21 +103,13 @@ def cmd_rademacher(args: argparse.Namespace, out) -> int:
         "leading": rademacher.leading_asymptotic(args.kind, args.n),
         "partial": partials,
     }
+    rows = [["kind", "n", "exact", "leading", "terms", "partial"]]
+    rows += [[args.kind, args.n, str(exact), payload["leading"], terms, partials[str(terms)]] for terms in args.c_max]
     if args.per_c:
         payload["per_c"] = [{"c": c, "term": t} for c, t in partial.terms]
-    if args.fmt != "csv":
-        json.dump(payload, out)
-        out.write("\n")
-    else:
-        writer = csv.writer(out)
-        writer.writerow(["kind", "n", "exact", "leading", "terms", "partial"])
-        for terms in args.c_max:
-            writer.writerow([args.kind, args.n, str(exact), _fmt6(payload["leading"]),
-                             terms, _fmt6(partials[str(terms)])])
-        if args.per_c:
-            writer.writerow(["c", "term", "", "", "", ""])
-            for c, t in partial.terms:
-                writer.writerow([c, _fmt6(t), "", "", "", ""])
+        rows.append(["c", "term", "", "", "", ""])
+        rows += [[c, t, "", "", "", ""] for c, t in partial.terms]
+    _emit(args, payload, rows, out)
     return 0
 
 
@@ -121,7 +121,8 @@ def cmd_shadow(args: argparse.Namespace, out) -> int:
         computed = shadow.shadow_coefficient(n, args.c_max).value
         rows.append({"exponent": exponent, "computed": computed,
                      "reference": reference[exponent]})
-    _emit_rows(args, ["exponent", "computed", "reference"], rows, {"c_max": args.c_max}, out)
+    _emit(args, {"c_max": args.c_max, "rows": rows},
+          _table(["exponent", "computed", "reference"], rows), out)
     return 0
 
 
@@ -132,13 +133,7 @@ def cmd_pofn(args: argparse.Namespace, out) -> int:
     rounded = round(value)
     payload = {"n": args.n, "series": value, "rounded": rounded,
                "exact": str(exact), "match": rounded == exact}
-    if args.fmt != "csv":
-        json.dump(payload, out)
-        out.write("\n")
-    else:
-        writer = csv.writer(out)
-        writer.writerow(["n", "series", "rounded", "exact", "match"])
-        writer.writerow([args.n, _fmt6(value), rounded, str(exact), rounded == exact])
+    _emit(args, payload, _table(list(payload), [payload]), out)
     return 0 if rounded == exact else 1
 
 
@@ -176,7 +171,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
                                      characters.identity_check("genus_at_zero", 0.0, t))
         half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
         shat = 8.0 * (sum(_scaled(*_lerch_direct(w, t)) for w in half_periods)
-                      - 1.5 * nonholomorphic_correction(t, "sum"))
+                      - 1.5 * nonholomorphic_correction(t))
         # eta = q^{1/24} theta_00((tau + 1)/2; 3 tau), summed at 3 tau itself
         eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct(0.5 * (t + 1.0), 3.0 * t))
         worst["completion_S"] = max(worst["completion_S"],

@@ -39,7 +39,6 @@ from .analytic import (
     lerch_completion,
     nonholomorphic_correction,
 )
-from .errors import UnknownName
 from .rademacher import _dedekind_euclid, _quadratic_sums, bessel_j_half
 
 __all__ = [
@@ -102,32 +101,25 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
 _A_HEAD = (90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136)
 
 
-def multiplicity_completion(tau, kind: str = "k3") -> complex:
-    """8 sum over half-periods of mu_hat (kind "k3"), or 8 mu_hat(1/2) ("noncompact").
+def multiplicity_completion(tau) -> complex:
+    """8 sum of mu_hat over the half-periods 1/2, (1 + tau)/2, tau/2.
 
-    Both are evaluated at the SL2(Z)-reduced point tau', with the multiplier
-    of mu_hat (analytic._completion_walk).  For "k3" the half-periods
-    1/2, (1 + tau)/2, tau/2 of tau go to those of tau', where
+    Evaluated at the SL2(Z)-reduced point tau', with the multiplier of
+    mu_hat (analytic._completion_walk), which carries the half-periods of
+    tau to those of tau'.  There
 
         8 sum_w mu_hat(w; tau') = q'^{-1/8} (2 - sum_{n>=1} A_n q'^n) - 12 R(tau')
 
     with the exact multiplicities A_n; ten terms leave a tail below 1.0e-20
     (|q'| <= e^{-pi sqrt 3}), far below the 2 they are subtracted from.
-    "noncompact" is 8 mu_hat(1/2; tau) through lerch_completion, since the
-    walk can move 1/2 to another half-period.
     """
-    t = _tau(tau)
-    if kind == "k3":
-        factor, _, t_red = _completion_walk(0j, t)
-        q = cmath.exp(2j * math.pi * t_red)
-        series = 0j
-        for a in reversed(_A_HEAD):
-            series = (series + a) * q
-        holomorphic = _scaled(-0.25j * math.pi * t_red, 2.0 - series)
-        return factor * (holomorphic - 12.0 * nonholomorphic_correction(t_red, "sum"))
-    if kind == "noncompact":
-        return 8.0 * lerch_completion(0.5, t)
-    raise UnknownName(f"no completion of kind {kind!r}")
+    factor, _, t_red = _completion_walk(0j, _tau(tau))
+    q = cmath.exp(2j * math.pi * t_red)
+    series = 0j
+    for a in reversed(_A_HEAD):
+        series = (series + a) * q
+    holomorphic = _scaled(-0.25j * math.pi * t_red, 2.0 - series)
+    return factor * (holomorphic - 12.0 * nonholomorphic_correction(t_red))
 
 
 def multiplier_system(gamma: tuple[int, int, int, int]) -> complex:
@@ -174,20 +166,25 @@ def holomorphic_anomaly_residual(z, tau, h: float = 1e-4) -> float:
     return abs(_dbar(lambda s: lerch_completion(z, s), t, h) - _shadow_side(t))
 
 
-def laplacian_residual(z, tau, h: float = 1e-3, test_fn=None) -> float:
-    """|Delta_{1/2} f| via the 5-point stencil at tau, f defaulting to the completion.
+def _laplacian(f, t: complex, h: float) -> complex:
+    """Delta_{1/2} f at tau by the 5-point stencil.
 
-    Delta_k = -v^2 (d^2/du^2 + d^2/dv^2) + i k v (d/du + i d/dv).  The
-    completion is annihilated; pass an anti-holomorphic test_fn to see a
-    nonzero control value.  (Holomorphic functions are annihilated by Delta_k
-    identically, so they make no control at all.)
+    Delta_k = -v^2 (d^2/du^2 + d^2/dv^2) + i k v (d/du + i d/dv).
+    Holomorphic functions are annihilated by Delta_k identically, so only an
+    anti-holomorphic f makes a nonzero control.
     """
-    t = _tau(tau)
-    f = test_fn if test_fn is not None else (lambda s: lerch_completion(z, s))
     v = t.imag
     f0 = f(t)
     fu_p, fu_m = f(t + h), f(t - h)
     fv_p, fv_m = f(t + 1j * h), f(t - 1j * h)
     lap = (fu_p - 2.0 * f0 + fu_m) / (h * h) + (fv_p - 2.0 * f0 + fv_m) / (h * h)
     first = (fu_p - fu_m) / (2.0 * h) + 1j * (fv_p - fv_m) / (2.0 * h)
-    return abs(-v * v * lap + 0.5j * v * first)
+    return -v * v * lap + 0.5j * v * first
+
+
+def laplacian_residual(z, tau, h: float = 1e-3) -> float:
+    """|Delta_{1/2} of the completion mu_hat(z; .)| at tau, which annihilates it.
+
+    Second order in h, by the 5-point stencil (_laplacian).
+    """
+    return abs(_laplacian(lambda s: lerch_completion(z, s), _tau(tau), h))

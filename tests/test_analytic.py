@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mockforms import analytic
 from mockforms.analytic import (
+    SECTORS,
     CharSpec,
-    FlowOffset,
     dedekind_eta,
     elliptic_genus,
     jacobi_theta,
@@ -18,7 +18,6 @@ from mockforms.analytic import (
     lerch_difference,
     lerch_sum,
     nonholomorphic_correction,
-    spectral_flow_offset,
     superconformal_character,
 )
 from mockforms.errors import (
@@ -38,6 +37,7 @@ from mockforms.shadow import multiplicity_completion
 from oracles import (
     completion_fixed,
     correction_fixed,
+    correction_period_integral,
     eta_product_fixed,
     lerch_rounding_scale,
     lerch_sum_fixed,
@@ -246,7 +246,7 @@ class TestLerchSum:
     def test_off_domain_where_correction_needs_773_terms(self):
         # Im tau = 2e-5: R(tau) settles only after 773 terms
         z, t = 0.23 + 0.11j, 0.3 + 2e-5j
-        assert lerch_sum(z, t) == lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t, "sum")
+        assert lerch_sum(z, t) == lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t)
 
     @settings(max_examples=40, deadline=None)
     @given(t=ORACLE_TAU, zr=STRIP_Z)
@@ -258,18 +258,18 @@ class TestLerchSum:
 class TestNonholomorphicCorrection:
     def test_sum_vs_period_integral(self):
         for t in (0.1 + 0.9j, 1.5j, -0.3 + 1.2j, 0.2 + 0.5j, 3.0j):
-            a = nonholomorphic_correction(t, "sum")
-            b = nonholomorphic_correction(t, "period_integral")
+            a = nonholomorphic_correction(t)
+            b = correction_period_integral(t)
             assert abs(a - b) < 1e-8
 
     def test_real_on_imaginary_axis(self):
         for v in (0.6, 1.5, 2.5):
-            value = nonholomorphic_correction(1j * v, "sum")
+            value = nonholomorphic_correction(1j * v)
             assert abs(value.imag) < 1e-15
 
     def test_reference_value_from_quadrature(self):
-        got = nonholomorphic_correction(1.5j, "sum")
-        oracle = nonholomorphic_correction(1.5j, "period_integral")
+        got = nonholomorphic_correction(1.5j)
+        oracle = correction_period_integral(1.5j)
         assert abs(got - oracle) < 1e-8
 
     def test_sum_raises_instead_of_truncating(self):
@@ -277,20 +277,20 @@ class TestNonholomorphicCorrection:
         # rather than returning a truncated value
         for t in (0.3 + 1e-10j, 1e-12j):
             with pytest.raises(QuadratureNonConvergence):
-                nonholomorphic_correction(t, "sum")
+                nonholomorphic_correction(t)
         # these need 773 and 1093 terms, past the budget's 400-term floor;
         # cut off at 400 they sit 3.0e-5 and 6.4e-3 from the period integral
         for t in (0.3 + 2e-5j, 0.3 + 1e-5j):
-            assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-10
+            assert abs(nonholomorphic_correction(t) - correction_period_integral(t)) < 1e-10
         # at Im tau = 1e-3 the sum settles and agrees with the integral
         t = 0.3 + 1e-3j
-        assert abs(nonholomorphic_correction(t, "sum") - nonholomorphic_correction(t, "period_integral")) < 1e-12
+        assert abs(nonholomorphic_correction(t) - correction_period_integral(t)) < 1e-12
 
     def test_large_imaginary_part(self):
         # e^{-i pi tau k^2} overflows where erfc has underflowed to 0
         for t in (0.1 + 40j, -0.3 + 150j):
             ref = correction_fixed(t)
-            assert abs(nonholomorphic_correction(t, "sum") - ref) <= 1e-12 * abs(ref)
+            assert abs(nonholomorphic_correction(t) - ref) <= 1e-12 * abs(ref)
 
 
 class TestCompletion:
@@ -524,9 +524,10 @@ class TestEllipticGenus:
     def test_euler_characteristic_at_small_im_tau(self, t):
         assert abs(elliptic_genus("k3", 0.0, t) - 24.0) <= 24.0 * 1e-12
 
-    def test_a1_is_sixteenth_of_decompactified(self):
-        z, t = 0.17, 1.1j
-        assert abs(elliptic_genus("a1", z, t) - elliptic_genus("decompactified", z, t) / 16.0) == 0.0
+    def test_unknown_variant(self):
+        for variant in ("a1", "K3"):
+            with pytest.raises(UnknownName):
+                elliptic_genus(variant, 0.17, 1.1j)
 
     def test_against_direct_theta_oracle(self):
         z, t = 0.17, 1.1j
@@ -549,7 +550,7 @@ class TestLerchDifference:
     def test_correction_is_not_summed(self, monkeypatch, t):
         # R depends only on tau, so mu(z) - mu(w) = mu_hat(z) - mu_hat(w),
         # the walk's factor times mu(z') - mu(w') at the reduced point: no R
-        def refuse(tau, method="sum"):
+        def refuse(tau):
             raise AssertionError(f"R summed at tau = {tau}")
 
         monkeypatch.setattr(analytic, "nonholomorphic_correction", refuse)
@@ -567,7 +568,7 @@ class TestDeterminism:
         assert jacobi_theta("11", z, t) == jacobi_theta("11", z, t)
         assert dedekind_eta(t) == dedekind_eta(t)
         assert lerch_sum(z, t) == lerch_sum(z, t)
-        assert nonholomorphic_correction(t, "sum") == nonholomorphic_correction(t, "sum")
+        assert nonholomorphic_correction(t) == nonholomorphic_correction(t)
 
 
 class TestTruncation:
@@ -575,7 +576,7 @@ class TestTruncation:
     # exhausts its term budget; it must raise, never return what it summed.
     z, t = 0.23 + 0.11j, 0.07 + 1.1j
     SERIES = (
-        ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t, "sum")),
+        ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t)),
         ("Lerch sum", lerch_sum),
         ("theta series", lambda z, t: jacobi_theta("00", z, t)),
         ("massless character sum",
@@ -593,26 +594,29 @@ class TestTruncation:
             series(self.z, self.t)
 
 
+# Each character kind, by (kind, h, ell)
+CHARACTER_KINDS = {
+    "massless_sum_form_0": ("massless_sum_form", F(1, 4), F(0)),
+    "massless_sum_form_half": ("massless_sum_form", F(1, 4), F(1, 2)),
+    "massless_mu_form": ("massless_mu_form", F(1, 4), F(0)),
+    "massive": ("massive", F(5, 4), F(1, 2)),
+}
+
+
 class TestSpectralFlow:
-    def test_base_sector(self):
-        assert spectral_flow_offset("NS") == 0
-
-    def test_half_unit_shifts(self):
-        assert spectral_flow_offset("NStilde") - spectral_flow_offset("NS") == F(1, 2)
-        assert spectral_flow_offset("Rtilde") - spectral_flow_offset("R") == F(1, 2)
-
-    def test_equal_numbers_hash_equal(self):
-        # an offset with no tau part equals its constant, so it must hash like it
-        half = spectral_flow_offset("NStilde") - spectral_flow_offset("NS")
-        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
-        assert half in {F(1, 2)} and spectral_flow_offset("NS") in {0}
-        assert len({spectral_flow_offset("R"), spectral_flow_offset("Rtilde"), FlowOffset(F(0), F(1, 2))}) == 2
-
-    def test_tau_dependence(self):
-        offset = spectral_flow_offset("Rtilde")
-        assert offset == FlowOffset(F(1, 2), F(1, 2))
-        assert offset.at(1.2j) == 0.5 + 0.6j
+    @pytest.mark.parametrize("sector", SECTORS)
+    @pytest.mark.parametrize("kind, h, ell", CHARACTER_KINDS.values(), ids=CHARACTER_KINDS.keys())
+    def test_sector_is_rtilde_at_shifted_z(self, kind, h, ell, sector):
+        # the z-offsets of spectral flow, NS unshifted: NS~ 1/2, R tau/2, R~ (1 + tau)/2
+        z, t = 0.17 + 0.04j, 0.1 + 1.2j
+        offset = {"NS": 0.0, "NStilde": 0.5, "R": 0.5 * t, "Rtilde": 0.5 * (1.0 + t)}
+        got = superconformal_character(CharSpec(kind, 1, h, ell, sector), z, t)
+        ref = superconformal_character(CharSpec(kind, 1, h, ell, "Rtilde"), z + offset[sector] - offset["Rtilde"], t)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_unknown_sector(self):
-        with pytest.raises(UnknownName):
-            spectral_flow_offset("NSbar")
+        # CharSpec refuses an unknown sector; a record built around its
+        # constructor (_replace) is refused when evaluated
+        spec = CharSpec("massive", 1, F(5, 4), F(1, 2))._replace(sector="NSbar")
+        with pytest.raises(UnknownName, match="no sector 'NSbar'"):
+            superconformal_character(spec, 0.17, 1.2j)

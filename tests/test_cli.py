@@ -272,6 +272,12 @@ class TestSeriesStdoutPinned:
                "cd853022fa4304651915a8966f14f5f45aa9b712be01bc6a6605ea6d28544592"),
         pinned(("pofn", "--n", "200"),
                "90f0e02237253bd7ecdcc19729b99fe995d32bf58b4631d0faf9061d89844d0b"),
+        # the CSV writers of pofn and of rademacher's partials and --per-c
+        # rows, recorded before the four commands shared one writer
+        pinned(("--format", "csv", "pofn", "--n", "200"),
+               "5aba3e10e40d04185e17ae4b15e44e77bf972246d14c5c11c4d4a83132f8e8ba"),
+        pinned(("--format", "csv", "rademacher", "--kind", "k3", "--n", "5", "--c-max", "5,20", "--per-c"),
+               "aedc8f374ba696bffdd6b5bc264d4fb9e758e8e128e7c0de24e304d0141da18e"),
     ])
     def test_series_byte_identical(self, capsys, argv, digest):
         code, out = run(capsys, *argv)

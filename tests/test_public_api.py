@@ -1,6 +1,7 @@
 """The package's public names: `mockforms.__all__`, pinned by submodule."""
 
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,8 @@ import mockforms
 
 PUBLIC = {
     "analytic": {
-        "CharSpec", "FlowOffset", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion",
-        "lerch_difference", "lerch_sum", "nonholomorphic_correction", "spectral_flow_offset",
-        "superconformal_character",
+        "CharSpec", "dedekind_eta", "elliptic_genus", "jacobi_theta", "lerch_completion", "lerch_difference",
+        "lerch_sum", "nonholomorphic_correction", "superconformal_character",
     },
     "characters": {
         "CoeffTable", "coeff_table", "decomposition_residual", "half_period_numerator", "identity_check",
@@ -34,9 +34,33 @@ PUBLIC = {
 }
 
 
+# the records a reached function returns, which no caller needs to name
+RETURNED_RECORDS = {"CoeffTable", "DedekindSumValue", "RademacherPartial", "ShadowCoeff"}
+
+
 def test_all_is_pinned():
-    assert len(mockforms.__all__) == len(set(mockforms.__all__))
+    assert len(mockforms.__all__) == len(set(mockforms.__all__)) == 47
     assert set(mockforms.__all__) == set().union(*PUBLIC.values())
+
+
+def test_every_public_name_is_reached():
+    # A public name earns its place when the CLI, the acceptance gate, the
+    # oracles, the benchmark or another module of the package names it;
+    # one that only unit tests call is surface to delete, not to keep.
+    package = Path(mockforms.__file__).resolve().parent
+    root = package.parents[1]
+    callers = [root / "tests" / "test_acceptance.py", root / "tests" / "oracles.py",
+               *sorted((root / "perfbench").glob("*.py"))]
+    text = {path: path.read_text() for path in callers}
+    modules = {path.stem: path.read_text() for path in package.glob("*.py") if path.stem != "__init__"}
+    unreached = []
+    for module_name, names in PUBLIC.items():
+        others = [body for stem, body in modules.items() if stem != module_name]
+        for name in sorted(names - RETURNED_RECORDS):
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(pattern.search(body) for body in [*text.values(), *others]):
+                unreached.append(name)
+    assert unreached == []
 
 
 def test_each_name_is_its_submodules_object():

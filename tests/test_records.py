@@ -1,4 +1,4 @@
-"""The seven record types: construction, field access, equality, hashing,
+"""The six record types: construction, field access, equality, hashing,
 immutability and repr, as a caller sees them, with the checks each one makes."""
 
 from fractions import Fraction as F
@@ -9,7 +9,6 @@ from mockforms import (
     CharSpec,
     CoeffTable,
     DedekindSumValue,
-    FlowOffset,
     FracExp,
     RademacherPartial,
     ShadowCoeff,
@@ -18,7 +17,6 @@ from mockforms.errors import UnsupportedSpec
 
 # (type, its fields in order with a valid value each, one field changed, hashable)
 RECORDS = [
-    pytest.param(FlowOffset, {"const": F(1, 2), "tau_coeff": F(1, 2)}, {"tau_coeff": F(0)}, True, id="FlowOffset"),
     pytest.param(CharSpec, {"kind": "massive", "k": 1, "h": F(5, 4), "ell": F(1, 2), "sector": "R"},
                  {"sector": "NS"}, True, id="CharSpec"),
     pytest.param(CoeffTable, {"kind": "k3", "values": {1: 90, 2: 462}, "n_max": 2}, {"n_max": 3}, False,
@@ -123,10 +121,3 @@ class TestCharSpecChecks:
     def test_every_unsupported_path(self, args, message):
         with pytest.raises(UnsupportedSpec, match=message):
             CharSpec(*args)
-
-
-def test_flow_offset_inequality_inverts_its_equality():
-    half, tau_half = FlowOffset(F(1, 2), F(0)), FlowOffset(F(0), F(1, 2))
-    assert half == F(1, 2) and not half != F(1, 2) and F(1, 2) == half and not F(1, 2) != half
-    assert half != F(1, 3) and not half == F(1, 3)
-    assert tau_half != F(0) and not tau_half == F(0)

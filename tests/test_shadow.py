@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mockforms import shadow
 from mockforms.analytic import lerch_completion, nonholomorphic_correction
 from mockforms.characters import coeff_table
-from mockforms.errors import UnknownName, ValueOverflow
+from mockforms.errors import ValueOverflow
 from mockforms.qseries import FracExp
 from mockforms.shadow import (
     ShadowCoeff,
@@ -107,17 +107,20 @@ class TestCompletionModularity:
             a, b, c, d = gamma
             assert a * d - b * c == 1 and c % 2 == 0
             gt = (a * t + b) / (c * t + d)
-            lhs = multiplicity_completion(gt, "noncompact")
-            rhs = multiplier_system(gamma) * cmath.sqrt(c * t + d) * multiplicity_completion(t, "noncompact")
+            # the noncompact completion 8 mu_hat(1/2; tau)
+            lhs = 8.0 * lerch_completion(0.5, gt)
+            rhs = multiplier_system(gamma) * cmath.sqrt(c * t + d) * 8.0 * lerch_completion(0.5, t)
             assert abs(lhs - rhs) < 1e-8
 
     def test_holomorphic_side_reproduces_exact_coefficients(self):
-        # adding back the correction term leaves the holomorphic generating
-        # function; at Im tau = 2.5 the successive truncations 2, 2 - 90 q,
-        # 2 - 90 q - 462 q^2 (times q^{-1/8}) reproduce it to the next term's size
+        # the holomorphic generating function 8 sum_w mu(w) over the
+        # half-periods, by three Lerch sums; at Im tau = 2.5 the successive
+        # truncations 2, 2 - 90 q, 2 - 90 q - 462 q^2 (times q^{-1/8})
+        # reproduce it to the next term's size
+        from mockforms.analytic import lerch_sum
         from mockforms.characters import multiplicity_series
         t = 2.5j
-        holo = multiplicity_completion(t) + 12.0 * nonholomorphic_correction(t, "sum")
+        holo = 8.0 * sum(lerch_sum(w, t) for w in (0.5, 0.5 * (1.0 + t), 0.5 * t))
         absq = math.exp(-2 * math.pi * 2.5)
 
         def partial_eval(n_terms):
@@ -129,10 +132,6 @@ class TestCompletionModularity:
         assert abs(holo - partial_eval(2)) < 1e-6
         exact = multiplicity_series("k3", 6).truncate(FracExp.of(F(3) - F(1, 8)))
         assert abs(holo - exact.evaluate(t)) < 1e-6
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownName):
-            multiplicity_completion(1.2j, "ale")
 
     def test_large_imaginary_part(self):
         # the erfc sum overflowed here before its terms were dropped at erfc = 0
@@ -230,7 +229,7 @@ class TestAnomalyEquation:
         from mockforms.shadow import _dbar
         z, t, h = 0.23, 0.1 + 1.2j, 1e-4
         dbar_mu = _dbar(lambda s: lerch_sum(z, s), t, h)
-        dbar_r = _dbar(lambda s: nonholomorphic_correction(s, "sum"), t, h)
+        dbar_r = _dbar(lambda s: nonholomorphic_correction(s), t, h)
         assert abs(dbar_mu) < 1e-5
         assert abs(_dbar(lambda s: lerch_completion(z, s), t, h) + 0.5 * dbar_r) < 1e-5
 
@@ -247,9 +246,8 @@ class TestLaplacianEquation:
     def test_antiholomorphic_control_is_not_annihilated(self):
         # weight-k hyperbolic Laplacians annihilate every holomorphic function,
         # so the negative control must be anti-holomorphic to register
-        control = laplacian_residual(0.3, 0.05 + 1.1j,
-                                     test_fn=lambda s: cmath.exp(2j * math.pi * s.conjugate() / 8))
+        t = 0.05 + 1.1j
+        control = abs(shadow._laplacian(lambda s: cmath.exp(2j * math.pi * s.conjugate() / 8), t, 1e-3))
         assert control > 0.1
-        holomorphic = laplacian_residual(0.3, 0.05 + 1.1j,
-                                         test_fn=lambda s: cmath.exp(-2j * math.pi * s / 8))
+        holomorphic = abs(shadow._laplacian(lambda s: cmath.exp(-2j * math.pi * s / 8), t, 1e-3))
         assert holomorphic < 1e-4
