@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import (
@@ -300,6 +300,14 @@ def dedekind_eta(tau) -> complex:
 def _eta_cubed(t: complex) -> complex:
     log, value = _eta_parts(t)
     return _scaled(3.0 * log, value * value * value)
+
+
+def _eta_cubed_terms(limit: int) -> Iterator[tuple[int, int]]:
+    """Terms (m(m+1)/2, (-1)^m (2m+1)) below q^limit of Jacobi's eta^3 = q^{1/8} sum_m (-1)^m (2m+1) q^{m(m+1)/2}."""
+    m = 0
+    while m * (m + 1) < 2 * limit:
+        yield m * (m + 1) // 2, (2 * m + 1) * (-1) ** m
+        m += 1
 
 
 # -- the non-holomorphic correction -----------------------------------------

@@ -1,32 +1,30 @@
 """Exact multiplicity tables in plain integers.
 
-The generating function of the massive multiplicities is assembled from
-Lambert-type sums at the three half-periods:
+Multiplied by eta^3, each generating function of massive multiplicities is
+an integer-power q-series in closed form.  With Jacobi's
 
-    h_2 = mu(1/2; tau)/eta,  h_3 = mu((1+tau)/2; tau)/eta,  h_4 = mu(tau/2; tau)/eta,
+    P = q^{-1/8} eta^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
 
-each exactly N_label/(eta theta_label) with N_label a Lambert numerator sum.
-The numerators pair the summation index with its reflection so that only
-geometric expansions in positive powers of q occur; for h_2 the fixed point
-n = 0 contributes the exact rational 1/2.  The eta cancels, so
+E_2 = 1 - 24 sum sigma(n) q^n and F = F_2^(2) = sum_{r>s>0, r-s odd} (-1)^r s q^{rs/2},
 
-    Sigma      = 8 eta (h_2 + h_3 + h_4) = 8 sum N_label/theta_label = q^{-1/8} (2 - sum A_n q^n)
-    Sigma^circ = 8 eta h_2               = 8 N_2/theta_10            = q^{-1/8} (2 - sum A_n^circ q^n)
-    Sigma - Sigma^circ                   = 8 (N_3/theta_00 + N_4/theta_01) = -16 q^{-1/8} sum ALE_n q^n
+    k3:           P (2 - sum A_n q^n)      =  2 E_2(tau) - 48 F
+    noncompact:  3P (2 - sum A_n^circ q^n) = -2 E_2(tau) + 8 E_2(2 tau) - 48 F
+    ale:         6P sum ALE_n q^n          =    E_2(2 tau) - E_2(tau) + 12 F
 
-In x = q^{1/2} each quotient is q^{-1/8} times an integer series over a
-monic integer divisor with O(sqrt N) terms,
+The first is eta^3 H = -2 E_2 + 48 F_2^(2) for H = q^{-1/8}(-2 + sum A_n q^n)
+(M. C. N. Cheng, K3 surfaces, N=4 dyons and the Mathieu group M24,
+arXiv:1005.5415).  The second is the 2A-twined H_2A = H/3 - 16 Lambda_2/eta^3,
+Lambda_2 = (2 E_2(2 tau) - E_2(tau))/12 (M. R. Gaberdiel, S. Hohenegger and
+R. Volpato, Mathieu twining characters for K3, arXiv:1006.0221), and the
+third is their difference over 16, ALE_n = (A_n - A_n^circ)/16.
 
-    8 N_2/theta_10 = q^{-1/8} 4 N_2 / T,   T = theta_10/(2 q^{1/8}) = sum_{m>=0} x^{m(m+1)},
-    8 N_l/theta_l  = q^{-1/8} 8 q^{1/8} N_l / theta_l     (l = 3, 4: theta_00, theta_01 in x),
-
-so a table is one sum of quotients per kind, each an integer long division
-on plain lists: labels 2, 3, 4 for "k3", 2 for "noncompact" and 3, 4 for
-"ale".  Nothing is rounded: the odd powers of x must cancel, the leading
-coefficient must be 2 (0 without label 2, since labels 3 and 4 cancel at
-q^{-1/8}) and the ALE sum must divide by 16, or NonIntegralCoefficient is
-raised.  `half_period_numerator` and `multiplicity_series` hand the same
-numbers out as exact `QSeries` for the public series API.
+So a table is one integer list per kind (a divisor sieve and one loop over
+s, shared by all kinds) and one monic long division by P, which has O(sqrt N)
+terms.  Nothing is rounded: the numerator must divide by 3 (noncompact) or 6
+(ale) and the leading coefficient must be 2 (0 for ale), or
+NonIntegralCoefficient is raised.  `multiplicity_series` hands the same
+numbers out as a `QSeries`; `half_period_numerator` expands the Lambert-type
+sums N_label with N_label/theta_label = mu(w; tau), the tests' oracle path.
 """
 
 from __future__ import annotations
@@ -49,9 +47,6 @@ __all__ = [
     "decomposition_residual",
     "identity_check",
 ]
-
-# numerator labels summed into each series
-_QUOTIENTS = {"k3": (2, 3, 4), "noncompact": (2,), "ale": (3, 4)}
 
 
 def _numerator_terms(label: int, limit: int) -> Iterator[tuple[int, int]]:
@@ -91,64 +86,68 @@ def half_period_numerator(label: int, truncation: ExponentLike = DEFAULT_TRUNCAT
     return QSeries._raw(coeffs, trunc)
 
 
-def _quotient(label: int, n_terms: int) -> list[int]:
-    """First n_terms coefficients in x = q^{1/2} of q^{1/8} 8 N_label/theta_label."""
-    # 2 N_2 times 2 over T; 2 N_l times 4 q^{1/8} over theta_00 or theta_01
-    shift, scale = (0, 2) if label == 2 else (3, 4)
-    quot = [0] * n_terms
-    for u, c in _numerator_terms(label, 12 * n_terms - shift):
-        k, off = divmod(u + shift, 12)
-        if off:
-            raise NonIntegralCoefficient(
-                f"numerator term q^({Fraction(u, 24)}) of h_{label} is off the half-step lattice")
-        quot[k] += scale * c
-    if label == 2:  # T = sum_{m>=0} x^{m(m+1)}
-        divisor = [(m * (m + 1), 1) for m in range(1, math.isqrt(n_terms) + 1)]
-    else:  # theta_00, theta_01 = 1 + 2 sum_{n>=1} (+-1)^n x^{n^2}
-        sign = -1 if label == 4 else 1
-        divisor = [(n * n, 2 * sign ** n) for n in range(1, math.isqrt(n_terms) + 1)]
-    # monic long division in place: quot[k] -= sum_j d_j quot[k - j]
-    for k in range(1, n_terms):
-        acc = quot[k]
-        for j, d in divisor:
-            if j > k:
-                break
-            acc -= d * quot[k - j]
-        quot[k] = acc
-    return quot
+def _eisenstein_parts(n_terms: int) -> tuple[list[int], list[int], list[int]]:
+    """The coefficients of q^0, ..., q^{n_terms-1} in E_2(tau), E_2(2 tau) and F_2^(2)."""
+    sigma = [0] * n_terms
+    for d in range(1, n_terms):
+        sigma[d::d] = [v + d for v in sigma[d::d]]
+    e2 = [1] + [-24 * v for v in sigma[1:]]
+    e2_double = [0] * n_terms
+    e2_double[::2] = e2[:(n_terms + 1) // 2]
+    f = [0] * n_terms
+    s = 1
+    while s * (s + 1) < 2 * n_terms:
+        # r = s + 1, s + 3, ...: exponents rs/2 from s(s+1)/2 in steps of s, all with (-1)^r = (-1)^(s+1)
+        c = s if s % 2 else -s
+        f[s * (s + 1) // 2::s] = [v + c for v in f[s * (s + 1) // 2::s]]
+        s += 1
+    return e2, e2_double, f
 
 
-def _sigma(kind: str, n_terms: int) -> list[int]:
-    """s_0, ..., s_{n_terms-1} of Sigma = q^{-1/8} sum s_k x^k, with its invariants checked."""
-    if kind not in _QUOTIENTS:
+# kind -> weights of E_2(tau), E_2(2 tau) and F in the numerator, its divisor, the leading coefficient
+_KINDS = {"k3": (2, 0, -48, 1, 2), "noncompact": (-2, 8, -48, 3, 2), "ale": (-1, 1, 12, 6, 0)}
+
+
+def _eta3_quotient(kind: str, n_terms: int) -> list[int]:
+    """Coefficients of q^0, ..., q^{n_terms-1} of 2 - sum A_n q^n ("k3"), of 2 - sum A_n^circ q^n
+    ("noncompact") or of sum ALE_n q^n ("ale"), by one long division by P, with their invariants checked."""
+    if kind not in _KINDS:
         raise UnknownName(f"no multiplicity series of kind {kind!r}")
     if n_terms < 1:
         raise BeyondTruncation("truncation too small to read off the leading coefficient")
-    sigma = [sum(column) for column in zip(*(_quotient(label, n_terms) for label in _QUOTIENTS[kind]))]
-    for k in range(1, n_terms, 2):
-        if sigma[k]:
-            raise NonIntegralCoefficient(f"unexpected exponent q^({Fraction(12 * k - 3, 24)}) escaped cancellation")
-    leading = 2 if 2 in _QUOTIENTS[kind] else 0
-    if sigma[0] != leading:
-        raise NonIntegralCoefficient(f"coefficient {sigma[0]} at q^(-1/8) is not {leading}")
-    return sigma
+    a, b, c, divisor, leading = _KINDS[kind]
+    quot = []
+    for e2, e2_double, f in zip(*_eisenstein_parts(n_terms)):
+        value, rest = divmod(a * e2 + b * e2_double + c * f, divisor)
+        if rest:
+            raise NonIntegralCoefficient(f"{kind} numerator at q^{len(quot)} is not divisible by {divisor}")
+        quot.append(value)
+    if quot[0] != leading:
+        raise NonIntegralCoefficient(f"{kind} series leads with {quot[0]}, not {leading}")
+    # P is monic: quot[k] -= sum_{e >= 1} p_e quot[k - e], in place
+    divisor_terms = list(analytic._eta_cubed_terms(n_terms))[1:]
+    for k in range(1, n_terms):
+        acc = quot[k]
+        for e, p in divisor_terms:
+            if e > k:
+                break
+            acc -= p * quot[k - e]
+        quot[k] = acc
+    return quot
 
 
 def multiplicity_series(kind: str, truncation: ExponentLike = DEFAULT_TRUNCATION) -> QSeries:
     """The generating function q^{-1/8}(2 - sum A_n q^n), known below truncation - 1/4.
 
-    kind "k3" sums all three half-period quotients N_label/theta_label, kind
-    "noncompact" keeps only the label-2 piece and kind "ale" the label-3 and
-    label-4 pieces, Sigma - Sigma^circ = -16 q^{-1/8} sum ALE_n q^n.  Dividing
-    by theta_10 = 2 q^{1/8}(1 + ...) costs the series q^{1/4} of its
-    truncation.  Every odd power of q^{1/2} must cancel and the leading
-    coefficient must be 2 (0 for "ale"); anything else raises
-    NonIntegralCoefficient.
+    kind "k3" gives the A_n, "noncompact" the A_n^circ and "ale" their
+    difference, -16 q^{-1/8} sum ALE_n q^n.  The q^{1/4} lost is the margin of
+    a division by theta_10 = 2 q^{1/8}(1 + ...), kept so that no series moves.
     """
     trunc = FracExp.of(truncation).units24 - 6
-    # s_k x^k sits at q^{k/2 - 1/8}, i.e. 12k - 3 units: keep the k with 12k - 3 < trunc
-    sigma = _sigma(kind, (trunc + 14) // 12)
-    return QSeries._raw({12 * k - 3: Fraction(c) for k, c in enumerate(sigma)}, trunc)
+    # the q^n term sits at 24n - 3 units: keep the n with 24n - 3 < trunc
+    scale = -16 if kind == "ale" else 1
+    quot = _eta3_quotient(kind, (trunc + 26) // 24)
+    return QSeries._raw({24 * n - 3: Fraction(scale * c) for n, c in enumerate(quot)}, trunc)
 
 
 class CoeffTable(namedtuple("CoeffTable", "kind values n_max")):
@@ -185,14 +184,9 @@ def coeff_table(kind: str, n_max: int, truncation: ExponentLike | None = None) -
     if truncation is not None and FracExp.of(truncation).units24 - 6 <= 24 * n_max - 3:
         raise BeyondTruncation(f"truncation too small to read off n = {n_max}")
 
-    sigma = _sigma(kind, 2 * n_max + 1)
-    scale = 16 if kind == "ale" else 1
-    values = {}
-    for n in range(1, n_max + 1):
-        values[n], rest = divmod(-sigma[2 * n], scale)
-        if rest:
-            raise NonIntegralCoefficient(f"ALE coefficient at n = {n} is not divisible by 16")
-    return CoeffTable(kind, values, n_max)
+    quot = _eta3_quotient(kind, n_max + 1)
+    sign = 1 if kind == "ale" else -1
+    return CoeffTable(kind, {n: sign * quot[n] for n in range(1, n_max + 1)}, n_max)
 
 
 # -- numeric verification -------------------------------------------------

@@ -55,8 +55,7 @@ def _fmt6(x: float) -> str:
 def _emit(args: argparse.Namespace, payload: dict, rows: Iterable[list], out) -> None:
     """JSON dumps payload; CSV writes rows, the header first, floats through _fmt6."""
     if args.fmt != "csv":
-        json.dump(payload, out)
-        out.write("\n")
+        out.write(json.dumps(payload) + "\n")  # dumps takes the C encoder; dump never does
     else:
         writer = csv.writer(out)
         for row in rows:

@@ -2,9 +2,9 @@
 
 Every exponent that occurs in this problem (1/24 from eta, 1/8 from theta
 characteristics and the q^{-1/8} prefactor, half-integers from theta
-constants, integers from Lambert sums) is a multiple of 1/24, so exponents
-are stored as integer counts of 1/24 units and never touch floating point.
-Coefficients are `fractions.Fraction`.
+constants and the Lambert-type sums at the half-periods) is a multiple of
+1/24, so exponents are stored as integer counts of 1/24 units and never
+touch floating point.  Coefficients are `fractions.Fraction`.
 
 The package builds only closed forms and integer data here: eta by Euler's
 pentagonal theorem, the partition numbers (read by `pofn` and the

@@ -33,6 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from .analytic import (
     _completion_walk,
+    _eta_cubed_terms,
     _scaled,
     _tau,
     dedekind_eta,
@@ -89,10 +90,8 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
     if max_exponent < 1:
         raise ValueError("max_exponent must be positive")
     out = dict.fromkeys(range(1, max_exponent + 1, 8), 0)
-    m = 0
-    while (2 * m + 1) ** 2 <= max_exponent:
-        out[(2 * m + 1) ** 2] = 24 * (-1) ** m * (2 * m + 1)
-        m += 1
+    for e, c in _eta_cubed_terms((max_exponent + 7) // 8):  # (2m+1)^2 = 8 e + 1 <= max_exponent
+        out[8 * e + 1] = 24 * c
     return out
 
 

@@ -3,10 +3,12 @@
 Nothing here imports the code paths under test: partitions are counted by
 direct enumeration, products are expanded with plain integer dictionaries,
 and theta/Lerch reference values come from fixed-range summations with no
-adaptive logic.  The one integral, R(tau) as a period integral of eta^3,
-takes eta^3 from Jacobi's series over a fixed range of terms and is the
-only adaptive oracle: the trapezoid rule in log t halves its step until two
-estimates agree to 1e-11 relative.
+adaptive logic.  The exact multiplicity tables come from the Lambert-type
+quotients at the three half-periods, in integer long division.  The one
+integral, R(tau) as a period integral of eta^3, takes eta^3 from Jacobi's
+series over a fixed range of terms and is the only adaptive oracle: the
+trapezoid rule in log t halves its step until two estimates agree to 1e-11
+relative.
 """
 
 from __future__ import annotations
@@ -277,6 +279,97 @@ def decomposition_mismatches(variant: str, weights: dict[int, int], n_max: int) 
     for key, c in qy_product(theta_sq, weight_series, e_max).items():
         rhs[key] = rhs.get(key, 0) + c
     return sorted(key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
+
+
+# -- the tables by Lambert-type quotients ----------------------------------
+#
+# The multiplicity series Sigma = 8 eta (h_2 + h_3 + h_4) = q^{-1/8} (2 - sum A_n q^n)
+# has h_label = N_label/(eta theta_label), with N_label a Lambert-type sum
+# at one of the three half-periods, so Sigma = 8 sum N_label/theta_label.
+# In x = q^{1/2} each quotient is q^{-1/8} times an integer series over a
+# monic divisor: 4 N_2 over T = theta_10/(2 q^{1/8}) = sum_{m>=0} x^{m(m+1)},
+# and 8 q^{1/8} N_l over theta_00, theta_01 (l = 3, 4).  Labels 2, 3, 4 give
+# k3, label 2 alone the noncompact series and labels 3, 4 the ALE series
+# Sigma - Sigma^circ = -16 q^{-1/8} sum ALE_n q^n.  This path never meets
+# E_2, F_2^(2) or eta^3, and every invariant it relies on is checked here:
+# the numerators stay on the half-step lattice, the odd powers of x cancel,
+# the leading coefficient is 2 (0 for ALE) and the ALE sum divides by 16.
+# A break raises ArithmeticError.
+
+LAMBERT_LABELS = {"k3": (2, 3, 4), "noncompact": (2,), "ale": (3, 4)}
+
+
+def lambert_numerator_terms(label: int, limit: int):
+    """Terms (u, c) of 2 N_label = sum c q^{u/24}, u < limit (one u may occur more than once):
+
+    label 2: sum_n q^{n(n+1)/2} / (1 + q^n)            (pairs n <-> -n, n=0 gives 1/2)
+    label 3: sum_n q^{n^2/2 - 1/8} / (1 + q^{n-1/2})   (pairs n <-> 1-n)
+    label 4: sum_n (-1)^n q^{n^2/2 - 1/8} / (1 - q^{n-1/2})
+    """
+    if label == 2:
+        if limit > 0:
+            yield 0, 1
+        m = 1
+        while 12 * m * (m + 1) < limit:  # exponent m(m+1)/2, geometric ratio q^m
+            for j, u in enumerate(range(12 * m * (m + 1), limit, 24 * m)):
+                yield u, 4 * (-1) ** j
+            m += 1
+    else:
+        n = 1
+        while 3 * (4 * n * n - 1) < limit:  # exponent n^2/2 - 1/8, geometric ratio q^{n - 1/2}
+            outer = (-1) ** n if label == 4 else 1
+            for j, u in enumerate(range(3 * (4 * n * n - 1), limit, 12 * (2 * n - 1))):
+                yield u, 4 * outer * (1 if label == 4 else (-1) ** j)
+            n += 1
+
+
+def lambert_quotient(label: int, n_terms: int) -> list[int]:
+    """First n_terms coefficients in x = q^{1/2} of q^{1/8} 8 N_label/theta_label."""
+    # 2 N_2 times 2 over T; 2 N_l times 4 q^{1/8} over theta_00 or theta_01
+    shift, scale = (0, 2) if label == 2 else (3, 4)
+    quot = [0] * n_terms
+    for u, c in lambert_numerator_terms(label, 12 * n_terms - shift):
+        k, off = divmod(u + shift, 12)
+        if off:
+            raise ArithmeticError(f"numerator term q^({Fraction(u, 24)}) of h_{label} is off the half-step lattice")
+        quot[k] += scale * c
+    if label == 2:  # T = sum_{m>=0} x^{m(m+1)}
+        divisor = [(m * (m + 1), 1) for m in range(1, math.isqrt(n_terms) + 1)]
+    else:  # theta_00, theta_01 = 1 + 2 sum_{n>=1} (+-1)^n x^{n^2}
+        sign = -1 if label == 4 else 1
+        divisor = [(n * n, 2 * sign ** n) for n in range(1, math.isqrt(n_terms) + 1)]
+    for k in range(1, n_terms):  # monic long division in place
+        acc = quot[k]
+        for j, d in divisor:
+            if j > k:
+                break
+            acc -= d * quot[k - j]
+        quot[k] = acc
+    return quot
+
+
+def lambert_sigma(kind: str, n_terms: int) -> list[int]:
+    """s_0, ..., s_{n_terms-1} of Sigma = q^{-1/8} sum s_k x^k, with the odd s_k and s_0 checked."""
+    sigma = [sum(column) for column in zip(*(lambert_quotient(label, n_terms) for label in LAMBERT_LABELS[kind]))]
+    for k in range(1, n_terms, 2):
+        if sigma[k]:
+            raise ArithmeticError(f"unexpected exponent q^({Fraction(12 * k - 3, 24)}) escaped cancellation")
+    leading = 2 if 2 in LAMBERT_LABELS[kind] else 0
+    if sigma[0] != leading:
+        raise ArithmeticError(f"coefficient {sigma[0]} at q^(-1/8) is not {leading}")
+    return sigma
+
+
+def lambert_table(kind: str, n_max: int) -> dict[int, int]:
+    """A_n, A_n^circ or ALE_n = (A_n - A_n^circ)/16 for 1 <= n <= n_max, from lambert_sigma."""
+    sigma = lambert_sigma(kind, 2 * n_max + 1)
+    scale = 16 if kind == "ale" else 1
+    values = {}
+    for n in range(1, n_max + 1):
+        values[n], rest = divmod(-sigma[2 * n], scale)
+        if rest:
+            raise ArithmeticError(f"ALE coefficient at n = {n} is not divisible by 16")
+    return values
 
 
 def k3_series_truncation(n: int, c_max: int) -> float:

@@ -1,12 +1,13 @@
 """Exact multiplicity tables and character-decomposition verification."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
 import mockforms
-from mockforms import characters
+from mockforms import analytic, characters
 from mockforms.analytic import lerch_sum
 from mockforms.characters import (
     CoeffTable,
@@ -20,12 +21,38 @@ from mockforms.errors import BeyondTruncation, NonIntegralCoefficient, PoleAtArg
 from mockforms.qseries import FracExp, QSeries, eta_series, theta_constant_series
 from mockforms.rademacher import exact_coefficient
 
-from oracles import decomposition_mismatches
+import oracles
+from oracles import (
+    decomposition_mismatches,
+    lambert_numerator_terms,
+    lambert_sigma,
+    lambert_table,
+    triple_product_coeffs,
+)
 
 F = Fraction
 
 COMPACT_TABLE = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136]
 NONCOMPACT_TABLE = [-6, 14, -28, 42, -56, 86, -138, 188, -238, 336]
+DEEP = 10_000
+
+
+@functools.lru_cache(maxsize=None)
+def deep_table(kind):
+    """coeff_table(kind, DEEP).values, built once for the tests that read it (~0.11 s per kind)."""
+    return coeff_table(kind, DEEP).values
+
+
+def perturb_parts(monkeypatch, change):
+    """Make characters._eisenstein_parts hand its lists (E_2(tau), E_2(2 tau), F) through change first."""
+    exact = characters._eisenstein_parts
+
+    def parts(n_terms):
+        lists = exact(n_terms)
+        change(*lists)
+        return lists
+
+    monkeypatch.setattr(characters, "_eisenstein_parts", parts)
 
 
 def fraction_table(kind, n_max):
@@ -63,6 +90,13 @@ class TestHalfPeriodSeries:
         with pytest.raises(UnknownName):
             half_period_numerator(5, 24)
 
+    def test_numerator_is_the_oracles_lambert_sum(self):
+        for label in (2, 3, 4):
+            halves = {}
+            for u, c in lambert_numerator_terms(label, 24 * 30):
+                halves[FracExp(u)] = halves.get(FracExp(u), 0) + F(c, 2)
+            assert half_period_numerator(label, 30) == QSeries(halves, 30)
+
 
 class TestMultiplicitySeries:
     def test_leading_coefficient(self):
@@ -82,29 +116,54 @@ class TestMultiplicitySeries:
         assert multiplicity_series(kind, t) == 8 * (eta * h)
 
     def test_leading_coefficient_must_be_two(self, monkeypatch):
-        unscaled = characters._numerator_terms
-        monkeypatch.setattr(characters, "_numerator_terms",
-                            lambda label, limit: [(u, 3 * c) for u, c in unscaled(label, limit)])
+        # three times every numerator part divides by 3 but leads with 6
+        def triple(*lists):
+            for part in lists:
+                part[:] = [3 * c for c in part]
+
+        perturb_parts(monkeypatch, triple)
         with pytest.raises(NonIntegralCoefficient, match="not 2"):
             multiplicity_series("noncompact", FracExp(24 * 4))
+        with pytest.raises(NonIntegralCoefficient, match="not 2"):
+            coeff_table("k3", 3)
+
+    def test_ale_leading_coefficient_must_be_zero(self, monkeypatch):
+        # E_2(2 tau) = 7 + ... keeps the ALE numerator divisible by 6, leading with 1
+        perturb_parts(monkeypatch, lambda e2, e2_double, f: e2_double.__setitem__(0, 7))
+        with pytest.raises(NonIntegralCoefficient, match="not 0"):
+            coeff_table("ale", 3)
+
+    def test_noncompact_numerator_must_divide_by_3(self, monkeypatch):
+        # one more at q^5 in E_2(tau) moves the noncompact numerator there by -2
+        perturb_parts(monkeypatch, lambda e2, e2_double, f: e2.__setitem__(5, e2[5] + 1))
+        with pytest.raises(NonIntegralCoefficient, match="noncompact numerator at q\\^5 is not divisible by 3"):
+            coeff_table("noncompact", 6)
+        coeff_table("k3", 6)  # no division there: the k3 numerator stays integral
+
+    def test_ale_numerator_must_divide_by_6(self, monkeypatch):
+        perturb_parts(monkeypatch, lambda e2, e2_double, f: e2.__setitem__(5, e2[5] + 1))
+        with pytest.raises(NonIntegralCoefficient, match="ale numerator at q\\^5 is not divisible by 6"):
+            coeff_table("ale", 6)
+        with pytest.raises(NonIntegralCoefficient, match="not divisible by 6"):
+            multiplicity_series("ale", 8)
 
     def test_odd_half_steps_must_cancel(self, monkeypatch):
-        # without label 4 the odd powers of q^{1/2} from label 3 survive
-        unscaled = characters._numerator_terms
-        monkeypatch.setattr(characters, "_numerator_terms",
+        # the Lambert oracle's check: without label 4 the odd powers of q^{1/2} from label 3 survive
+        unscaled = lambert_numerator_terms
+        monkeypatch.setattr(oracles, "lambert_numerator_terms",
                             lambda label, limit: [] if label == 4 else list(unscaled(label, limit)))
-        with pytest.raises(NonIntegralCoefficient, match=r"q\^\(3/8\) escaped cancellation"):
-            multiplicity_series("k3", FracExp(24 * 4))
-        with pytest.raises(NonIntegralCoefficient, match="escaped cancellation"):
-            coeff_table("k3", 5)
+        with pytest.raises(ArithmeticError, match=r"q\^\(3/8\) escaped cancellation"):
+            lambert_sigma("k3", 8)
+        with pytest.raises(ArithmeticError, match="escaped cancellation"):
+            lambert_table("k3", 5)
 
     def test_numerator_terms_stay_on_the_half_step_lattice(self, monkeypatch):
-        # a term at q^{1/6} has no place in the integer series in q^{1/2}
-        unscaled = characters._numerator_terms
-        monkeypatch.setattr(characters, "_numerator_terms",
+        # the Lambert oracle's check: a term at q^{1/6} has no place in its integer series in q^{1/2}
+        unscaled = lambert_numerator_terms
+        monkeypatch.setattr(oracles, "lambert_numerator_terms",
                             lambda label, limit: [*unscaled(label, limit), *[(4, 1)] * (label == 2)])
-        with pytest.raises(NonIntegralCoefficient, match="off the half-step lattice"):
-            coeff_table("noncompact", 5)
+        with pytest.raises(ArithmeticError, match="off the half-step lattice"):
+            lambert_table("noncompact", 5)
 
     @pytest.mark.parametrize("truncation", [FracExp(3), FracExp(0), FracExp(-24)])
     def test_truncation_below_the_leading_term(self, truncation):
@@ -170,23 +229,18 @@ class TestCoeffTable:
             assert round(exact_coefficient("k3", n, 400).cumulative) == compact.values[n]
 
     def test_ale_difference_must_divide_by_16(self, monkeypatch):
-        # a quarter of the label-3 and label-4 numerators keeps the k3 series
-        # integral and even, but k3 - noncompact is then 4 (A_n - A_n^circ)/16
-        unscaled = characters._numerator_terms
-        monkeypatch.setattr(characters, "_numerator_terms",
+        # the Lambert oracle's check: a quarter of the label-3 and label-4 numerators keeps
+        # the k3 series integral and even, but k3 - noncompact is then 4 (A_n - A_n^circ)/16
+        unscaled = lambert_numerator_terms
+        monkeypatch.setattr(oracles, "lambert_numerator_terms",
                             lambda label, limit: [(u, c if label == 2 else c // 4) for u, c in unscaled(label, limit)])
-        with pytest.raises(NonIntegralCoefficient, match="not divisible by 16"):
-            coeff_table("ale", 3)
+        with pytest.raises(ArithmeticError, match="not divisible by 16"):
+            lambert_table("ale", 3)
 
     def test_ale_is_sixteenth_of_the_two_table_difference(self):
-        # the ALE sum of the label-3 and label-4 quotients against the whole
-        # k3 and noncompact tables subtracted
-        compact, circ = coeff_table("k3", 1000).values, coeff_table("noncompact", 1000).values
-        oracle = {}
-        for n in range(1, 1001):
-            oracle[n], rest = divmod(compact[n] - circ[n], 16)
-            assert rest == 0
-        assert coeff_table("ale", 1000).values == oracle
+        # k3 = noncompact + 16 ALE at every n <= 10 000, three separate divisions by P
+        compact, circ, ale = deep_table("k3"), deep_table("noncompact"), deep_table("ale")
+        assert all(compact[n] == circ[n] + 16 * ale[n] for n in range(1, DEEP + 1))
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownName):
@@ -233,6 +287,25 @@ class TestCoeffTable:
     def test_table_type_fields(self):
         table = coeff_table("k3", 3)
         assert table.kind == "k3" and table.n_max == 3
+
+
+class TestLambertOracle:
+    """The tables against the Lambert-sum oracle (tests/oracles.py), which shares no code with them.
+
+    Every n <= 10 000 of every kind is compared.  Budget: about 1.4 s for the
+    three oracle tables (0.67 s k3, 0.18 s noncompact, 0.49 s ale on Python
+    3.11, 2 CPUs) and 0.33 s for deep_table, which
+    test_ale_is_sixteenth_of_the_two_table_difference shares.
+    """
+
+    def test_eta_cubed_terms_are_the_cube_of_the_euler_product(self):
+        # P = q^{-1/8} eta^3 = prod (1 - q^n)^3, expanded literally
+        expanded = {e: c for e, c in triple_product_coeffs(60).items() if c}
+        assert dict(analytic._eta_cubed_terms(61)) == expanded
+
+    @pytest.mark.parametrize("kind", ["k3", "noncompact", "ale"])
+    def test_every_n_to_10000(self, kind):
+        assert deep_table(kind) == lambert_table(kind, DEEP)
 
 
 class TestDecomposition:
