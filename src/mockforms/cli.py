@@ -22,9 +22,12 @@ would be ignored is a usage error.
 
 argparse does all parsing and range checking (counts, --c-max lists and
 --tolerance, finite and >= 0, are `type=` callables) and picks the
-handler (`set_defaults(handler=...)`); each handler reads the parsed
+handler (`set_defaults(handler=...)`); handlers read only the parsed
 namespace.  `main` adds only the checks that span flags: --tolerance on a
-fixed-bound suite and --format with verify.
+fixed-bound suite and --format with verify.  The parser is built on the
+first call of `main` and reused by every later call in the process: each
+parse makes a fresh namespace and re-applies the defaults, so no call sees
+another's flags.
 
 Nothing is persisted between runs: each series computes its multiplier sums
 in one pass over its moduli and keeps nothing after the call.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -248,12 +252,12 @@ def _suite_kloosterman(tol: float) -> list[tuple[str, float, float]]:
 
     worst_quad = 0.0
     worst_im = 0.0
-    for c in range(1, 26):
-        for n in range(0, 26):
-            worst_quad = max(worst_quad, abs(rademacher.kloosterman_quadratic(n, c) - phase_sum(n, c)))
     for c in range(1, 61):
         for n in range(0, 26):
-            worst_im = max(worst_im, abs(phase_sum(n, c).imag))
+            total = phase_sum(n, c)
+            worst_im = max(worst_im, abs(total.imag))
+            if c <= 25:
+                worst_quad = max(worst_quad, abs(rademacher.kloosterman_quadratic(n, c) - total))
     return [("quadratic_identity", worst_quad, tol), ("realness", worst_im, tol)]
 
 
@@ -336,11 +340,14 @@ def _tolerance(raw: str) -> float:
 
 def _parse_c_max(raw: str) -> list[int]:
     """argparse type: a comma-separated list of distinct positive term counts."""
+    parts = raw.split(",")
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"empty term count in {raw!r}")
     try:
-        values = [int(part) for part in raw.split(",") if part]
+        values = [int(part) for part in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid term count list {raw!r}") from None
-    if not values or any(v < 1 for v in values):
+    if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("term counts must be positive integers")
     # JSON keys the partials by count, so a repeat would print fewer rows than CSV
     if len(set(values)) != len(values):
@@ -348,6 +355,7 @@ def _parse_c_max(raw: str) -> list[int]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mockforms",
                                      description="Exact and Rademacher-type multiplicity tables "

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mockforms import cli
 from mockforms.cli import main
 
 
@@ -115,6 +116,9 @@ class TestCoeffs:
     ("verify", "--tolerance", "nan"),
     ("verify", "--tolerance", "inf"),
     ("verify", "--tolerance", "-1"),
+    ("rademacher", "--n", "2", "--c-max", "5,,20"),
+    ("rademacher", "--n", "2", "--c-max", ",5"),
+    ("rademacher", "--n", "2", "--c-max", "5,"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
@@ -310,6 +314,62 @@ class TestRemovedOptions:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _subprocess_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
+class TestParserReuse:
+    # each argv follows the one before it in one process; a usage error sits
+    # between two valid calls, and a flag given once must not outlive its call
+    SEQUENCE = (
+        ("rademacher", "--n", "2", "--c-max", "5"),
+        ("rademacher", "--n", "2"),
+        ("verify", "--suite", "identities", "--tolerance", "1e-6"),
+        ("verify", "--suite", "identities"),
+        ("--format", "csv", "coeffs", "--kind", "ale", "--n-max", "4", "--entropy"),
+        ("rademacher", "--n", "2", "--c-max", "5,,20"),
+        ("--format", "json", "coeffs", "--kind", "ale", "--n-max", "4", "--entropy"),
+    )
+
+    def test_each_call_equals_a_fresh_process(self, capsys, monkeypatch):
+        # the usage text wraps at the terminal width, so both sides read the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        env = _subprocess_env()
+        for argv in self.SEQUENCE:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            # bytes, so that CSV's \r\n reaches the comparison untranslated
+            alone = subprocess.run([sys.executable, "-m", "mockforms", *argv],
+                                   capture_output=True, env=env, timeout=120)
+            assert (code, captured.out, captured.err) == \
+                (alone.returncode, alone.stdout.decode(), alone.stderr.decode()), argv
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        assert main(["coeffs", "--kind", "k3", "--n-max", "1"]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        assert main(["coeffs", "--kind", "k3", "--n-max", "2"]) == 0
+        assert [row["exact"] for row in json.loads(capsys.readouterr().out)["rows"]] == ["90", "462"]
+
+    def test_import_builds_no_parser(self):
+        script = (
+            f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import argparse\n"
+            "def refuse(self, *args, **kwargs):\n"
+            "    raise AssertionError('import built a parser')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import mockforms.cli\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 def _readme_commands() -> list[str]:
     """The `mockforms ...` lines of the README's command-line block."""
     text = (ROOT / "README.md").read_text()
@@ -339,10 +399,8 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("line", _readme_commands())
     def test_runs_as_a_subprocess(self, line):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
         argv = [sys.executable, "-m", "mockforms", *shlex.split(line)[1:]]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        done = subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env(), timeout=120)
         assert done.returncode == 0
         assert done.stdout.strip()
         assert done.stderr == ""
