@@ -21,16 +21,17 @@ and kloosterman checks; the other suites have fixed bounds.  A flag that
 would be ignored is a usage error.
 
 argparse does all parsing and range checking (counts, --c-max lists and
---tolerance, finite and >= 0, are `type=` callables) and picks the
-handler (`set_defaults(handler=...)`); handlers read only the parsed
-namespace.  `main` adds only the checks that span flags: --tolerance on a
-fixed-bound suite and --format with verify.  The parser is built on the
-first call of `main` and reused by every later call in the process: each
-parse makes a fresh namespace and re-applies the defaults, so no call sees
-another's flags.
+--tolerance, finite and >= 0, are `type=` callables that take plain ASCII
+literals only) and picks the handler (`set_defaults(handler=...)`);
+handlers read only the parsed namespace.  `main` adds only the checks
+that span flags: --tolerance on a fixed-bound suite and --format with
+verify.  The parser is built on the first call of `main` and reused by
+every later call in the process: each parse makes a fresh namespace and
+re-applies the defaults, so no call sees another's flags.
 
 Nothing is persisted between runs: each series computes its multiplier sums
-in one pass over its moduli and keeps nothing after the call.
+in one pass over its moduli, and only the factorisation of each modulus
+(rademacher._crt_frames) outlives the call, for the rest of the process.
 """
 
 from __future__ import annotations
@@ -320,9 +321,22 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# Numeric flags take plain ASCII literals only: int() and float() would also
+# take underscores, surrounding spaces, a "+" and non-ASCII digits.
+_DECIMAL_CHARS = frozenset("0123456789.eE+-")
+
+
+def _is_integer(raw: str) -> bool:
+    """Whether raw is ASCII digits with an optional leading "-"."""
+    digits = raw[1:] if raw[:1] == "-" else raw
+    return digits.isascii() and digits.isdigit()
+
+
 def _at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+    """argparse type: an integer literal no smaller than minimum."""
     def integer(raw: str) -> int:
+        if not _is_integer(raw):
+            raise ValueError(raw)
         value = int(raw)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
@@ -331,8 +345,10 @@ def _at_least(minimum: int):
 
 
 def _tolerance(raw: str) -> float:
-    """argparse type: a finite bound >= 0."""
-    value = float(raw)
+    """argparse type: a finite decimal literal >= 0."""
+    if raw[:1] == "+" or not _DECIMAL_CHARS.issuperset(raw):
+        raise argparse.ArgumentTypeError(f"not a decimal number: {raw!r}")
+    value = float(raw)  # float() rejects what is out of order, such as "1e" or "--1"
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {raw}")
     return value
@@ -343,10 +359,9 @@ def _parse_c_max(raw: str) -> list[int]:
     parts = raw.split(",")
     if not all(parts):
         raise argparse.ArgumentTypeError(f"empty term count in {raw!r}")
-    try:
-        values = [int(part) for part in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid term count list {raw!r}") from None
+    if not all(_is_integer(part) for part in parts):
+        raise argparse.ArgumentTypeError(f"invalid term count list {raw!r}")
+    values = [int(part) for part in parts]
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("term counts must be positive integers")
     # JSON keys the partials by count, so a repeat would print fewer rows than CSV

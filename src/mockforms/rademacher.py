@@ -23,14 +23,20 @@ of the 24 000 sums of the k3 and noncompact series for n <= 30 (400 and
 and the shadow series for n <= 11 (800 moduli).  Euler's criterion tells
 whether a prime power has roots; prime roots are closed forms, one power
 for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
-Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  Per
-modulus that leaves trial division up to each least prime, and one
-modular inverse and one sine or cosine per prime power when no prime of c
-divides 1 - 8n, instead of phi(c) exact Dedekind sums.  The sums are
-exactly real, returned as floats, and agree with a sum over the roots
-within rounding, not bit for bit.  The series, the shadow series and the
+Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  What
+does not depend on n, the factorisation of mc = 4c (12c for partitions)
+and one modular inverse per prime power, is found on a modulus's first
+use in the process and kept in _crt_frames, keyed by mc, for as long as
+the process lives: about 310 bytes per modulus (tracemalloc), 370 KB for
+the 1200 moduli of a k3 series at c_max = 1200.  4 (3c) = 12c, so the
+partition series and the others share keys.  Per modulus and series that
+leaves one sine or cosine per prime power when no prime of c divides
+1 - 8n, instead of phi(c) exact Dedekind sums.  The sums are exactly
+real, returned as floats, and agree with a sum over the roots within
+rounding, not bit for bit.  The series, the shadow series and the
 partition-number series (12c, whose 3-part carries (d/3)) each call the
-kernel once and memoise nothing between calls; kloosterman_quadratic and
+kernel once, keep only those frames between calls and take no Bessel
+factor for an empty sum; kloosterman_quadratic and
 partition_multiplier_sum are the kernel on one modulus, and
 kloosterman_sum memoises kloosterman_quadratic per (c, n mod c) in
 DEFAULT_CACHE, a plain dict that lives as long as the process.
@@ -238,6 +244,30 @@ def _prime_power_roots(a: int, p: int, e: int) -> list[int] | None:
     return [ph * (z + t * q) % pe for z in (y, q - y) for t in range(ph)]
 
 
+# The n-independent part of the kernel, mc -> (q2, (mc/q2)^{-1} mod q2,
+# ((q, p, e, (mc/q)^{-1} mod q) for each odd prime power q = p^e of mc, p
+# ascending)), with q2 the 2-part of mc.  Empty at import and filled by
+# _crt_frame on a modulus's first use.
+_crt_frames: dict[int, tuple[int, int, tuple[tuple[int, int, int, int], ...]]] = {}
+
+
+def _crt_frame(mc: int) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
+    """Factor mc by trial division up to each least prime, store its frame in _crt_frames and return it."""
+    q2 = mc & -mc
+    rest, p, parts = mc // q2, 3, []
+    while rest > 1:
+        while rest % p and p * p <= rest:
+            p += 2
+        if rest % p:
+            p = rest
+        q, e, rest = p, 1, rest // p
+        while rest % p == 0:
+            q, e, rest = q * p, e + 1, rest // p
+        parts.append((q, p, e, pow(mc // q, -1, q)))
+    frame = _crt_frames[mc] = (q2, pow(mc // q2, -1, q2), tuple(parts))
+    return frame
+
+
 def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
     """P(c) for each c of moduli, in order: sum_{x mod mc, x^2 = a (mod 2mc)} chi(x) e(x/mc) = i^s P(c).
 
@@ -252,43 +282,35 @@ def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
     - any other p^e gives sum_y cos(2 pi y w / p^e) over its roots y, one
       2 cos per pair +-y.
     Each angle is reduced to [-pi, pi], so a factor does not depend on
-    which root of a pair +-y stands for it.  One memo per call, p^e -> the
-    roots y < p^e / 2 or None, serves every c; a c with a rootless part
-    gives 0.0 before any sine is taken.
+    which root of a pair +-y stands for it.  The parts and their w come
+    from _crt_frames.  One memo per call, p^e -> the roots y < p^e / 2 or
+    None, serves every c; a c with a rootless part gives 0.0 before any
+    sine is taken.
     """
     sin, cos, tau = math.sin, math.cos, 2 * math.pi
     r, bound = 1, 8  # r^2 = a (mod bound), lifted a bit at a time as the moduli need
     memo: dict[int, list[int] | None] = {}
+    frames = _crt_frames
     products = []
     for c in moduli:
         mc = m * c
-        q2 = mc & -mc
-        rest, p, parts = mc // q2, 3, []
-        while rest > 1:  # trial division up to each least prime
-            while rest % p and p * p <= rest:
-                p += 2
-            if rest % p:
-                p = rest
-            q, e, rest = p, 1, rest // p
-            while rest % p == 0:
-                q, e, rest = q * p, e + 1, rest // p
+        q2, w2, parts = frames.get(mc) or _crt_frame(mc)
+        for q, p, e, _ in parts:
             if q not in memo:
                 roots = _prime_power_roots(a, p, e)
                 memo[q] = None if roots is None else [y for y in roots if 2 * y < q]
             if memo[q] is None:
                 products.append(0.0)
                 break
-            parts.append(q)
         else:
             while bound <= q2:  # r or r + bound/2 is a root mod 2 bound
                 if (r * r - a) & (2 * bound - 1):
                     r += bound >> 1
                 bound <<= 1
-            k = r * pow(mc // q2, -1, q2) % q2
+            k = r * w2 % q2
             value = (2.0 if r & 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q2 else k - q2) / q2)
-            for q in parts:
-                w = pow(mc // q, -1, q)
-                if m == 12 and q % 3 == 0:
+            for q, p, _, w in parts:
+                if m == 12 and p == 3:
                     [t] = memo[q]
                     k = t * w % q
                     value *= (2.0 if t % 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q else k - q) / q)
@@ -385,7 +407,8 @@ def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
     pref = 4.0 * math.pi / (8.0 * n - 1.0) ** 0.25
     root = math.pi * math.sqrt(8.0 * n - 1.0)
     moduli = _moduli(kind, c_max)
-    terms = [(c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman)
+    # an empty sum is its own term: pref / c I_{1/2} > 0 keeps the sign of the zero
+    terms = [(c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman if kloosterman else kloosterman)
              for c, kloosterman in zip(moduli, _quadratic_sums(n, moduli))]
     return RademacherPartial(n, kind, terms, math.fsum(t for _, t in terms))
 
@@ -446,4 +469,4 @@ def rademacher_partition(n: int, c_max: int = 20) -> float:
     root = math.pi * math.sqrt(24.0 * n - 1.0)
     moduli = range(1, c_max + 1)
     return math.fsum(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum
-                     for c, dsum in zip(moduli, _partition_sums(n, moduli)))
+                     for c, dsum in zip(moduli, _partition_sums(n, moduli)) if dsum)

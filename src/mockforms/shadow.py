@@ -75,7 +75,7 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     root = math.pi * math.sqrt(8.0 * n + 1.0)
     moduli = range(1, c_max + 1)
     terms = [4.0 * math.pi / c * bessel_j_half(root / (2.0 * c)) * kloosterman
-             for c, kloosterman in zip(moduli, _quadratic_sums(-n, moduli))]
+             for c, kloosterman in zip(moduli, _quadratic_sums(-n, moduli)) if kloosterman]
     value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
     return ShadowCoeff(n=n, c_max=c_max, value=value)
 

@@ -119,12 +119,37 @@ class TestCoeffs:
     ("rademacher", "--n", "2", "--c-max", "5,,20"),
     ("rademacher", "--n", "2", "--c-max", ",5"),
     ("rademacher", "--n", "2", "--c-max", "5,"),
+    # only plain ASCII literals: no underscores, spaces, "+" or other digits
+    ("rademacher", "--n", "1_0"),
+    ("rademacher", "--n", "2", "--c-max", " 1_0"),
+    ("rademacher", "--n", "2", "--c-max", "5,+20"),
+    ("coeffs", "--kind", "k3", "--n-max", "\uff15"),
+    ("coeffs", "--kind", "k3", "--n-max", " 5"),
+    ("pofn", "--n", "\u0663"),
+    ("shadow", "--c-max", "+5"),
+    ("verify", "--tolerance", "1_0"),
+    ("verify", "--tolerance", " 1e-9"),
+    ("verify", "--tolerance", "\uff11e-9"),
+    ("verify", "--tolerance", "1e999"),
+    ("verify", "--tolerance", "+1e-9"),
+    ("verify", "--tolerance", "1e-"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+
+def test_negative_counts_keep_their_range_message(capsys):
+    assert main(["coeffs", "--kind", "k3", "--n-max", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --n-max: must be >= 1, got -5" in captured.err
+
+
+@pytest.mark.parametrize("raw, value", [("1e-9", 1e-9), ("0", 0.0), (".5", 0.5), ("2.", 2.0), ("3E+2", 300.0)])
+def test_tolerance_takes_decimal_literals(raw, value):
+    assert cli._tolerance(raw) == value
 
 
 class TestRademacher:

@@ -3,7 +3,10 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,6 +494,86 @@ class TestSeriesKernel:
                 expected = dict(zip(ascending, _multiplier_products(a, ascending, m)))
                 for order in (list(reversed(ascending)), shuffled):
                     assert dict(zip(order, _multiplier_products(a, order, m))) == expected, (a, m)
+
+
+
+def no_frames(mc):
+    raise AssertionError(f"a frame for mc = {mc} was built twice")
+
+
+class TestCrtFrames:
+    """The kernel's n-independent data per modulus mc, kept in rademacher._crt_frames."""
+
+    def test_import_leaves_the_frames_empty(self):
+        # the same cold start perfbench/child.py checks for DEFAULT_CACHE and
+        # _phase_rows; checked in a fresh interpreter, not this one
+        src = str(Path(rademacher.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms; "
+                "from mockforms import rademacher; print(len(rademacher._crt_frames))")
+        result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0"]
+
+    def test_frames_factor_each_modulus(self, monkeypatch):
+        monkeypatch.setattr(rademacher, "_crt_frames", {})
+        exact_coefficient("k3", 11, 300)
+        rademacher_partition(37, 100)
+        frames = rademacher._crt_frames
+        assert set(frames) == {4 * c for c in range(1, 301)} | {12 * c for c in range(1, 101)}
+        for mc, (q2, w2, parts) in frames.items():
+            assert q2 == mc & -mc and w2 * (mc // q2) % q2 == 1
+            assert [(p, e) for _, p, e, _ in parts] == odd_prime_powers(mc)
+            for q, p, e, w in parts:
+                assert q == p ** e and w * (mc // q) % q == 1
+
+    def test_second_series_builds_no_frame(self, monkeypatch):
+        # every frame a series needs was built by the first series over the
+        # same moduli, whatever its n
+        monkeypatch.setattr(rademacher, "_crt_frames", {})
+        first = (exact_coefficient("k3", 11, 400), exact_coefficient("noncompact", 5, 400),
+                 shadow.shadow_coefficient(3, 400), rademacher_partition(37, 200))
+        monkeypatch.setattr(rademacher, "_crt_frame", no_frames)
+        again = (exact_coefficient("k3", 11, 400), exact_coefficient("noncompact", 5, 400),
+                 shadow.shadow_coefficient(3, 400), rademacher_partition(37, 200))
+        assert again == first
+        exact_coefficient("k3", 29, 400)
+        shadow.shadow_coefficient(10, 400)
+        rademacher_partition(150, 200)
+
+    def test_warm_frames_give_the_cold_sums(self, monkeypatch):
+        # 4 (3c) = 12c: a frame the partition kernel built serves the k3
+        # kernel at 3c, and the other way round, with == sums
+        moduli = range(1, 201)
+        tripled = [3 * c for c in moduli]
+        cold = {}
+        for n in (1, 2, 11, 37):
+            monkeypatch.setattr(rademacher, "_crt_frames", {})
+            cold["partition", n] = _partition_sums(n, moduli)
+            monkeypatch.setattr(rademacher, "_crt_frames", {})
+            cold["k3", n] = _quadratic_sums(n, tripled)
+        monkeypatch.setattr(rademacher, "_crt_frames", {})
+        _partition_sums(5, moduli)
+        with monkeypatch.context() as patched:
+            patched.setattr(rademacher, "_crt_frame", no_frames)
+            for n in (1, 2, 11, 37):
+                assert _quadratic_sums(n, tripled) == cold["k3", n], n
+        monkeypatch.setattr(rademacher, "_crt_frames", {})
+        _quadratic_sums(5, tripled)
+        monkeypatch.setattr(rademacher, "_crt_frame", no_frames)
+        for n in (1, 2, 11, 37):
+            assert _partition_sums(n, moduli) == cold["partition", n], n
+
+    def test_single_modulus_calls_equal_the_pass(self, monkeypatch):
+        moduli = list(range(1, 121)) + list(DEEP_MODULI)
+        for n in range(-11, 31):
+            monkeypatch.setattr(rademacher, "_crt_frames", {})
+            quadratic, partition = _quadratic_sums(n, moduli), _partition_sums(n, moduli)
+            assert [kloosterman_quadratic(n, c) for c in moduli] == quadratic, n  # warm
+            assert [partition_multiplier_sum(n, c) for c in moduli] == partition, n
+            for k, c in enumerate(moduli):
+                monkeypatch.setattr(rademacher, "_crt_frames", {})  # cold
+                assert kloosterman_quadratic(n, c) == quadratic[k], (n, c)
+                monkeypatch.setattr(rademacher, "_crt_frames", {})
+                assert partition_multiplier_sum(n, c) == partition[k], (n, c)
 
 
 def p_adic_valuation(a: int, p: int, e: int) -> int:
