@@ -1,39 +1,42 @@
 """Double-precision complex evaluation of the analytic objects.
 
-theta_00 and the completion mu_hat are evaluated at the SL2(Z)-reduced
+theta_00, eta and the completion mu_hat are evaluated at the SL2(Z)-reduced
 point: _reduce walks tau into |Re tau| <= 1/2, |tau| >= 1, the transformation
 laws carry the value there (for mu_hat: Zwegers, Mock Theta Functions,
 arXiv:0807.4834, Prop. 1.4, Prop. 1.5 and Thm. 1.11), z goes into the period
 parallelogram, and the direct sums run where a few terms converge, so the
-cost does not depend on Im tau.  Jacobi thetas, the level-1 massive
-character q^{h-3/8} theta_10(z)^2 / eta^3 built on them, and eta
-(q^{1/24} theta_00((tau+1)/2; 3 tau), Jacobi's triple product) are theta_00
-at shifted arguments.  Large or small factors travel as (log, value) pairs,
-whose rounding grows as Im tau falls (theta_00 is good to ~1e-13 relative
-at Im tau = 1e-3, ~1e-9 at 1e-5); a value past a double raises
-ValueOverflow.  Only the massless sum forms' q-series and R are still summed
-at tau.  The half-integer Bessel closed forms live in rademacher, next to
-the series that use them.
+cost does not depend on Im tau.  Each public call walks once and hands the
+word of _reduce to every evaluation it makes.  Jacobi thetas, and the
+level-1 massive character q^{h-3/8} theta_10(z)^2 / eta^3 built on them,
+are theta_00 at shifted arguments; eta follows its own law along the word
+(e^{i pi n/12} per translation by n, 1/sqrt(-i s) per inversion s -> -1/s)
+to the pentagonal series at the reduced point.  Large or small factors
+travel as (log, value) pairs, whose rounding grows as Im tau falls
+(theta_00 is good to ~4e-14 relative at Im tau = 1e-3, ~2e-11 at 1e-5); a
+value past a double raises ValueOverflow.  Only the massless sum forms'
+q-series and R are still summed at tau.  The half-integer Bessel closed
+forms live in rademacher, next to the series that use them.
 
-The two kernels every evaluation ends in run at the reduced point, where a
-few terms settle, and form each term from the one before it by a running
-ratio, one complex multiply instead of one exp: the theta_00 sum and the
-Lerch sum.  The Lerch sum mu = q^{-1/8} A / S sums the Appell series A and
-S = sum_n t_n, which is theta_11(z) up to the factor i q^{1/8} y^{1/2}, in
-one loop over one chain of t_n, so it needs no theta_11 of its own.  The
-massless sum forms' q-series and R, which run at tau itself with tens to
-thousands of terms, keep one exp per term: recurrence rounding grows with
-the term index.
+Every kernel forms each term from the one before it by a running ratio,
+one complex multiply instead of one exp: the theta_00 sum, the Lerch sum,
+R's phase and the massless sum forms' q-series.  The Lerch sum
+mu = q^{-1/8} A / S sums the Appell series A and S = sum_n t_n, which is
+theta_11(z) up to the factor i q^{1/8} y^{1/2}, in one loop over one chain
+of t_n, so it needs no theta_11 of its own.
 
-Truncation policy: a series stops once two consecutive terms fall below 1e-18
-of the running sum (_settle, or the same test inline in R's loop; the
-theta_00 kernel tests a pair of terms at a time, the Lerch kernel the Appell
-term and t_n together), so results are deterministic.  A series whose term
-budget runs out raises QuadratureNonConvergence, never a truncated sum.
-Every pole guard is relative and raises PoleAtArgument: a theta_11 (the
-massless sum forms' denominator theta_11(2z) too) below 1e-10 of its largest
-term at the reduced point, or a denominator within 1e-10 of zero relative to
-its larger part.
+Truncation policy: theta_00, the Lerch sum and R sum a term count taken
+from a bound on their tail (_theta_count, _lerch_count, _correction_count),
+which puts the whole tail below TAIL_EPS = 1e-18; the docstrings derive
+each bound.  Counts depend on Im tau alone, so results are deterministic
+and no term is tested.  The massless sum forms run at tau itself, where no
+closed-form count is sharp, and stop once two consecutive terms fall below
+1e-18 of the running sum (_settle).  A series whose term budget runs out
+(R past MAX_TERMS terms, or a massless sum that does not settle) raises
+QuadratureNonConvergence, never a truncated sum.  Every pole guard is
+relative and raises PoleAtArgument: a theta_11 (the massless sum forms'
+denominator theta_11(2z) too) below 1e-10 of its largest term at the
+reduced point, or a denominator within 1e-10 of zero relative to its
+larger part.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -46,6 +49,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     PoleAtArgument,
@@ -71,7 +75,8 @@ __all__ = [
 TAIL_EPS = 1e-18
 POLE_EPS = 1e-10
 MAX_TERMS = 100_000
-_GAUSS_CUT = -2.0 * math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CUT
+_TAIL_LOG = -math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS past x = _TAIL_LOG
+_GAUSS_CUT = 2.0 * _TAIL_LOG  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CUT
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
@@ -90,17 +95,25 @@ def _reduce(t: complex) -> list[tuple[int, complex]]:
     """The SL2(Z) word that carries tau into |Re tau| <= 1/2, |tau| >= 1.
 
     Each step (n, s) translates the current point by -n to s; every step but
-    the last then inverts, tau -> -1/s.  The last s is the reduced point.
-    The 1e-9 slack on |tau| >= 1 stops the walk cycling at the corners.
+    the last then inverts, tau -> -1/s.  The last s is the reduced point,
+    where Im s >= sqrt(3)/2.  The 1e-9 slack on |tau| >= 1 stops the walk
+    cycling at the corners.
+
+    After an inversion the next s is -1/s - n = -(1 + n s)/s, with
+    1 + n Re s formed in exact integers and rounded once: near a cusp
+    -1/s - n cancels to far below -1/s, and a rounded -1/s would leave s
+    with an absolute error of eps |1/s|, which every transformation law
+    along the word would carry.
     """
-    steps = []
-    while True:
-        n = math.floor(t.real + 0.5)
-        t -= n
+    n = math.floor(t.real + 0.5)
+    t -= n  # exact: t.real and n are within 1/2 of each other
+    steps = [(n, t)]
+    while abs(t) < 1.0 - 1e-9:
+        n = math.floor((-1.0 / t).real + 0.5)
+        num, den = t.real.as_integer_ratio()
+        t = -complex((den + n * num) / den, n * t.imag) / t
         steps.append((n, t))
-        if abs(t) >= 1.0 - 1e-9:
-            return steps
-        t = -1.0 / t
+    return steps
 
 
 def _lattice_point(w: complex, t: complex) -> tuple[complex, int]:
@@ -169,30 +182,47 @@ def _budget(floor: int, needed: float, what: str, v: float) -> int:
     return budget
 
 
-def _outward(summand, rate: float, v: float, what: str) -> complex:
-    """summand(0) plus the terms m = +-1, +-2, ..., settled in each direction.
+def _outward(center: complex, chain, rate: float, v: float, what: str) -> complex:
+    """center plus the terms chain(1) (m = 1, 2, ...) and chain(-1) (m = -1, -2, ...), settled in each direction.
 
     Each direction gets the terms it takes the Gaussian factor e^{-rate m^2}
     to fall below TAIL_EPS^2, at least 200; the square leaves room for
-    denominators, which lift a term by up to 1/(2 pi Im tau)^2.
+    denominators, which lift a term by up to 1/(2 pi Im tau)^2.  A sum that
+    overflowed on the way raises ValueOverflow.
     """
     budget = _budget(200, math.sqrt(_GAUSS_CUT / rate), what, v)
-    total = summand(0)
+    total = center
     for direction in (1, -1):
-        total = _settle(total, map(summand, range(direction, (budget + 1) * direction, direction)), what)
+        total = _settle(total, islice(chain(direction), budget), what)
+    if not cmath.isfinite(total):
+        raise ValueOverflow(f"{what} exceeds the range of a double at Im tau = {v:.3g}")
     return total
 
 
 # -- theta functions -----------------------------------------------------
 
 
-def _theta00_sum(z: complex, t: complex) -> complex:
-    """sum_n exp(i pi (tau n^2 + 2 n z)), summed outward from n = 0.
+def _theta_count(v: float) -> int:
+    """N such that the theta_00 sum over |n| < N leaves a tail below TAIL_EPS.
 
-    For |Im z| <= Im tau / 2 no term is larger than the n = 0 term, 1, so
-    the terms only shrink from there on.  Each term is the one before it
-    times a running ratio: with q = e^{2 pi i tau}, term n + 1 is term n
-    times e^{i pi (tau + 2z)} q^n (and with -z for -n), and the ratio itself
+    For |Im z| <= Im tau / 2 = v / 2, term n of theta_00(z; tau) has modulus
+    e^{-pi v n^2 - 2 pi n Im z} <= e^{-pi v (n^2 - |n|)}.  Past N the bound
+    falls by a factor e^{-2 pi v n} <= e^{-2 pi v} per step, so both tails
+    together are below 2 e^{-pi v (N^2 - N)} / (1 - e^{-2 pi v}), which is
+    at most TAIL_EPS once pi v (N^2 - N) >= _TAIL_LOG + log(2 / (1 - e^{-2 pi v})).
+    At the reduced point (v >= sqrt(3)/2) that is N = 5.
+    """
+    need = (_TAIL_LOG + math.log(-2.0 / math.expm1(-2.0 * math.pi * v))) / (math.pi * v)
+    return math.ceil(0.5 + math.sqrt(0.25 + need))
+
+
+def _theta00_sum(z: complex, t: complex) -> complex:
+    """sum_{|n| < N} exp(i pi (tau n^2 + 2 n z)) for |Im z| <= Im tau / 2, N from _theta_count.
+
+    No term is larger than the n = 0 term, 1, so the sum is in units of its
+    largest term.  Each term is the one before it times a running ratio:
+    with q = e^{2 pi i tau}, term n + 1 is term n times
+    e^{i pi (tau + 2z)} q^n (and with -z for -n), and the ratio itself
     gains a factor q per step.  Every factor is at most 1 in modulus, so a
     product can underflow to 0, where the true term is negligible, but never
     overflow.
@@ -202,20 +232,13 @@ def _theta00_sum(z: complex, t: complex) -> complex:
     b = cmath.exp(1j * math.pi * (t - 2.0 * z))
     ratio_a, ratio_b = a * q, b * q
     total = 1.0 + 0j
-    small_streak = 0
-    for _ in range(10_000):  # unreachable for finite arguments
+    for _ in range(_theta_count(t.imag) - 1):
         total += a + b
-        if abs(a) + abs(b) <= TAIL_EPS * (1.0 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
         a *= ratio_a
         b *= ratio_b
         ratio_a *= q
         ratio_b *= q
-    raise QuadratureNonConvergence("theta series did not settle")
+    return total
 
 
 def _theta00_argument(label: str, z: complex, t: complex) -> tuple[complex, complex]:
@@ -245,15 +268,14 @@ def _theta_direct(z: complex, t: complex) -> tuple[complex, complex]:
     return log, _theta00_sum(w, t)
 
 
-def _theta_parts(label: str, z: complex, t: complex) -> tuple[complex, complex]:
+def _theta_parts(label: str, z: complex, t: complex, steps: list) -> tuple[complex, complex]:
     """(log, value) with theta_label(z; tau) = exp(log) * value, summed at the reduced tau.
 
-    Along the word of _reduce: theta_00(z; tau + n) = theta_00(z + n/2; tau),
+    steps is _reduce(tau).  Along it: theta_00(z; tau + n) = theta_00(z + n/2; tau),
     and, with z first reduced mod the lattice of tau,
     theta_00(z; tau) = sqrt(i/tau) e^{-i pi z^2/tau} theta_00(z/tau; -1/tau).
     """
     log, w = _theta00_argument(label, z, t)
-    steps = _reduce(t)
     for n, s in steps[:-1]:
         w, more = _theta_lattice(w + 0.5 * (n % 2), s)
         log += more + 0.5 * cmath.log(1j / s) - 1j * math.pi * w * w / s
@@ -272,33 +294,52 @@ def jacobi_theta(label: str, z, tau) -> complex:
     point (see _theta_parts); raises ValueOverflow when |theta| exceeds the
     range of a double.
     """
-    return _scaled(*_theta_parts(label, complex(z), _tau(tau)))
+    t = _tau(tau)
+    return _scaled(*_theta_parts(label, complex(z), t, _reduce(t)))
 
 
-def _theta11_of_2z(z: complex, t: complex) -> tuple[complex, complex]:
+def _theta11_of_2z(z: complex, t: complex, steps: list) -> tuple[complex, complex]:
     """theta_11(2z) as (log, value), the denominator of the massless sum forms.
 
     Raises PoleAtArgument where value, in units of its largest term, is tiny.
     """
-    log, value = _theta_parts("11", 2.0 * z, t)
+    log, value = _theta_parts("11", 2.0 * z, t, steps)
     if abs(value) < POLE_EPS:
         raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
     return log, value
 
 
-def _eta_parts(t: complex) -> tuple[complex, complex]:
-    """(log, value) of eta(tau) = sum_n (-1)^n q^{(6n+1)^2/24} = q^{1/24} theta_00((tau + 1)/2; 3 tau)."""
-    log, value = _theta_parts("00", 0.5 * (t + 1.0), 3.0 * t)
-    return log + 1j * math.pi * t / 12.0, value
+def _eta_parts(steps: list) -> tuple[complex, complex]:
+    """(log, value) of eta(tau) = exp(log) * value, with steps = _reduce(tau).
+
+    Along the word: eta(tau + n) = e^{i pi n/12} eta(tau) and
+    eta(-1/s) = sqrt(-i s) eta(s).  At the reduced point tau',
+    eta = q'^{1/24} sum_k (-1)^k q'^{k(3k-1)/2} (Euler's pentagonal series)
+    = q'^{1/24} (1 - q' - q'^2 + q'^5 + q'^7 - ...); |q'| <= e^{-pi sqrt 3},
+    so the next term, q'^12, is below e^{-12 pi sqrt 3} ~ 4e-29.
+    """
+    log, shift = 0j, 0
+    for n, s in steps[:-1]:
+        shift += n
+        log -= 0.5 * cmath.log(-1j * s)
+    n, t_red = steps[-1]
+    q = cmath.exp(2j * math.pi * t_red)
+    q2 = q * q
+    q5 = q2 * q2 * q
+    value = 1.0 - q - q2 + q5 + q5 * q2
+    # the translations' phases as one integer mod 24, in [-12, 12), so the
+    # log's imaginary part stays small and rounds once
+    shift = (shift + n + 12) % 24 - 12
+    return log + 1j * math.pi * (shift + t_red) / 12.0, value
 
 
 def dedekind_eta(tau) -> complex:
-    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), evaluated as theta_00 at the reduced point."""
-    return _scaled(*_eta_parts(_tau(tau)))
+    """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), by its modular law from the reduced point."""
+    return _scaled(*_eta_parts(_reduce(_tau(tau))))
 
 
 def _eta_cubed(t: complex) -> complex:
-    log, value = _eta_parts(t)
+    log, value = _eta_parts(_reduce(t))
     return _scaled(3.0 * log, value * value * value)
 
 
@@ -313,6 +354,26 @@ def _eta_cubed_terms(limit: int) -> Iterator[tuple[int, int]]:
 # -- the non-holomorphic correction -----------------------------------------
 
 
+def _correction_count(v: float) -> int:
+    """The number of terms R is summed over at Im tau = v.
+
+    With scale = sqrt(2 pi v), term m has modulus b_m = 2 erfc(x) e^{x^2/2}
+    at x = x_m = (m + 1/2) scale, and erfc(x) <= e^{-x^2} / (x sqrt(pi))
+    gives b_m <= 2 e^{-x^2/2} / sqrt(pi) for x >= 1.  From one bound to the
+    next the factor is at most e^{-scale^2 (m + 1)} <= e^{-scale}, so the
+    terms past m = M add up to at most b_M / (1 - e^{-scale}).  That is
+    below TAIL_EPS once x_M reaches x* with
+    x*^2 / 2 = _TAIL_LOG + log(2 / (sqrt(pi) (1 - e^{-scale}))), x* ~ 9.1,
+    i.e. for M >= x* / scale - 1/2.  At least the first term is summed: it
+    dominates where R is tiny (large Im tau).  At the reduced point
+    (v >= sqrt(3)/2) the count is 4; it grows like x* / scale, and past
+    MAX_TERMS (v below ~1.6e-9) raises QuadratureNonConvergence.
+    """
+    scale = math.sqrt(2.0 * math.pi * v)
+    cut = math.sqrt(2.0 * (_TAIL_LOG + math.log(-2.0 / (math.sqrt(math.pi) * math.expm1(-scale)))))
+    return _budget(1, cut / scale - 0.5, "non-holomorphic correction sum", v)
+
+
 def nonholomorphic_correction(tau) -> complex:
     """The non-holomorphic partner R of the Lerch sum.
 
@@ -320,38 +381,51 @@ def nonholomorphic_correction(tau) -> complex:
 
         2 sum_{m>=0} (-1)^m erfc((m+1/2) sqrt(2 pi v)) e^{-i pi tau (m+1/2)^2},
 
-    real on the imaginary axis.  Term m has modulus 2 erfc(x) e^{x^2/2} with
-    x = (m + 1/2) sqrt(2 pi v), below 1e-18 by x ~ 9, so the sum gets
-    max(400, 10 / sqrt(2 pi v)) terms; past 100 000 (Im tau below ~1.6e-9)
-    it raises QuadratureNonConvergence instead of summing.  The tests check
-    it against the period integral
+    real on the imaginary axis.  It is summed over _correction_count(v)
+    terms, and the phase of term m is the one before it times
+    e^{-2 pi i tau m}.  The tests check R against the period integral
     (1/sqrt(i)) int_{-conj(tau)}^{i inf} eta(x)^3 / sqrt(x + tau) dx
     (tests/oracles.py, correction_period_integral).
     """
     t = _tau(tau)
-    v = t.imag
-    what = "non-holomorphic correction sum"
-    scale = math.sqrt(2.0 * math.pi * v)
-    budget = _budget(400, 10.0 / scale, what, v)
-    total, sign, phase = 0j, 2.0, -1j * math.pi * t
-    small_streak = 0
-    for m in range(budget):
-        k = m + 0.5
-        amp = math.erfc(k * scale)
-        # an erfc that underflowed to 0 leaves a term below e^{-351}
-        term = sign * amp * cmath.exp(phase * k * k) if amp else 0j
-        total += term
-        if abs(term) <= TAIL_EPS * (1.0 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-        sign = -sign
-    raise QuadratureNonConvergence(f"{what} did not settle")
+    scale = math.sqrt(2.0 * math.pi * t.imag)
+    count = _correction_count(t.imag)
+    amp = math.erfc(0.5 * scale)
+    if not amp:
+        # an erfc that underflowed to 0 leaves every term below e^{-351}
+        return 0j
+    phase = cmath.exp(-0.25j * math.pi * t)
+    total = 2.0 * amp * phase
+    if count > 1:  # then Im tau < 6, and no power of the ratio overflows
+        ratio = step = cmath.exp(-2j * math.pi * t)
+        sign = 2.0
+        for m in range(1, count):
+            phase *= ratio
+            ratio *= step
+            sign = -sign
+            total += sign * math.erfc((m + 0.5) * scale) * phase
+    return total
 
 
 # -- Lerch sum and its completion -------------------------------------------
+
+
+def _lerch_count(v: float) -> int:
+    """K such that K steps of each chain of _lerch_direct leave tails below TAIL_EPS.
+
+    With 0 <= Im z <= v / 2 = Im tau / 2, step k of the n >= 0 chain has
+    |u| = |t_k| <= e^{-pi v k (k+1)} and, past k = 0, a denominator
+    |1 - q^k y| >= 1 - e^{-2 pi v}; step k of the n < 0 chain has
+    |u| = |t_{-k-2}| <= e^{-pi v k (k+2)} and |1 - q^{k+1} / y| >= 1 - e^{-pi v}.
+    So no denominator vanishes past n = 0, every term past K - 1 is below
+    e^{-pi v k (k+1)} / (1 - e^{-pi v}), the bounds fall by at least
+    e^{-2 pi v} per step, and the four tails (A and S, two chains) stay
+    below TAIL_EPS once pi v K (K+1) >= _TAIL_LOG + log(2 / ((1 - e^{-pi v}) (1 - e^{-2 pi v}))).
+    At the reduced point (v >= sqrt(3)/2) that is K = 4.
+    """
+    pv = math.pi * v
+    need = (_TAIL_LOG + math.log(2.0 / (math.expm1(-pv) * math.expm1(-2.0 * pv)))) / pv
+    return math.ceil(math.sqrt(0.25 + need) - 0.5)
 
 
 def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
@@ -372,49 +446,37 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
 
     since t_n / (1 - q^n y) = t_{n-1} / (1 - q^{-n} / y).  The chains start
     at t_0 = 1 and t_{-2} = q/y^2, and each step multiplies u by -r after r
-    gains a factor q.  Together they run over every t_n but t_{-1}, so
-    S = -1/y + C with C the sum of the chain, and
-    mu = q^{-1/8} y A / (y C - 1): y stays in the log, so a y that
-    underflows costs neither A nor the result's scale.  The starting values
-    y, q/y and q/y^2 are one exp each.  Raises PoleAtArgument where a
-    denominator 1 - r is within POLE_EPS of zero, or |S| is below POLE_EPS
-    of its largest term.
+    gains a factor q; each runs _lerch_count(Im tau) steps.  Together they
+    run over every t_n but t_{-1}, so S = -1/y + C with C the sum of the
+    chain, and mu = q^{-1/8} y A / (y C - 1): y stays in the log, so a y
+    that underflows costs neither A nor the result's scale.  The starting
+    values y, q/y and q/y^2 are one exp each.  Raises PoleAtArgument where
+    the one denominator that can vanish, 1 - y at n = 0, is within POLE_EPS
+    of zero, or |S| is below POLE_EPS of its largest term.
     """
     z = _lattice_point(z, t)[0]
     if z.imag < 0:
         z = -z
-    budget = _budget(200, math.sqrt(_GAUSS_CUT / (math.pi * t.imag)), "Lerch sum", t.imag)
     q = cmath.exp(2j * math.pi * t)
     y = cmath.exp(2j * math.pi * z)
+    if abs(1.0 - y) < POLE_EPS:
+        raise PoleAtArgument(f"Lerch denominator vanishes at n = 0, z = {z}")
+    steps = range(_lerch_count(t.imag))
     appell, chain = 0j, 0j
-    for n0, step, u, r in ((0, 1, 1.0 + 0j, y),
-                           (-1, -1, cmath.exp(2j * math.pi * (t - 2.0 * z)), cmath.exp(2j * math.pi * (t - z)))):
-        small_streak, eps = 0, TAIL_EPS
-        for k in range(budget):
-            den = 1.0 - r
-            if abs(den) < POLE_EPS:
-                raise PoleAtArgument(f"Lerch denominator vanishes at n = {n0 + step * k}, z = {z}")
-            term = u / den
-            appell += term
+    for u, r in ((1.0 + 0j, y), (cmath.exp(2j * math.pi * (t - 2.0 * z)), cmath.exp(2j * math.pi * (t - z)))):
+        for _ in steps:
+            appell += u / (1.0 - r)
             chain += u
-            if abs(term) <= eps * (1.0 + abs(appell)) and abs(u) <= eps * (1.0 + abs(chain)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
             r *= q
             u *= -r
-        else:
-            raise QuadratureNonConvergence("Lerch sum did not settle")
     theta = y * chain - 1.0  # y S
     if abs(theta) < POLE_EPS:
         raise PoleAtArgument(f"theta_11 vanishes at z = {z}")
     return 2j * math.pi * (z - 0.125 * t), appell / theta
 
 
-def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]:
-    """(factor, z', tau') with mu_hat(z; tau) = factor * mu_hat(z'; tau') and tau' reduced.
+def _completion_walk(z: complex, steps: list) -> tuple[complex, complex, complex]:
+    """(factor, z', tau') with mu_hat(z; tau) = factor * mu_hat(z'; tau'), steps = _reduce(tau).
 
     mu_hat(z; tau + n) = e^{-i pi n/4} mu_hat(z; tau), mu_hat is invariant
     under z -> z + 1 and z -> z + tau, and
@@ -422,7 +484,6 @@ def _completion_walk(z: complex, t: complex) -> tuple[complex, complex, complex]
     (Zwegers, Mock Theta Functions, Thm. 1.11, at u = v).
     """
     factor = 1.0 + 0j
-    steps = _reduce(t)
     for n, s in steps[:-1]:
         factor *= -cmath.exp(-0.25j * math.pi * (n % 8)) * cmath.sqrt(1j / s)
         z = _lattice_point(z, s)[0] / s
@@ -435,6 +496,14 @@ def _completion_direct(z: complex, t: complex) -> complex:
     return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t)
 
 
+def _lerch(z: complex, t: complex, steps: list) -> complex:
+    """mu(z; tau) with steps = _reduce(tau): see lerch_sum."""
+    if steps == [(0, t)]:  # tau is reduced already
+        return _scaled(*_lerch_direct(z, t))
+    factor, z_red, t_red = _completion_walk(z, steps)
+    return factor * _completion_direct(z_red, t_red) + 0.5 * nonholomorphic_correction(t)
+
+
 def lerch_sum(z, tau) -> complex:
     """The Appell/Lerch sum
 
@@ -445,11 +514,8 @@ def lerch_sum(z, tau) -> complex:
     domain, else computed as lerch_completion + R(tau)/2.  Raises
     PoleAtArgument when z sits on the period lattice.
     """
-    z = complex(z)
     t = _tau(tau)
-    if _reduce(t) != [(0, t)]:
-        return lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t)
-    return _scaled(*_lerch_direct(z, t))
+    return _lerch(complex(z), t, _reduce(t))
 
 
 def lerch_completion(z, tau) -> complex:
@@ -457,7 +523,7 @@ def lerch_completion(z, tau) -> complex:
 
     Evaluated by the direct sums at the reduced point (see _completion_walk).
     """
-    factor, z, t = _completion_walk(complex(z), _tau(tau))
+    factor, z, t = _completion_walk(complex(z), _reduce(_tau(tau)))
     return factor * _completion_direct(z, t)
 
 
@@ -467,8 +533,6 @@ def lerch_completion(z, tau) -> complex:
 # z-offsets (const, tau_coeff) of the sectors under spectral flow, NS
 # unshifted: NS~ adds 1/2, R adds tau/2, R~ adds (1 + tau)/2
 _FLOW = {"NS": (0.0, 0.0), "NStilde": (0.5, 0.0), "R": (0.0, 0.5), "Rtilde": (0.5, 0.5)}
-
-_QUARTER, _HALF = Fraction(1, 4), Fraction(1, 2)
 
 
 class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
@@ -483,83 +547,132 @@ class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
     __slots__ = ()
 
     def __new__(cls, kind: str, k: int, h: Fraction, ell: Fraction, sector: str = "Rtilde"):
-        h, ell = Fraction(h), Fraction(ell)
+        if type(h) is not Fraction:
+            h = Fraction(h)
+        if type(ell) is not Fraction:
+            ell = Fraction(ell)
         if kind not in ("massless_sum_form", "massless_mu_form", "massive"):
             raise UnsupportedSpec(f"unknown character kind {kind!r}")
         if sector not in SECTORS:
             raise UnsupportedSpec(f"unknown sector {sector!r}")
         if k != 1:
             raise UnsupportedSpec(f"only level k = 1 is supported, not {k}")
+        # Fractions are in lowest terms with a positive denominator, so each
+        # comparison with 1/4, 1/2 or 0 is one of numerator and denominator
+        half = ell.numerator == 1 and ell.denominator == 2
         if kind == "massive":
-            if not h > _QUARTER:
+            if not 4 * h.numerator > h.denominator:
                 raise UnsupportedSpec("massive representations need h > 1/4")
-            if ell != _HALF:
+            if not half:
                 raise UnsupportedSpec("massive isospin must be 1/2")
         else:
-            if h != _QUARTER:
+            if not (h.numerator == 1 and h.denominator == 4):
                 raise UnsupportedSpec("massless representations need h = 1/4")
-            if ell not in (0, _HALF):
+            if not (half or ell.numerator == 0):
                 raise UnsupportedSpec("massless isospin must be 0 or 1/2")
         return super().__new__(cls, kind, k, h, ell, sector)
 
 
-def _theta_sq_over_eta3(label: str, z: complex, t: complex) -> tuple[complex, complex]:
-    """(log, value) with theta_label(z)^2 / eta^3 = exp(log) * value."""
-    th_log, th = _theta_parts(label, z, t)
-    eta_log, eta = _eta_parts(t)
+def _theta_sq_over_eta3(label: str, z: complex, t: complex, steps: list) -> tuple[complex, complex]:
+    """(log, value) with theta_label(z)^2 / eta^3 = exp(log) * value, steps = _reduce(tau)."""
+    th_log, th = _theta_parts(label, z, t, steps)
+    eta_log, eta = _eta_parts(steps)
     return 2.0 * th_log - 3.0 * eta_log, th * th / (eta * eta * eta)
 
 
-def _massless_compact_sum(z: complex, t: complex) -> complex:
+def _compact_chain(g: complex, ratio: complex, u: complex, sign: float, q: complex, q4: complex,
+                   z: complex) -> Iterator[complex]:
+    """sign * g_k (1 + u_k) / (1 - u_k) for k = 1, 2, ...: g_{k+1} = g_k ratio_k, ratio_{k+1} = ratio_k q^4, u_{k+1} = u_k q."""
+    while True:
+        den = 1.0 - u
+        if abs(den) < POLE_EPS * max(1.0, abs(u)):
+            raise PoleAtArgument(f"massless denominator vanishes at z = {z}")
+        yield sign * g * (1.0 + u) / den
+        g *= ratio
+        ratio *= q4
+        u *= q
+
+
+def _massless_compact_sum(z: complex, t: complex, steps: list) -> complex:
     """Printed one-variable form of the level-1, isospin-0 massless character
     (the tilded-Ramond sector): prefactor i theta_11(z)^2 / (theta_11(2z) eta^3)
     times sum_m q^{2m^2} e^{8 pi i m z} (1 + e^{2 pi i z} q^m)/(1 - e^{2 pi i z} q^m).
-    """
-    def summand(m: int) -> complex:
-        y_qm = cmath.exp(1j * math.pi * (2.0 * z + 2.0 * t * m))
-        den = 1.0 - y_qm
-        if abs(den) < POLE_EPS * max(1.0, abs(y_qm)):
-            raise PoleAtArgument(f"massless denominator vanishes at m = {m}, z = {z}")
-        return cmath.exp(1j * math.pi * (4.0 * t * m * m + 8.0 * m * z)) * (1.0 + y_qm) / den
 
-    total = _outward(summand, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
-    th2_log, th2 = _theta11_of_2z(z, t)
-    log, value = _theta_sq_over_eta3("11", z, t)
+    With y = e^{2 pi i z}, the m-th term's Gaussian factor q^{2m^2} y^{4m}
+    gains q^2 y^4 q^{4m} from m to m + 1 (y^{-4} for the step from -m to
+    -m - 1).  The terms m < 0 are written with u = y^{-1} q^{-m}, as
+    -(1 + u)/(1 - u), so that u shrinks along the chain.
+    """
+    i_pi = 1j * math.pi
+    q = cmath.exp(2.0 * i_pi * t)
+    q4 = cmath.exp(8.0 * i_pi * t)
+
+    def chain(direction: int) -> Iterator[complex]:
+        z_dir = direction * z
+        return _compact_chain(cmath.exp(i_pi * (4.0 * t + 8.0 * z_dir)), cmath.exp(i_pi * (12.0 * t + 8.0 * z_dir)),
+                              cmath.exp(i_pi * (2.0 * t + 2.0 * z_dir)), float(direction), q, q4, z)
+
+    y = cmath.exp(2.0 * i_pi * z)
+    den = 1.0 - y
+    if abs(den) < POLE_EPS * max(1.0, abs(y)):
+        raise PoleAtArgument(f"massless denominator vanishes at m = 0, z = {z}")
+    total = _outward((1.0 + y) / den, chain, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
+    th2_log, th2 = _theta11_of_2z(z, t, steps)
+    log, value = _theta_sq_over_eta3("11", z, t, steps)
     return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
-def _massless_half_sum(w: complex, t: complex) -> complex:
+def _half_chain(num: complex, ratio: complex, u: complex, q: complex, q4: complex,
+                w: complex) -> Iterator[complex]:
+    """num_k / (1 + u_k)^2 for k = 1, 2, ...: num_{k+1} = num_k ratio_k, ratio_{k+1} = ratio_k q^4, u_{k+1} = u_k q."""
+    while True:
+        den = 1.0 + u
+        if abs(den) < POLE_EPS:
+            raise PoleAtArgument(f"massless denominator vanishes at w = {w}")
+        yield num / (den * den)
+        num *= ratio
+        ratio *= q4
+        u *= q
+
+
+def _massless_half_sum(w: complex, t: complex, steps: list) -> complex:
     """Ramond-sector massless character of isospin 1/2, evaluated literally at argument w:
 
         (i / theta_11(2w)) (theta_10(w)^2 / eta^3)
         sum_{eps=+-1} sum_m eps e^{4 pi i eps w (2m + 1/2)}
                       q^{2m^2 + m} / (1 + e^{-2 pi i eps w} q^{-m})^2
 
-    Other sectors are reached by shifting w.  Terms with m > 0 are rewritten
-    to keep q^{-m} out of the numerator.
+    Other sectors are reached by shifting w.  With Y = e^{2 pi i eps w},
+    term m = -k <= 0 is eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2, and
+    term m = k > 0 is rewritten to keep q^{-k} out of the denominator:
+    eps Y^{4k+3} q^{2k^2+3k} / (1 + Y q^k)^2.  Along k both numerators gain
+    a ratio that gains q^4 per step, and the denominators' variable parts a
+    factor q.
     """
-    def pair(m: int) -> complex:
-        out = 0j
-        for eps in (1, -1):
-            q_exp = 2 * m * m + m
-            osc = 4.0 * eps * w * (2 * m + 0.5)
-            if m <= 0:
-                den = 1.0 + cmath.exp(1j * math.pi * (-2.0 * eps * w - 2.0 * t * m))
-                if abs(den) < POLE_EPS:
-                    raise PoleAtArgument(f"massless denominator vanishes at m = {m}")
-                out += eps * cmath.exp(1j * math.pi * (2.0 * t * q_exp + osc)) / (den * den)
-            else:
-                # (1 + e^{-2 pi i eps w} q^{-m})^2 = e^{-4 pi i eps w} q^{-2m} (1 + e^{2 pi i eps w} q^m)^2
-                u = cmath.exp(1j * math.pi * (2.0 * eps * w + 2.0 * t * m))
-                den = 1.0 + u
-                if abs(den) < POLE_EPS:
-                    raise PoleAtArgument(f"massless denominator vanishes at m = {m}")
-                out += eps * cmath.exp(1j * math.pi * (2.0 * t * (q_exp + 2 * m) + osc + 4.0 * eps * w)) / (den * den)
-        return out
+    i_pi = 1j * math.pi
+    q = cmath.exp(2.0 * i_pi * t)
+    q4 = cmath.exp(8.0 * i_pi * t)
 
-    total = _outward(pair, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
-    th2_log, th2 = _theta11_of_2z(w, t)
-    log, value = _theta_sq_over_eta3("10", w, t)
+    def one_eps(eps: float, direction: int) -> Iterator[complex]:
+        x = 2.0 * eps * w  # Y = e^{i pi x}
+        if direction > 0:
+            return _half_chain(eps * cmath.exp(i_pi * (10.0 * t + 7.0 * x)), cmath.exp(i_pi * (18.0 * t + 4.0 * x)),
+                               cmath.exp(i_pi * (2.0 * t + x)), q, q4, w)
+        return _half_chain(eps * cmath.exp(i_pi * (2.0 * t - 3.0 * x)), cmath.exp(i_pi * (10.0 * t - 4.0 * x)),
+                           cmath.exp(i_pi * (2.0 * t - x)), q, q4, w)
+
+    def chain(direction: int) -> Iterator[complex]:
+        return map(complex.__add__, one_eps(1.0, direction), one_eps(-1.0, direction))
+
+    center = 0j
+    for eps in (1.0, -1.0):
+        den = 1.0 + cmath.exp(-2.0 * i_pi * eps * w)
+        if abs(den) < POLE_EPS:
+            raise PoleAtArgument(f"massless denominator vanishes at m = 0, w = {w}")
+        center += eps * cmath.exp(2.0 * i_pi * eps * w) / (den * den)
+    total = _outward(center, chain, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
+    th2_log, th2 = _theta11_of_2z(w, t, steps)
+    log, value = _theta_sq_over_eta3("10", w, t, steps)
     return _scaled(log - th2_log, 1j * value / th2 * total)
 
 
@@ -574,6 +687,7 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     """
     z = complex(z)
     t = _tau(tau)
+    steps = _reduce(t)
 
     def shifted(base: str) -> complex:
         try:
@@ -587,17 +701,17 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
         if spec.ell != 0:
             raise UnsupportedSpec("the Lerch form is the isospin-0 massless character")
         w = shifted("Rtilde")
-        log, value = _theta_sq_over_eta3("11", w, t)
-        return _scaled(log, value * lerch_sum(w, t))
+        log, value = _theta_sq_over_eta3("11", w, t, steps)
+        return _scaled(log, value * _lerch(w, t, steps))
 
     if spec.kind == "massless_sum_form":
         if spec.ell == 0:
-            return _massless_compact_sum(shifted("Rtilde"), t)
-        return _massless_half_sum(shifted("R"), t)
+            return _massless_compact_sum(shifted("Rtilde"), t, steps)
+        return _massless_half_sum(shifted("R"), t, steps)
 
     # massive
     w = shifted("R")
-    log, value = _theta_sq_over_eta3("10", w, t)
+    log, value = _theta_sq_over_eta3("10", w, t, steps)
     h = spec.h
     # h - 3/8 as one correctly rounded int / int division, no Fraction arithmetic
     return _scaled(log + 2j * math.pi * t * ((8 * h.numerator - 3 * h.denominator) / (8 * h.denominator)), value)
@@ -606,9 +720,9 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
 # -- elliptic genera and the two-argument kernel ------------------------------
 
 
-def _theta_quotient_sq(label: str, z: complex, t: complex) -> complex:
-    num_log, num = _theta_parts(label, z, t)
-    den_log, den = _theta_parts(label, 0j, t)
+def _theta_quotient_sq(label: str, z: complex, t: complex, steps: list) -> complex:
+    num_log, num = _theta_parts(label, z, t, steps)
+    den_log, den = _theta_parts(label, 0j, t, steps)
     return _scaled(2.0 * (num_log - den_log), (num / den) ** 2)
 
 
@@ -620,9 +734,10 @@ def elliptic_genus(variant: str, z, tau) -> complex:
     """
     z = complex(z)
     t = _tau(tau)
-    pair = _theta_quotient_sq("00", z, t) + _theta_quotient_sq("01", z, t)
+    steps = _reduce(t)
+    pair = _theta_quotient_sq("00", z, t, steps) + _theta_quotient_sq("01", z, t, steps)
     if variant == "k3":
-        return 8.0 * (_theta_quotient_sq("10", z, t) + pair)
+        return 8.0 * (_theta_quotient_sq("10", z, t, steps) + pair)
     if variant == "decompactified":
         return 8.0 * pair
     raise UnknownName(f"no elliptic genus variant {variant!r}")
@@ -646,8 +761,9 @@ def lerch_difference(z, w, tau) -> complex:
     """
     z, w = complex(z), complex(w)
     t = _tau(tau)
-    log, value = _theta_sq_over_eta3("11", z, t)
-    factor, z_red, t_red = _completion_walk(z, t)
-    w_red = _completion_walk(w, t)[1]
+    steps = _reduce(t)
+    log, value = _theta_sq_over_eta3("11", z, t, steps)
+    factor, z_red, t_red = _completion_walk(z, steps)
+    w_red = _completion_walk(w, steps)[1]
     mu_log, mu = _difference(_lerch_direct(z_red, t_red), _lerch_direct(w_red, t_red))
     return _scaled(log + mu_log, value * factor * mu)

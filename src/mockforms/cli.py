@@ -245,17 +245,18 @@ def _suite_kloosterman(tol: float) -> list[tuple[str, float, float]]:
     import cmath
 
     # The series compute the multiplier sums in their quadratic form; check it
-    # against the Dedekind-phase form sum_d e^{-3 pi i s(d,c) + 2 pi i d n / c}.
-    def phase_sum(n: int, c: int) -> complex:
-        terms = [phase * cmath.exp(2j * math.pi * ((d * n) % c) / c)
-                 for d, phase in rademacher.multiplier_phases(c)]
+    # against the Dedekind-phase form sum_d e^{-3 pi i s(d,c) + 2 pi i d n / c},
+    # with e^{2 pi i k / c} from one table of c-th roots of unity per modulus.
+    def phase_sum(n: int, c: int, roots: list[complex]) -> complex:
+        terms = [phase * roots[(d * n) % c] for d, phase in rademacher.multiplier_phases(c)]
         return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
     worst_quad = 0.0
     worst_im = 0.0
     for c in range(1, 61):
+        roots = [cmath.exp(2j * math.pi * k / c) for k in range(c)]
         for n in range(0, 26):
-            total = phase_sum(n, c)
+            total = phase_sum(n, c, roots)
             worst_im = max(worst_im, abs(total.imag))
             if c <= 25:
                 worst_quad = max(worst_quad, abs(rademacher.kloosterman_quadratic(n, c) - total))

@@ -34,6 +34,7 @@ from fractions import Fraction
 from .analytic import (
     _completion_walk,
     _eta_cubed_terms,
+    _reduce,
     _scaled,
     _tau,
     dedekind_eta,
@@ -112,7 +113,7 @@ def multiplicity_completion(tau) -> complex:
     with the exact multiplicities A_n; ten terms leave a tail below 1.0e-20
     (|q'| <= e^{-pi sqrt 3}), far below the 2 they are subtracted from.
     """
-    factor, _, t_red = _completion_walk(0j, _tau(tau))
+    factor, _, t_red = _completion_walk(0j, _reduce(_tau(tau)))
     q = cmath.exp(2j * math.pi * t_red)
     series = 0j
     for a in reversed(_A_HEAD):

@@ -219,6 +219,24 @@ class TestEta:
         ref = eta_product_fixed(t)
         assert abs(dedekind_eta(t) - ref) <= 1e-12 * abs(ref)
 
+    # eta at small Im tau, where the walk to the reduced point is longest.
+    # Reference values: mpmath at 120 digits, the pentagonal series summed
+    # literally (the same 20 digits with 20 % more terms, and from mp.eta),
+    # at the exact binary values of the double inputs:
+    #     mp.mp.dps = 120
+    #     t = mp.mpc(0.3, 1e-3)
+    #     mp.fsum((-1) ** k * mp.exp(2j * mp.pi * t * mp.mpf((6 * k - 1) ** 2) / 24) for k in range(-1800, 1801))
+    # (600 terms a side at Im tau = 1e-2, 5800 at 1e-4).  The bounds are three
+    # times the error measured when they were set (1.9e-16, 3.0e-15, 8.7e-14;
+    # eta as theta_00 at 3 tau read 1.1e-15, 3.4e-14, 3.9e-12).
+    @pytest.mark.parametrize("t, expected, bound", [
+        (0.3 + 1e-2j, 2.428138663409732785 + 0.18676759010263128699j, 3 * 1.9e-16),
+        (0.3 + 1e-3j, 0.72724183240258745864 + 0.057235173484363949629j, 3 * 3.0e-15),
+        (0.3 + 1e-4j, 1.3454147933424631556e-10 + 1.0588644062700274988e-11j, 3 * 8.7e-14),
+    ], ids=("im_tau_1e-2", "im_tau_1e-3", "im_tau_1e-4"))
+    def test_small_im_tau_against_high_precision(self, t, expected, bound):
+        assert abs(dedekind_eta(t) - expected) <= bound * abs(expected)
+
 
 class TestLerchSum:
     def test_even_in_z(self):
@@ -244,7 +262,8 @@ class TestLerchSum:
             lerch_sum(0.0, 1.2j)
 
     def test_off_domain_where_correction_needs_773_terms(self):
-        # Im tau = 2e-5: R(tau) settles only after 773 terms
+        # Im tau = 2e-5: R(tau) is summed over 856 terms (it settled after 773
+        # when it stopped adaptively)
         z, t = 0.23 + 0.11j, 0.3 + 2e-5j
         assert lerch_sum(z, t) == lerch_completion(z, t) + 0.5 * nonholomorphic_correction(t)
 
@@ -278,8 +297,8 @@ class TestNonholomorphicCorrection:
         for t in (0.3 + 1e-10j, 1e-12j):
             with pytest.raises(QuadratureNonConvergence):
                 nonholomorphic_correction(t)
-        # these need 773 and 1093 terms, past the budget's 400-term floor;
-        # cut off at 400 they sit 3.0e-5 and 6.4e-3 from the period integral
+        # these take 856 and 1215 terms; cut off at 400 they sit 3.0e-5 and
+        # 6.4e-3 from the period integral
         for t in (0.3 + 2e-5j, 0.3 + 1e-5j):
             assert abs(nonholomorphic_correction(t) - correction_period_integral(t)) < 1e-10
         # at Im tau = 1e-3 the sum settles and agrees with the integral
@@ -430,6 +449,41 @@ class TestCharacters:
         b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
         assert abs(a - b) <= 1e-9 * abs(b) + math.exp(log_rounding)
 
+    # Both massless sum forms at small Im tau, z = 0.13 + 0.2 i Im tau, the
+    # isospin-1/2 form in the Ramond sector (its literal argument is z).
+    # Reference values: mpmath at 120 digits, every theta, eta and q-series
+    # summed literally (the same 20 digits with 20 % more terms), at the exact
+    # binary values of the double inputs:
+    #     mp.mp.dps = 120
+    #     z, t, h = mp.mpc(0.13, 2e-4), mp.mpc(0.3, 1e-3), mp.mpf(1) / 2
+    #     theta = lambda c, w: mp.fsum(mp.exp(1j * mp.pi * (t * (k + c) ** 2 + 2 * (k + c) * w))
+    #                                  for k in range(-1800, 1801))
+    #     eta = mp.fsum((-1) ** k * mp.exp(2j * mp.pi * t * mp.mpf((6 * k - 1) ** 2) / 24)
+    #                   for k in range(-1800, 1801))
+    #     y, q = mp.exp(2j * mp.pi * z), mp.exp(2j * mp.pi * t)
+    #     compact = 1j * theta(h, z + h) ** 2 / (theta(h, 2 * z + h) * eta ** 3) * mp.fsum(
+    #         q ** (2 * m * m) * y ** (4 * m) * (1 + y * q ** m) / (1 - y * q ** m) for m in range(-450, 451))
+    #     half = 1j * theta(h, z) ** 2 / (theta(h, 2 * z + h) * eta ** 3) * mp.fsum(
+    #         e * mp.exp(4j * mp.pi * e * z * (2 * m + h)) * q ** (2 * m * m + m)
+    #         / (1 + mp.exp(-2j * mp.pi * e * z) * q ** -m) ** 2 for e in (1, -1) for m in range(-450, 451))
+    # (600 and 150 at Im tau = 1e-2, 5800 and 1400 at 1e-4).  The bounds are
+    # three times the error measured when they were set (compact 3.6e-15,
+    # 1.3e-14, 2.1e-13; half 3.8e-15, 1.9e-14, 1.2e-13).
+    @pytest.mark.parametrize("ell, t, expected, bound", [
+        (0, 0.3 + 1e-2j, -0.67693873355378411294 - 0.74902426313091206764j, 3 * 3.6e-15),
+        (0, 0.3 + 1e-3j, -36.187063778348984655 - 44.808757287261097149j, 3 * 1.3e-14),
+        (0, 0.3 + 1e-4j, -8.9459510978679841813e21 - 1.0946163650957133748e22j, 3 * 2.1e-13),
+        (F(1, 2), 0.3 + 1e-2j, 1.1022111988071402207 + 2.2615022420921036329j, 3 * 3.8e-15),
+        (F(1, 2), 0.3 + 1e-3j, 56.110551101390001665 + 76.520108639320978829j, 3 * 1.9e-14),
+        (F(1, 2), 0.3 + 1e-4j, 1.4039952333203288244e22 + 1.8786414982280339937e22j, 3 * 1.2e-13),
+    ], ids=("compact_im_tau_1e-2", "compact_im_tau_1e-3", "compact_im_tau_1e-4",
+            "half_im_tau_1e-2", "half_im_tau_1e-3", "half_im_tau_1e-4"))
+    def test_sum_forms_small_im_tau(self, ell, t, expected, bound):
+        sector = "Rtilde" if ell == 0 else "R"
+        got = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), ell, sector),
+                                       complex(0.13, 0.2 * t.imag), t)
+        assert abs(got - expected) <= bound * abs(expected)
+
     def test_sum_form_settles_below_im_tau_8e_5(self):
         # the sum form's budget follows Im tau; a fixed 200 terms ran out here
         z, t = 0.23 + 1.8e-5j, 0.3 + 6e-5j
@@ -562,6 +616,51 @@ class TestLerchDifference:
         assert abs(mu_difference - (lerch_sum(z, t) - lerch_sum(w, t))) <= 1e-9 * scale
 
 
+# Each public entry point with a valid call, and the walks it may take
+ONE_WALK = {
+    "jacobi_theta": lambda t: jacobi_theta("01", 0.2, t),
+    "dedekind_eta": dedekind_eta,
+    "lerch_sum": lambda t: lerch_sum(0.2 + 0.1 * t.imag * 1j, t),
+    "lerch_completion": lambda t: lerch_completion(0.2, t),
+    "lerch_difference": lambda t: lerch_difference(0.2, 0.3, t),
+    "massive": lambda t: superconformal_character(CharSpec("massive", 1, F(5, 4), F(1, 2), "NS"), 0.2, t),
+    "massless_mu_form": lambda t: superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), 0.2, t),
+    "massless_compact": lambda t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), 0.2, t),
+    "massless_half": lambda t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), 0.2, t),
+    "elliptic_genus": lambda t: elliptic_genus("k3", 0.2, t),
+    "multiplicity_completion": multiplicity_completion,
+}
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("t", (0.3 + 0.01j, 0.1 + 1.2j), ids=("off_domain", "in_domain"))
+    @pytest.mark.parametrize("entry", ONE_WALK.values(), ids=ONE_WALK.keys())
+    def test_each_call_walks_once(self, monkeypatch, entry, t):
+        # every theta, eta and Lerch sum of one call shares the call's word
+        walked = []
+        reduce = analytic._reduce
+
+        def counted(tau):
+            walked.append(tau)
+            return reduce(tau)
+
+        monkeypatch.setattr(analytic, "_reduce", counted)
+        monkeypatch.setattr("mockforms.shadow._reduce", counted)
+        entry(t)
+        assert walked == [t]
+
+    @pytest.mark.parametrize("t", (0.4995130237654672 + 1e-3j, -0.4940966525081438 + 5e-3j, 1000.3 + 0.02j, 2.7j))
+    def test_walk_ends_in_the_fundamental_domain(self, t):
+        # the word's last point is reduced, and each step's point is the one
+        # before it mapped by -1/s - n (s + n, for the first)
+        steps = analytic._reduce(t)
+        n, s = steps[0]
+        assert s + n == t
+        for (_, before), (n, s) in zip(steps, steps[1:]):
+            assert abs(s - (-1.0 / before - n)) <= 1e-12 * abs(1.0 / before)
+        assert abs(steps[-1][1].real) <= 0.5 and abs(steps[-1][1]) >= 1.0 - 1e-9
+
+
 class TestDeterminism:
     def test_evaluations_reproduce_bit_for_bit(self):
         z, t = 0.23 + 0.11j, 0.07 + 1.1j
@@ -571,27 +670,81 @@ class TestDeterminism:
         assert nonholomorphic_correction(t) == nonholomorphic_correction(t)
 
 
+# The reduced point with the smallest Im tau (|tau| = 1, Re tau = 1/2): where
+# the counted kernels (theta_00, the Lerch sum, R at the reduced point) need
+# the most terms.  R is also summed at tau itself, by lerch_sum off the
+# fundamental domain; Im tau = 1e-3 is the smallest of the benchmark's points.
+RHO = complex(0.5, math.sqrt(3.0) / 2.0)
+SMALL = 0.3 + 1e-3j
+
+
+def _t_n(n: int, z: complex, t: complex) -> complex:
+    """t_n = (-1)^n q^{n(n+1)/2} y^n, one exp."""
+    return (-1) ** n * cmath.exp(2j * math.pi * (t * (n * (n + 1) // 2) + n * z))
+
+
 class TestTruncation:
-    # With a negative tail bound no term ever counts as small, so each series
-    # exhausts its term budget; it must raise, never return what it summed.
+    # theta_00, the Lerch sum and R sum a term count from a tail bound; the
+    # massless sum forms settle adaptively.  With a negative tail bound no
+    # massless term ever counts as small, so each sum exhausts its term
+    # budget; it must raise, never return what it summed.
     z, t = 0.23 + 0.11j, 0.07 + 1.1j
     SERIES = (
-        ("non-holomorphic correction sum", lambda z, t: nonholomorphic_correction(t)),
-        ("Lerch sum", lerch_sum),
-        ("theta series", lambda z, t: jacobi_theta("00", z, t)),
         ("massless character sum",
          lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)),
         ("massless character sum",
          lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), z, t)),
     )
 
-    @pytest.mark.parametrize("what, series", SERIES,
-                             ids=("correction", "lerch", "theta00", "massless_compact", "massless_half"))
+    @pytest.mark.parametrize("what, series", SERIES, ids=("massless_compact", "massless_half"))
     def test_exhausted_budget_raises(self, monkeypatch, what, series):
         series(self.z, self.t)  # settles at the real tail bound
         monkeypatch.setattr(analytic, "TAIL_EPS", -1.0)
         with pytest.raises(QuadratureNonConvergence, match=f"^{what} did not settle$"):
             series(self.z, self.t)
+
+    @pytest.mark.parametrize("im_w", (-0.5, 0.5))
+    def test_theta_first_omitted_term(self, im_w):
+        # |Im w| = Im tau / 2 makes term n (or -n) e^{-pi v (n^2 - n)}, the bound itself
+        w, v = complex(0.3, im_w * RHO.imag), RHO.imag
+        n = analytic._theta_count(v)
+        assert n == 5
+        for k in (n, -n):
+            assert abs(cmath.exp(1j * math.pi * (RHO * k * k + 2 * k * w))) < analytic.TAIL_EPS
+
+    @pytest.mark.parametrize("im_z", (0.0, 0.5))
+    def test_lerch_first_omitted_term(self, im_z):
+        # step k of the n >= 0 chain is t_k / (1 - q^k y); of the n < 0 chain
+        # t_{-k-2} / (1 - q^{k+1} / y); Im z = 0 and Im tau / 2 are the ends of
+        # the strip _lerch_direct sums in
+        z = complex(0.3, im_z * RHO.imag)
+        k = analytic._lerch_count(RHO.imag)
+        assert k == 4
+        q, y = cmath.exp(2j * math.pi * RHO), cmath.exp(2j * math.pi * z)
+        for u, den in ((_t_n(k, z, RHO), 1.0 - q ** k * y), (_t_n(-k - 2, z, RHO), 1.0 - q ** (k + 1) / y)):
+            assert abs(u) < analytic.TAIL_EPS and abs(u / den) < analytic.TAIL_EPS
+
+    @pytest.mark.parametrize("t, count", ((RHO, 4), (SMALL, 119)), ids=("reduced", "im_tau_1e-3"))
+    def test_correction_first_omitted_term(self, t, count):
+        m = analytic._correction_count(t.imag)
+        assert m == count
+        x = (m + 0.5) * math.sqrt(2.0 * math.pi * t.imag)
+        assert 2.0 * math.erfc(x) * abs(cmath.exp(-1j * math.pi * t * (m + 0.5) ** 2)) < analytic.TAIL_EPS
+
+    KERNELS = {
+        "theta00": ("_theta_count", lambda: analytic._theta00_sum(complex(0.3, -0.5 * RHO.imag), RHO)),
+        "lerch": ("_lerch_count", lambda: analytic._lerch_direct(complex(0.3, 0.5 * RHO.imag), RHO)[1]),
+        "lerch_real_z": ("_lerch_count", lambda: analytic._lerch_direct(0.3 + 0j, RHO)[1]),
+        "correction": ("_correction_count", lambda: nonholomorphic_correction(RHO)),
+        "correction_im_tau_1e-3": ("_correction_count", lambda: nonholomorphic_correction(SMALL)),
+    }
+
+    @pytest.mark.parametrize("count, kernel", KERNELS.values(), ids=KERNELS.keys())
+    def test_twice_the_count_moves_the_sum_by_rounding_only(self, monkeypatch, count, kernel):
+        value = kernel()
+        counted = getattr(analytic, count)
+        monkeypatch.setattr(analytic, count, lambda v: 2 * counted(v))
+        assert abs(kernel() - value) <= 1e-18 * (1.0 + abs(value))
 
 
 # Each character kind, by (kind, h, ell)

@@ -109,6 +109,17 @@ class TestCharSpecChecks:
         assert type(massive.h) is F and (massive.h, massive.ell) == (F(5, 4), F(1, 2))
         assert repr(massive) == "CharSpec(kind='massive', k=1, h=Fraction(5, 4), ell=Fraction(1, 2), sector='NS')"
 
+    def test_fractions_are_stored_as_given(self):
+        h, ell = F(9, 4), F(1, 2)
+        spec = CharSpec("massive", 1, h, ell)
+        assert spec.h is h and spec.ell is ell
+        # h > 1/4 is strict at every denominator
+        for h in (F(1, 4) + F(1, 10 ** 30), F(26, 100), F(7, 4)):
+            assert CharSpec("massive", 1, h, ell).h is h
+        for h in (F(1, 4), F(1, 4) - F(1, 10 ** 30), F(0), F(-3, 4)):
+            with pytest.raises(UnsupportedSpec, match="need h > 1/4"):
+                CharSpec("massive", 1, h, ell)
+
     @pytest.mark.parametrize("args, message", [
         (("bogus", 1, F(1, 4), 0), "unknown character kind"),
         (("massive", 1, F(5, 4), F(1, 2), "Rbar"), "unknown sector"),
