@@ -24,15 +24,17 @@ mu = q^{-1/8} A / S sums the Appell series A and S = sum_n t_n, which is
 theta_11(z) up to the factor i q^{1/8} y^{1/2}, in one loop over one chain
 of t_n, so it needs no theta_11 of its own.
 
-Truncation policy: theta_00, the Lerch sum and R sum a term count taken
-from a bound on their tail (_theta_count, _lerch_count, _correction_count),
-which puts the whole tail below TAIL_EPS = 1e-18; the docstrings derive
-each bound.  Counts depend on Im tau alone, so results are deterministic
-and no term is tested.  The massless sum forms run at tau itself, where no
-closed-form count is sharp, and stop once two consecutive terms fall below
-1e-18 of the running sum (_settle).  A series whose term budget runs out
-(R past MAX_TERMS terms, or a massless sum that does not settle) raises
-QuadratureNonConvergence, never a truncated sum.  Every pole guard is
+Truncation policy: every kernel sums a term count taken from a bound on
+its tail, which puts the whole tail below TAIL_EPS = 1e-18 of the sum's
+scale; the docstrings derive each bound.  theta_00, the Lerch sum and R
+count from Im tau alone (_theta_count, _lerch_count, _correction_count),
+the massless sum forms per direction from Im tau and Im z
+(_massless_count, in units of their Gaussian factor's peak), so results
+are deterministic and no term is compared with the sum it joins.  A count
+past MAX_TERMS raises QuadratureNonConvergence, never a truncated sum, and
+a massless sum form whose Gaussian peak is past a double raises
+ValueOverflow.  A z that is not finite raises ValueError, like a tau off
+the upper half-plane.  Every pole guard is
 relative and raises PoleAtArgument: a theta_11 (the massless sum forms'
 denominator theta_11(2z) too) below 1e-10 of its largest term at the
 reduced point, or a denominator within 1e-10 of zero relative to its
@@ -46,10 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
 
 from .errors import (
     PoleAtArgument,
@@ -76,7 +78,7 @@ TAIL_EPS = 1e-18
 POLE_EPS = 1e-10
 MAX_TERMS = 100_000
 _TAIL_LOG = -math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS past x = _TAIL_LOG
-_GAUSS_CUT = 2.0 * _TAIL_LOG  # e^{-x} < TAIL_EPS^2 past x = _GAUSS_CUT
+_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows a double past x = _LOG_MAX
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
@@ -86,6 +88,13 @@ def _tau(value) -> complex:
     if not (t.imag > 0 and cmath.isfinite(t)):
         raise ValueError(f"tau = {t} is not in the upper half-plane")
     return t
+
+
+def _z(value, name: str = "z") -> complex:
+    w = complex(value)
+    if not cmath.isfinite(w):
+        raise ValueError(f"{name} = {w} is not finite")
+    return w
 
 
 # -- reduction to the fundamental domain ------------------------------------
@@ -121,8 +130,12 @@ def _lattice_point(w: complex, t: complex) -> tuple[complex, int]:
 
     For |b| > 1 (Im w well above Im tau) Re w0 is formed in exact rationals,
     so a large b costs no digits; the float branch keeps the common case cheap.
+    A b past a double raises ValueOverflow.
     """
-    b = round(w.imag / t.imag)
+    try:
+        b = round(w.imag / t.imag)
+    except OverflowError:
+        raise ValueOverflow(f"the lattice index Im w / Im tau is past a double at w = {w}, tau = {t}") from None
     if abs(b) <= 1:
         w -= b * t
         return w - round(w.real), b
@@ -156,47 +169,12 @@ def _scaled(log: complex, value: complex) -> complex:
         raise ValueOverflow(f"|value| = exp({exponent.real:.6g}) exceeds the range of a double") from None
 
 
-def _settle(total: complex, terms: Iterable[complex], what: str) -> complex:
-    """total plus terms, stopped once two in a row fall below TAIL_EPS (1 + |total|).
-
-    Raises QuadratureNonConvergence when the terms run out first, so no
-    caller ever returns a truncated sum.
-    """
-    small_streak, eps = 0, TAIL_EPS
-    for term in terms:
-        total += term
-        if abs(term) <= eps * (1.0 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise QuadratureNonConvergence(f"{what} did not settle")
-
-
 def _budget(floor: int, needed: float, what: str, v: float) -> int:
     """max(floor, ceil(needed)) terms, raising QuadratureNonConvergence past MAX_TERMS."""
     budget = max(floor, math.ceil(needed))
     if budget > MAX_TERMS:
         raise QuadratureNonConvergence(f"{what} needs {budget} terms at Im tau = {v:.3g}")
     return budget
-
-
-def _outward(center: complex, chain, rate: float, v: float, what: str) -> complex:
-    """center plus the terms chain(1) (m = 1, 2, ...) and chain(-1) (m = -1, -2, ...), settled in each direction.
-
-    Each direction gets the terms it takes the Gaussian factor e^{-rate m^2}
-    to fall below TAIL_EPS^2, at least 200; the square leaves room for
-    denominators, which lift a term by up to 1/(2 pi Im tau)^2.  A sum that
-    overflowed on the way raises ValueOverflow.
-    """
-    budget = _budget(200, math.sqrt(_GAUSS_CUT / rate), what, v)
-    total = center
-    for direction in (1, -1):
-        total = _settle(total, islice(chain(direction), budget), what)
-    if not cmath.isfinite(total):
-        raise ValueOverflow(f"{what} exceeds the range of a double at Im tau = {v:.3g}")
-    return total
 
 
 # -- theta functions -----------------------------------------------------
@@ -295,18 +273,7 @@ def jacobi_theta(label: str, z, tau) -> complex:
     range of a double.
     """
     t = _tau(tau)
-    return _scaled(*_theta_parts(label, complex(z), t, _reduce(t)))
-
-
-def _theta11_of_2z(z: complex, t: complex, steps: list) -> tuple[complex, complex]:
-    """theta_11(2z) as (log, value), the denominator of the massless sum forms.
-
-    Raises PoleAtArgument where value, in units of its largest term, is tiny.
-    """
-    log, value = _theta_parts("11", 2.0 * z, t, steps)
-    if abs(value) < POLE_EPS:
-        raise PoleAtArgument(f"theta_11(2z) vanishes at z = {z}")
-    return log, value
+    return _scaled(*_theta_parts(label, _z(z), t, _reduce(t)))
 
 
 def _eta_parts(steps: list) -> tuple[complex, complex]:
@@ -515,7 +482,7 @@ def lerch_sum(z, tau) -> complex:
     PoleAtArgument when z sits on the period lattice.
     """
     t = _tau(tau)
-    return _lerch(complex(z), t, _reduce(t))
+    return _lerch(_z(z), t, _reduce(t))
 
 
 def lerch_completion(z, tau) -> complex:
@@ -523,7 +490,7 @@ def lerch_completion(z, tau) -> complex:
 
     Evaluated by the direct sums at the reduced point (see _completion_walk).
     """
-    factor, z, t = _completion_walk(complex(z), _reduce(_tau(tau)))
+    factor, z, t = _completion_walk(_z(z), _reduce(_tau(tau)))
     return factor * _completion_direct(z, t)
 
 
@@ -580,100 +547,115 @@ def _theta_sq_over_eta3(label: str, z: complex, t: complex, steps: list) -> tupl
     return 2.0 * th_log - 3.0 * eta_log, th * th / (eta * eta * eta)
 
 
-def _compact_chain(g: complex, ratio: complex, u: complex, sign: float, q: complex, q4: complex,
-                   z: complex) -> Iterator[complex]:
-    """sign * g_k (1 + u_k) / (1 - u_k) for k = 1, 2, ...: g_{k+1} = g_k ratio_k, ratio_{k+1} = ratio_k q^4, u_{k+1} = u_k q."""
-    while True:
-        den = 1.0 - u
-        if abs(den) < POLE_EPS * max(1.0, abs(u)):
-            raise PoleAtArgument(f"massless denominator vanishes at z = {z}")
-        yield sign * g * (1.0 + u) / den
-        g *= ratio
-        ratio *= q4
-        u *= q
+def _massless_count(v: float, s: float, half: bool) -> int:
+    """N such that a massless sum form's terms k = 1, ..., N in one direction leave a tail below TAIL_EPS.
+
+    v = Im tau; s is Im z for the compact form's m = k and -Im z for its
+    m = -k; the half form's two eps chains have s = +-Im w.  With
+    x_k = v k + s, term k's Gaussian factor has modulus
+    e^{(4 pi / v)(s^2 - x_k^2) + c x_k}: c = 0 for the compact form
+    (q^{2k^2} y^{4k}), and c = 2 pi bounds the half form's e^{2 pi x_k}
+    (m = -k) and e^{-6 pi x_k} (m = k) once x_k >= 0.  The denominators'
+    variable part has |u_k| = e^{-2 pi x_k} <= r = e^{-2 pi x0} once
+    x_k >= x0 > 0, so their factor is at most D = (1 + r)/(1 - r) (compact)
+    or 1/(1 - r)^2 (half), and the Gaussian bound falls by
+    e^{-4 pi (2 x_k + v) + c v} <= rho = e^{-(4 pi - c) v} per step.  The
+    terms past N add up to at most D/(1 - rho) times the bound at N + 1,
+    which is below TAIL_EPS e^{4 pi s^2 / v}, in units of the Gaussian's
+    peak over real k (at least 1, the centre term's), once x = x_{N+1} has
+    (4 pi / v) x^2 - c x >= L = _TAIL_LOG + log(D / (1 - rho)), i.e.
+    x >= x* = (c v + sqrt(c^2 v^2 + 16 pi L v)) / (8 pi), which is at least
+    x0 = sqrt(_TAIL_LOG v / (4 pi)).  So N = ceil((x* - s) / v) - 1, at
+    least 0: 1 term at Im tau = sqrt(3)/2 and s = 0 (2 for the half form),
+    61 (62) at Im tau = 1e-3, and about |s| / v more where s < 0.  Past
+    MAX_TERMS (Im tau below ~5.5e-10 at s = 0) it raises
+    QuadratureNonConvergence, and a peak past a double, which the terms
+    around it pass too, raises ValueOverflow.
+    """
+    if 4.0 * math.pi * s * s > _LOG_MAX * v:
+        raise ValueOverflow(f"massless character sum exceeds the range of a double at Im tau = {v:.3g}")
+    c = 2.0 * math.pi if half else 0.0
+    gap = -math.expm1(-2.0 * math.pi * math.sqrt(_TAIL_LOG * v / (4.0 * math.pi)))  # 1 - r
+    log_den = -2.0 * math.log(gap) if half else math.log((2.0 - gap) / gap)
+    loss = _TAIL_LOG + log_den - math.log(-math.expm1(-(4.0 * math.pi - c) * v))
+    x = (c * v + math.sqrt(c * c * v * v + 16.0 * math.pi * loss * v)) / (8.0 * math.pi)
+    return _budget(0, (x - s) / v - 1.0, "massless character sum", v)
 
 
-def _massless_compact_sum(z: complex, t: complex, steps: list) -> complex:
-    """Printed one-variable form of the level-1, isospin-0 massless character
-    (the tilded-Ramond sector): prefactor i theta_11(z)^2 / (theta_11(2z) eta^3)
-    times sum_m q^{2m^2} e^{8 pi i m z} (1 + e^{2 pi i z} q^m)/(1 - e^{2 pi i z} q^m).
+def _massless_compact_sum(z: complex, t: complex) -> complex:
+    """sum_m q^{2m^2} y^{4m} (1 + y q^m)/(1 - y q^m), y = e^{2 pi i z}: the isospin-0 sum form's q-series.
 
-    With y = e^{2 pi i z}, the m-th term's Gaussian factor q^{2m^2} y^{4m}
-    gains q^2 y^4 q^{4m} from m to m + 1 (y^{-4} for the step from -m to
-    -m - 1).  The terms m < 0 are written with u = y^{-1} q^{-m}, as
-    -(1 + u)/(1 - u), so that u shrinks along the chain.
+    The m-th term's Gaussian factor q^{2m^2} y^{4m} gains q^2 y^4 q^{4m}
+    from m to m + 1 (y^{-4} for the step from -m to -m - 1).  The terms
+    m < 0 are written with u = y^{-1} q^{-m}, as -(1 + u)/(1 - u), so that
+    u shrinks along the chain.  The centre term comes first, then
+    m = 1, 2, ... and m = -1, -2, ..., _massless_count(Im tau, +-Im z) of
+    each.
     """
     i_pi = 1j * math.pi
     q = cmath.exp(2.0 * i_pi * t)
     q4 = cmath.exp(8.0 * i_pi * t)
-
-    def chain(direction: int) -> Iterator[complex]:
-        z_dir = direction * z
-        return _compact_chain(cmath.exp(i_pi * (4.0 * t + 8.0 * z_dir)), cmath.exp(i_pi * (12.0 * t + 8.0 * z_dir)),
-                              cmath.exp(i_pi * (2.0 * t + 2.0 * z_dir)), float(direction), q, q4, z)
-
     y = cmath.exp(2.0 * i_pi * z)
     den = 1.0 - y
     if abs(den) < POLE_EPS * max(1.0, abs(y)):
         raise PoleAtArgument(f"massless denominator vanishes at m = 0, z = {z}")
-    total = _outward((1.0 + y) / den, chain, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
-    th2_log, th2 = _theta11_of_2z(z, t, steps)
-    log, value = _theta_sq_over_eta3("11", z, t, steps)
-    return _scaled(log - th2_log, 1j * value / th2 * total)
+    total = (1.0 + y) / den
+    for sign in (1.0, -1.0):
+        z_dir = sign * z
+        g = cmath.exp(i_pi * (4.0 * t + 8.0 * z_dir))
+        ratio = cmath.exp(i_pi * (12.0 * t + 8.0 * z_dir))
+        u = cmath.exp(i_pi * (2.0 * t + 2.0 * z_dir))
+        for _ in range(_massless_count(t.imag, z_dir.imag, False)):
+            den = 1.0 - u
+            if abs(den) < POLE_EPS * max(1.0, abs(u)):
+                raise PoleAtArgument(f"massless denominator vanishes at z = {z}")
+            total += sign * g * (1.0 + u) / den
+            g *= ratio
+            ratio *= q4
+            u *= q
+    return total
 
 
-def _half_chain(num: complex, ratio: complex, u: complex, q: complex, q4: complex,
-                w: complex) -> Iterator[complex]:
-    """num_k / (1 + u_k)^2 for k = 1, 2, ...: num_{k+1} = num_k ratio_k, ratio_{k+1} = ratio_k q^4, u_{k+1} = u_k q."""
-    while True:
-        den = 1.0 + u
-        if abs(den) < POLE_EPS:
-            raise PoleAtArgument(f"massless denominator vanishes at w = {w}")
-        yield num / (den * den)
-        num *= ratio
-        ratio *= q4
-        u *= q
+def _massless_half_sum(w: complex, t: complex) -> complex:
+    """The isospin-1/2 sum form's q-series at argument w:
 
+        sum_{eps=+-1} sum_m eps e^{4 pi i eps w (2m + 1/2)} q^{2m^2 + m} / (1 + e^{-2 pi i eps w} q^{-m})^2.
 
-def _massless_half_sum(w: complex, t: complex, steps: list) -> complex:
-    """Ramond-sector massless character of isospin 1/2, evaluated literally at argument w:
-
-        (i / theta_11(2w)) (theta_10(w)^2 / eta^3)
-        sum_{eps=+-1} sum_m eps e^{4 pi i eps w (2m + 1/2)}
-                      q^{2m^2 + m} / (1 + e^{-2 pi i eps w} q^{-m})^2
-
-    Other sectors are reached by shifting w.  With Y = e^{2 pi i eps w},
-    term m = -k <= 0 is eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2, and
-    term m = k > 0 is rewritten to keep q^{-k} out of the denominator:
+    With Y = e^{2 pi i eps w}, term m = -k <= 0 is
+    eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2, and term m = k > 0 is
+    rewritten to keep q^{-k} out of the denominator:
     eps Y^{4k+3} q^{2k^2+3k} / (1 + Y q^k)^2.  Along k both numerators gain
     a ratio that gains q^4 per step, and the denominators' variable parts a
-    factor q.
+    factor q.  The centre terms come first, then k = 1, 2, ... for m = k and
+    for m = -k, each the sum of its two eps terms;
+    _massless_count(Im tau, -|Im w|) of each, the larger of the two chains'
+    counts.
     """
     i_pi = 1j * math.pi
     q = cmath.exp(2.0 * i_pi * t)
     q4 = cmath.exp(8.0 * i_pi * t)
-
-    def one_eps(eps: float, direction: int) -> Iterator[complex]:
-        x = 2.0 * eps * w  # Y = e^{i pi x}
-        if direction > 0:
-            return _half_chain(eps * cmath.exp(i_pi * (10.0 * t + 7.0 * x)), cmath.exp(i_pi * (18.0 * t + 4.0 * x)),
-                               cmath.exp(i_pi * (2.0 * t + x)), q, q4, w)
-        return _half_chain(eps * cmath.exp(i_pi * (2.0 * t - 3.0 * x)), cmath.exp(i_pi * (10.0 * t - 4.0 * x)),
-                           cmath.exp(i_pi * (2.0 * t - x)), q, q4, w)
-
-    def chain(direction: int) -> Iterator[complex]:
-        return map(complex.__add__, one_eps(1.0, direction), one_eps(-1.0, direction))
-
-    center = 0j
+    total = 0j
+    starts = []
     for eps in (1.0, -1.0):
         den = 1.0 + cmath.exp(-2.0 * i_pi * eps * w)
         if abs(den) < POLE_EPS:
             raise PoleAtArgument(f"massless denominator vanishes at m = 0, w = {w}")
-        center += eps * cmath.exp(2.0 * i_pi * eps * w) / (den * den)
-    total = _outward(center, chain, 4.0 * math.pi * t.imag, t.imag, "massless character sum")
-    th2_log, th2 = _theta11_of_2z(w, t, steps)
-    log, value = _theta_sq_over_eta3("10", w, t, steps)
-    return _scaled(log - th2_log, 1j * value / th2 * total)
+        total += eps * cmath.exp(2.0 * i_pi * eps * w) / (den * den)
+        x = 2.0 * eps * w  # Y = e^{i pi x}
+        starts.append(((eps * cmath.exp(i_pi * (10.0 * t + 7.0 * x)), cmath.exp(i_pi * (18.0 * t + 4.0 * x)),
+                        cmath.exp(i_pi * (2.0 * t + x))),
+                       (eps * cmath.exp(i_pi * (2.0 * t - 3.0 * x)), cmath.exp(i_pi * (10.0 * t - 4.0 * x)),
+                        cmath.exp(i_pi * (2.0 * t - x)))))
+    count = _massless_count(t.imag, -abs(w.imag), True)
+    for (num_a, ratio_a, u_a), (num_b, ratio_b, u_b) in zip(*starts):  # m = k, then m = -k
+        for _ in range(count):
+            den_a, den_b = 1.0 + u_a, 1.0 + u_b
+            if abs(den_a) < POLE_EPS or abs(den_b) < POLE_EPS:
+                raise PoleAtArgument(f"massless denominator vanishes at w = {w}")
+            total += num_a / (den_a * den_a) + num_b / (den_b * den_b)
+            num_a, ratio_a, u_a = num_a * ratio_a, ratio_a * q4, u_a * q
+            num_b, ratio_b, u_b = num_b * ratio_b, ratio_b * q4, u_b * q
+    return total
 
 
 def superconformal_character(spec: CharSpec, z, tau) -> complex:
@@ -685,7 +667,7 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     tilded-Ramond sector.  Other sectors are evaluated by shifting z by the
     difference of the sectors' spectral-flow offsets (_FLOW).
     """
-    z = complex(z)
+    z = _z(z)
     t = _tau(tau)
     steps = _reduce(t)
 
@@ -705,9 +687,22 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
         return _scaled(log, value * _lerch(w, t, steps))
 
     if spec.kind == "massless_sum_form":
+        # i theta_label(w)^2 / (theta_11(2w) eta^3) times the form's q-series
         if spec.ell == 0:
-            return _massless_compact_sum(shifted("Rtilde"), t, steps)
-        return _massless_half_sum(shifted("R"), t, steps)
+            w, label, series = shifted("Rtilde"), "11", _massless_compact_sum
+        else:
+            w, label, series = shifted("R"), "10", _massless_half_sum
+        try:
+            total = series(w, t)
+        except OverflowError:  # a starting value's cmath.exp
+            total = complex(math.inf)
+        if not cmath.isfinite(total):
+            raise ValueOverflow(f"massless character sum exceeds the range of a double at Im tau = {t.imag:.3g}")
+        th2_log, th2 = _theta_parts("11", 2.0 * w, t, steps)
+        if abs(th2) < POLE_EPS:  # in units of its largest term
+            raise PoleAtArgument(f"theta_11(2z) vanishes at z = {w}")
+        log, value = _theta_sq_over_eta3(label, w, t, steps)
+        return _scaled(log - th2_log, 1j * value / th2 * total)
 
     # massive
     w = shifted("R")
@@ -732,7 +727,7 @@ def elliptic_genus(variant: str, z, tau) -> complex:
     variant "k3": 8 [ (th10(z)/th10(0))^2 + (th00(z)/th00(0))^2 + (th01(z)/th01(0))^2 ]
     variant "decompactified": the last two terms only, coefficient 8
     """
-    z = complex(z)
+    z = _z(z)
     t = _tau(tau)
     steps = _reduce(t)
     pair = _theta_quotient_sq("00", z, t, steps) + _theta_quotient_sq("01", z, t, steps)
@@ -759,7 +754,7 @@ def lerch_difference(z, w, tau) -> complex:
     mu_hat(z) - mu_hat(w), which is the walk's factor times mu(z') - mu(w')
     at the reduced point (see _completion_walk): no R is summed at all.
     """
-    z, w = complex(z), complex(w)
+    z, w = _z(z), _z(w, "w")
     t = _tau(tau)
     steps = _reduce(t)
     log, value = _theta_sq_over_eta3("11", z, t, steps)

@@ -34,7 +34,7 @@ class NonPositiveArgument(MockformsError):
 
 
 class QuadratureNonConvergence(MockformsError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A series needs more terms than its budget (MAX_TERMS) to reach its tail bound."""
 
 
 class ValueOverflow(MockformsError):

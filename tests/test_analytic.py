@@ -91,6 +91,35 @@ def test_tau_outside_the_upper_half_plane_is_rejected(entry, tau):
         entry(tau)
 
 
+# Every public entry point that takes z (lerch_difference twice, for z and
+# for w), called with valid other arguments
+Z_ENTRY_POINTS = {
+    "jacobi_theta": lambda z, t: jacobi_theta("00", z, t),
+    "lerch_sum": lerch_sum,
+    "lerch_completion": lerch_completion,
+    "lerch_difference_z": lambda z, t: lerch_difference(z, 0.3, t),
+    "lerch_difference_w": lambda w, t: lerch_difference(0.2, w, t),
+    "superconformal_character": lambda z, t: superconformal_character(CharSpec("massive", 1, F(5, 4), F(1, 2)), z, t),
+    "elliptic_genus": lambda z, t: elliptic_genus("k3", z, t),
+}
+
+
+# A z that is not finite is refused like a bad tau; a finite z whose lattice
+# index Im z / Im tau is past a double (1e310 here) raises ValueOverflow
+@pytest.mark.parametrize("z, t, error, match", [
+    (complex(math.nan, 0.1), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (complex(0.1, math.nan), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (complex(math.inf, 0.1), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (complex(0.1, -math.inf), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (math.nan, 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (1e300j, 0.3 + 1e-10j, ValueOverflow, "lattice index"),
+], ids=("nan_real", "nan_imag", "inf_real", "inf_imag", "nan", "lattice_index_past_a_double"))
+@pytest.mark.parametrize("entry", Z_ENTRY_POINTS.values(), ids=Z_ENTRY_POINTS.keys())
+def test_z_that_is_not_finite_or_has_no_lattice_point_is_rejected(entry, z, t, error, match):
+    with pytest.raises(error, match=match):
+        entry(z, t)
+
+
 class TestTheta:
     def test_theta11_odd_vanishes_at_zero(self):
         for t in TAUS:
@@ -491,6 +520,32 @@ class TestCharacters:
         b = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
         assert abs(a - b) <= 1e-9 * abs(b)
 
+    # Far outside the strip |Im z| <= 0.4 Im tau that the benchmark's points
+    # cover: the counts grow by |Im z| / Im tau, and both sum forms still
+    # agree with the mu form and with the recursion identity
+    @pytest.mark.parametrize("ratio", (-5.0, -2.0, 2.0, 5.0))
+    @pytest.mark.parametrize("t", (0.1 + 1.1j, -0.2 + 0.3j, 0.3 + 0.01j))
+    def test_sum_forms_far_from_the_strip(self, t, ratio):
+        z = complex(0.23, ratio * t.imag)
+        zero = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)
+        half = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), z, t)
+        mu = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), z, t)
+        assert abs(zero - mu) <= 1e-9 * abs(mu)
+        th = jacobi_theta("11", z, t)
+        rhs = cmath.exp(-0.25j * math.pi * t) * th * th / dedekind_eta(t) ** 3
+        assert abs(half + 2 * zero - rhs) <= 1e-9 * abs(rhs)
+
+    # The sum forms' Gaussian peak e^{4 pi (Im z)^2 / Im tau} is past a double
+    # (e^{11310} at Im z = +-30, e^{1018} at Im z = 0.9): they raise
+    # ValueOverflow, never an untyped error.  At the last point the mu form
+    # still returns 1.58e220 + 2.30e220i, but the sum forms' terms pass e^{709}.
+    @pytest.mark.parametrize("z, t", ((0.1 + 30j, 1j), (0.1 - 30j, 1j), (0.1 + 0.9j, 0.3 + 0.01j)),
+                             ids=("im_z_30", "im_z_-30", "peak_at_m_90"))
+    @pytest.mark.parametrize("ell", (0, F(1, 2)), ids=("compact", "half"))
+    def test_sum_forms_past_a_double_raise_value_overflow(self, ell, z, t):
+        with pytest.raises(ValueOverflow, match="^massless character sum exceeds the range of a double"):
+            superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), ell), z, t)
+
     def test_recursion_identity(self):
         for z in ZS:
             t = 0.1 + 1.3j
@@ -683,25 +738,65 @@ def _t_n(n: int, z: complex, t: complex) -> complex:
     return (-1) ** n * cmath.exp(2j * math.pi * (t * (n * (n + 1) // 2) + n * z))
 
 
-class TestTruncation:
-    # theta_00, the Lerch sum and R sum a term count from a tail bound; the
-    # massless sum forms settle adaptively.  With a negative tail bound no
-    # massless term ever counts as small, so each sum exhausts its term
-    # budget; it must raise, never return what it summed.
-    z, t = 0.23 + 0.11j, 0.07 + 1.1j
-    SERIES = (
-        ("massless character sum",
-         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), z, t)),
-        ("massless character sum",
-         lambda z, t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), z, t)),
-    )
+def _far_im_z(v: float) -> float:
+    """The |Im z| where a massless sum form's Gaussian peak e^{4 pi (Im z)^2 / v} reaches a double's range."""
+    return math.sqrt(analytic._LOG_MAX * v / (4.0 * math.pi))
 
-    @pytest.mark.parametrize("what, series", SERIES, ids=("massless_compact", "massless_half"))
-    def test_exhausted_budget_raises(self, monkeypatch, what, series):
-        series(self.z, self.t)  # settles at the real tail bound
-        monkeypatch.setattr(analytic, "TAIL_EPS", -1.0)
-        with pytest.raises(QuadratureNonConvergence, match=f"^{what} did not settle$"):
-            series(self.z, self.t)
+
+class TestTruncation:
+    # theta_00, the Lerch sum, R and the massless sum forms each sum a term
+    # count from a tail bound (_theta_count, _lerch_count, _correction_count,
+    # _massless_count), and no term is compared with the sum it joins.  Each
+    # bound is checked at its first omitted term, and by twice the count
+    # moving the sum by rounding only.
+
+    @pytest.mark.parametrize("ell", (0, F(1, 2)), ids=("massless_compact", "massless_half"))
+    def test_exhausted_budget_raises(self, ell):
+        # past MAX_TERMS (Im tau below ~5.5e-10 at Im z = 0) a massless sum
+        # form raises; it never returns what it summed
+        with pytest.raises(QuadratureNonConvergence,
+                           match=r"^massless character sum needs \d+ terms at Im tau = 1e-10$"):
+            superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), ell), 0.23, 0.3 + 1e-10j)
+
+    # Im z = 0 and the ends of the range the bound covers, where the peak is
+    # just inside a double; each row covers s = Im z and s = -Im z
+    @pytest.mark.parametrize("t, edge, count",
+                             ((RHO, 0.0, 1), (RHO, 0.999, None), (SMALL, 0.0, 61), (SMALL, 0.999, None)),
+                             ids=("reduced", "reduced_far", "im_tau_1e-3", "im_tau_1e-3_far"))
+    def test_massless_compact_first_omitted_term(self, t, edge, count):
+        # term m of the compact form is q^{2m^2} y^{4m} (1 + y q^m)/(1 - y q^m),
+        # here in units of the peak e^{4 pi (Im z)^2 / Im tau}
+        v = t.imag
+        z = complex(0.23, edge * _far_im_z(v))
+        peak = 4.0 * math.pi * z.imag ** 2 / v
+        for direction in (1, -1):
+            z_dir = direction * z
+            k = analytic._massless_count(v, z_dir.imag, False)
+            assert count is None or k == count
+            k += 1
+            u = cmath.exp(2j * math.pi * (z_dir + t * k))
+            gauss = cmath.exp(1j * math.pi * (4.0 * t * k * k + 8.0 * k * z_dir) - peak)
+            assert abs(gauss * (1.0 + u) / (1.0 - u)) < analytic.TAIL_EPS
+
+    @pytest.mark.parametrize("t, edge, count",
+                             ((RHO, 0.0, 2), (RHO, 0.999, None), (SMALL, 0.0, 62), (SMALL, 0.999, None)),
+                             ids=("reduced", "reduced_far", "im_tau_1e-3", "im_tau_1e-3_far"))
+    def test_massless_half_first_omitted_term(self, t, edge, count):
+        # with Y = e^{2 pi i eps w}, term m = k is eps Y^{4k+3} q^{2k^2+3k} / (1 + Y q^k)^2
+        # and term m = -k is eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2, here in
+        # units of the peak e^{4 pi (Im w)^2 / Im tau}
+        v = t.imag
+        w = complex(0.23, edge * _far_im_z(v))
+        peak = 4.0 * math.pi * w.imag ** 2 / v
+        k = analytic._massless_count(v, -abs(w.imag), True)
+        assert count is None or k == count
+        k += 1
+        for eps in (1, -1):
+            x = eps * w
+            for power, q_power, sign in ((4 * k + 3, 2 * k * k + 3 * k, 1), (1 - 4 * k, 2 * k * k - k, -1)):
+                num = cmath.exp(2j * math.pi * (x * power + t * q_power) - peak)
+                den = 1.0 + cmath.exp(2j * math.pi * (sign * x + t * k))
+                assert abs(num / (den * den)) < analytic.TAIL_EPS
 
     @pytest.mark.parametrize("im_w", (-0.5, 0.5))
     def test_theta_first_omitted_term(self, im_w):
@@ -737,13 +832,20 @@ class TestTruncation:
         "lerch_real_z": ("_lerch_count", lambda: analytic._lerch_direct(0.3 + 0j, RHO)[1]),
         "correction": ("_correction_count", lambda: nonholomorphic_correction(RHO)),
         "correction_im_tau_1e-3": ("_correction_count", lambda: nonholomorphic_correction(SMALL)),
+        "massless_compact": ("_massless_count",
+                             lambda: analytic._massless_compact_sum(complex(0.23, 0.4 * RHO.imag), RHO)),
+        "massless_compact_im_tau_1e-3": ("_massless_count",
+                                         lambda: analytic._massless_compact_sum(complex(0.23, -0.4e-3), SMALL)),
+        "massless_half": ("_massless_count", lambda: analytic._massless_half_sum(complex(0.23, 0.4 * RHO.imag), RHO)),
+        "massless_half_im_tau_1e-3": ("_massless_count",
+                                      lambda: analytic._massless_half_sum(complex(0.23, -0.4e-3), SMALL)),
     }
 
     @pytest.mark.parametrize("count, kernel", KERNELS.values(), ids=KERNELS.keys())
     def test_twice_the_count_moves_the_sum_by_rounding_only(self, monkeypatch, count, kernel):
         value = kernel()
         counted = getattr(analytic, count)
-        monkeypatch.setattr(analytic, count, lambda v: 2 * counted(v))
+        monkeypatch.setattr(analytic, count, lambda *args: 2 * counted(*args))
         assert abs(kernel() - value) <= 1e-18 * (1.0 + abs(value))
 
 
