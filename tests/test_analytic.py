@@ -104,14 +104,17 @@ Z_ENTRY_POINTS = {
 }
 
 
+NOT_FINITE = "^[zw] = .* is not finite$"
+
+
 # A z that is not finite is refused like a bad tau; a finite z whose lattice
 # index Im z / Im tau is past a double (1e310 here) raises ValueOverflow
 @pytest.mark.parametrize("z, t, error, match", [
-    (complex(math.nan, 0.1), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
-    (complex(0.1, math.nan), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
-    (complex(math.inf, 0.1), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
-    (complex(0.1, -math.inf), 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
-    (math.nan, 0.3 + 1.1j, ValueError, "^[zw] = .* is not finite$"),
+    (complex(math.nan, 0.1), 0.3 + 1.1j, ValueError, NOT_FINITE),
+    (complex(0.1, math.nan), 0.3 + 1.1j, ValueError, NOT_FINITE),
+    (complex(math.inf, 0.1), 0.3 + 1.1j, ValueError, NOT_FINITE),
+    (complex(0.1, -math.inf), 0.3 + 1.1j, ValueError, NOT_FINITE),
+    (math.nan, 0.3 + 1.1j, ValueError, NOT_FINITE),
     (1e300j, 0.3 + 1e-10j, ValueOverflow, "lattice index"),
 ], ids=("nan_real", "nan_imag", "inf_real", "inf_imag", "nan", "lattice_index_past_a_double"))
 @pytest.mark.parametrize("entry", Z_ENTRY_POINTS.values(), ids=Z_ENTRY_POINTS.keys())
