@@ -29,16 +29,15 @@ its tail, which puts the whole tail below TAIL_EPS = 1e-18 of the sum's
 scale; the docstrings derive each bound.  theta_00, the Lerch sum and R
 count from Im tau alone (_theta_count, _lerch_count, _correction_count),
 the massless sum forms per direction from Im tau and Im z
-(_massless_count, in units of their Gaussian factor's peak), so results
+(_massless_count, in units of their largest Gaussian factor), so results
 are deterministic and no term is compared with the sum it joins.  A count
 past MAX_TERMS raises QuadratureNonConvergence, never a truncated sum, and
-a massless sum form whose Gaussian peak is past a double raises
-ValueOverflow.  A z that is not finite raises ValueError, like a tau off
-the upper half-plane.  Every pole guard is
-relative and raises PoleAtArgument: a theta_11 (the massless sum forms'
-denominator theta_11(2z) too) below 1e-10 of its largest term at the
-reduced point, or a denominator within 1e-10 of zero relative to its
-larger part.
+a massless sum form whose terms pass a double raises ValueOverflow.  A z
+that is not finite raises ValueError, like a tau off the upper half-plane.
+Every pole guard is relative and raises PoleAtArgument: a theta_11 (the
+massless sum forms' denominator theta_11(2z) too) below 1e-10 of its
+largest term at the reduced point, or a denominator within 1e-10 of zero
+relative to its larger part.
 
 Branch convention: every square root (sqrt(c tau + d), sqrt(i/tau), ...) is
 the principal branch, argument in (-pi, pi].
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -78,7 +76,6 @@ TAIL_EPS = 1e-18
 POLE_EPS = 1e-10
 MAX_TERMS = 100_000
 _TAIL_LOG = -math.log(TAIL_EPS)  # e^{-x} < TAIL_EPS past x = _TAIL_LOG
-_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows a double past x = _LOG_MAX
 
 SECTORS = ("R", "Rtilde", "NS", "NStilde")
 
@@ -560,24 +557,27 @@ def _massless_count(v: float, s: float, half: bool) -> int:
     x_k >= x0 > 0, so their factor is at most D = (1 + r)/(1 - r) (compact)
     or 1/(1 - r)^2 (half), and the Gaussian bound falls by
     e^{-4 pi (2 x_k + v) + c v} <= rho = e^{-(4 pi - c) v} per step.  The
-    terms past N add up to at most D/(1 - rho) times the bound at N + 1,
-    which is below TAIL_EPS e^{4 pi s^2 / v}, in units of the Gaussian's
-    peak over real k (at least 1, the centre term's), once x = x_{N+1} has
-    (4 pi / v) x^2 - c x >= L = _TAIL_LOG + log(D / (1 - rho)), i.e.
-    x >= x* = (c v + sqrt(c^2 v^2 + 16 pi L v)) / (8 pi), which is at least
-    x0 = sqrt(_TAIL_LOG v / (4 pi)).  So N = ceil((x* - s) / v) - 1, at
-    least 0: 1 term at Im tau = sqrt(3)/2 and s = 0 (2 for the half form),
-    61 (62) at Im tau = 1e-3, and about |s| / v more where s < 0.  Past
-    MAX_TERMS (Im tau below ~5.5e-10 at s = 0) it raises
-    QuadratureNonConvergence, and a peak past a double, which the terms
-    around it pass too, raises ValueOverflow.
+    terms past N add up to at most D/(1 - rho) times the bound at N + 1.
+
+    The scale is the sum's largest Gaussian factor at an integer m, not the
+    peak e^{4 pi s^2 / v} over real m, which can pass every term by up to
+    e^{pi v} (at Im z = +-Im tau / 2 the term next to the centre is as
+    large as the centre term).  Some x_k lies within v/2 of the peak (of
+    x = 0 for the compact form, of x = v/4 once c = 2 pi), so that factor
+    is at least e^{4 pi s^2 / v - pi v}, and the tail is below TAIL_EPS of
+    it once x = x_{N+1} has (4 pi / v) x^2 - c x >= L = _TAIL_LOG + pi v
+    + log(D / (1 - rho)), i.e. x >= x* = (c v + sqrt(c^2 v^2 + 16 pi L v)) / (8 pi),
+    which is at least x0 = sqrt(_TAIL_LOG v / (4 pi)).  So
+    N = ceil((x* - s) / v) - 1, at least 0: 2 terms at Im tau = sqrt(3)/2
+    and s = 0, 61 (62 for the half form) at Im tau = 1e-3, and about
+    |s| / v more where s < 0.  Past MAX_TERMS (Im tau below ~5.5e-10 at
+    s = 0) it raises QuadratureNonConvergence.  Terms past a double are
+    left to the caller, which raises ValueOverflow.
     """
-    if 4.0 * math.pi * s * s > _LOG_MAX * v:
-        raise ValueOverflow(f"massless character sum exceeds the range of a double at Im tau = {v:.3g}")
     c = 2.0 * math.pi if half else 0.0
     gap = -math.expm1(-2.0 * math.pi * math.sqrt(_TAIL_LOG * v / (4.0 * math.pi)))  # 1 - r
     log_den = -2.0 * math.log(gap) if half else math.log((2.0 - gap) / gap)
-    loss = _TAIL_LOG + log_den - math.log(-math.expm1(-(4.0 * math.pi - c) * v))
+    loss = _TAIL_LOG + math.pi * v + log_den - math.log(-math.expm1(-(4.0 * math.pi - c) * v))
     x = (c * v + math.sqrt(c * c * v * v + 16.0 * math.pi * loss * v)) / (8.0 * math.pi)
     return _budget(0, (x - s) / v - 1.0, "massless character sum", v)
 
@@ -595,11 +595,15 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
     i_pi = 1j * math.pi
     q = cmath.exp(2.0 * i_pi * t)
     q4 = cmath.exp(8.0 * i_pi * t)
-    y = cmath.exp(2.0 * i_pi * z)
-    den = 1.0 - y
-    if abs(den) < POLE_EPS * max(1.0, abs(y)):
-        raise PoleAtArgument(f"massless denominator vanishes at m = 0, z = {z}")
-    total = (1.0 + y) / den
+    try:
+        y = cmath.exp(2.0 * i_pi * z)
+    except OverflowError:  # Im z < -113, where (1 + y)/(1 - y) is -1 to a double's precision
+        total = complex(-1.0)
+    else:
+        den = 1.0 - y
+        if abs(den) < POLE_EPS * max(1.0, abs(y)):
+            raise PoleAtArgument(f"massless denominator vanishes at m = 0, z = {z}")
+        total = (1.0 + y) / den
     for sign in (1.0, -1.0):
         z_dir = sign * z
         g = cmath.exp(i_pi * (4.0 * t + 8.0 * z_dir))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -538,8 +539,38 @@ class TestCharacters:
         rhs = cmath.exp(-0.25j * math.pi * t) * th * th / dedekind_eta(t) ** 3
         assert abs(half + 2 * zero - rhs) <= 1e-9 * abs(rhs)
 
-    # The sum forms' Gaussian peak e^{4 pi (Im z)^2 / Im tau} is past a double
-    # (e^{11310} at Im z = +-30, e^{1018} at Im z = 0.9): they raise
+    # At large Im tau with Im z = +-Im tau / 2 (the NS sector's shift of a
+    # real z) the term next to the centre is as large as the centre term, and
+    # at Im z = 4.25, Im tau = 10 the first term past a bound in units of the
+    # peak over real m is 6.5e-9 of it: the counts keep both, and both sum
+    # forms agree with the mu form and the recursion identity.  Sectors shift
+    # z by const + tau_coeff * tau.
+    @pytest.mark.parametrize("sector, ratio", (("NS", 0.0), ("NS", 0.01), ("Rtilde", 0.5), ("Rtilde", -0.5),
+                                               ("Rtilde", 0.425), ("R", 0.5)))
+    @pytest.mark.parametrize("t", (10j, 14j, 0.3 + 10j, 0.1 + 14j))
+    def test_sum_forms_at_large_im_tau(self, t, sector, ratio):
+        z = complex(0.23, ratio * t.imag)
+        zero = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0, sector), z, t)
+        half = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2), sector), z, t)
+        mu = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0, sector), z, t)
+        assert abs(zero - mu) <= 1e-9 * abs(mu)
+        const, tau_coeff = {"NS": (-0.5, -0.5), "Rtilde": (0.0, 0.0), "R": (0.5, 0.0)}[sector]
+        th = jacobi_theta("11", z + const + tau_coeff * t, t)  # the point in the tilded-Ramond sector
+        rhs = cmath.exp(-0.25j * math.pi * t) * th * th / dedekind_eta(t) ** 3
+        assert abs(half + 2 * zero - rhs) <= 1e-9 * abs(rhs)
+
+    # Past Im tau = 226 with Im z = -Im tau / 2 in the tilded-Ramond sector the
+    # compact form's peak over real m is past a double, but no term is larger
+    # than 1, and y = e^{2 pi i z} would be: the form returns its value
+    @pytest.mark.parametrize("sector, z", (("NS", 0.23), ("Rtilde", 0.23 - 150j), ("Rtilde", 0.23 + 120j)))
+    def test_compact_sum_form_at_im_tau_300(self, sector, z):
+        t = 0.2 + 300j
+        zero = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0, sector), z, t)
+        mu = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0, sector), z, t)
+        assert abs(zero - mu) <= 1e-9 * abs(mu)
+
+    # The sum forms' terms pass a double (a Gaussian peak e^{4 pi (Im z)^2 / Im tau}
+    # of e^{11310} at Im z = +-30, e^{1018} at Im z = 0.9): they raise
     # ValueOverflow, never an untyped error.  At the last point the mu form
     # still returns 1.58e220 + 2.30e220i, but the sum forms' terms pass e^{709}.
     @pytest.mark.parametrize("z, t", ((0.1 + 30j, 1j), (0.1 - 30j, 1j), (0.1 + 0.9j, 0.3 + 0.01j)),
@@ -743,7 +774,37 @@ def _t_n(n: int, z: complex, t: complex) -> complex:
 
 def _far_im_z(v: float) -> float:
     """The |Im z| where a massless sum form's Gaussian peak e^{4 pi (Im z)^2 / v} reaches a double's range."""
-    return math.sqrt(analytic._LOG_MAX * v / (4.0 * math.pi))
+    return math.sqrt(math.log(sys.float_info.max) * v / (4.0 * math.pi))
+
+
+def _log_abs_one_plus(sign: float, e: complex) -> float:
+    """log |1 + sign e^e|, without forming an e^e past a double."""
+    if e.real <= 0.0:
+        return math.log(abs(1.0 + sign * cmath.exp(e)))
+    return e.real + math.log(abs(1.0 + sign * cmath.exp(-e)))
+
+
+def _log_compact_term(m: int, z: complex, t: complex) -> float:
+    """log |q^{2m^2} y^{4m} (1 + y q^m)/(1 - y q^m)|, term m of the compact form."""
+    u = 2j * math.pi * (z + m * t)
+    return ((2j * math.pi * (2 * m * m * t + 4 * m * z)).real
+            + _log_abs_one_plus(1.0, u) - _log_abs_one_plus(-1.0, u))
+
+
+def _log_half_terms(k: int, w: complex, t: complex) -> list[float]:
+    """log |term| of the half form's terms m = k and m = -k, both eps, for k >= 0 (m = 0 once).
+
+    With Y = e^{2 pi i eps w}, term m = k > 0 is eps Y^{4k+3} q^{2k^2+3k} / (1 + Y q^k)^2
+    and term m = -k <= 0 is eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2.
+    """
+    logs = []
+    for eps in (1, -1):
+        x = eps * w
+        rows = ((1 - 4 * k, 2 * k * k - k, -1),) + (((4 * k + 3, 2 * k * k + 3 * k, 1),) if k else ())
+        for power, q_power, sign in rows:
+            num = (2j * math.pi * (x * power + t * q_power)).real
+            logs.append(num - 2.0 * _log_abs_one_plus(1.0, 2j * math.pi * (sign * x + t * k)))
+    return logs
 
 
 class TestTruncation:
@@ -761,45 +822,37 @@ class TestTruncation:
                            match=r"^massless character sum needs \d+ terms at Im tau = 1e-10$"):
             superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), ell), 0.23, 0.3 + 1e-10j)
 
-    # Im z = 0 and the ends of the range the bound covers, where the peak is
-    # just inside a double; each row covers s = Im z and s = -Im z
-    @pytest.mark.parametrize("t, edge, count",
-                             ((RHO, 0.0, 1), (RHO, 0.999, None), (SMALL, 0.0, 61), (SMALL, 0.999, None)),
-                             ids=("reduced", "reduced_far", "im_tau_1e-3", "im_tau_1e-3_far"))
-    def test_massless_compact_first_omitted_term(self, t, edge, count):
-        # term m of the compact form is q^{2m^2} y^{4m} (1 + y q^m)/(1 - y q^m),
-        # here in units of the peak e^{4 pi (Im z)^2 / Im tau}
-        v = t.imag
-        z = complex(0.23, edge * _far_im_z(v))
-        peak = 4.0 * math.pi * z.imag ** 2 / v
-        for direction in (1, -1):
-            z_dir = direction * z
-            k = analytic._massless_count(v, z_dir.imag, False)
-            assert count is None or k == count
-            k += 1
-            u = cmath.exp(2j * math.pi * (z_dir + t * k))
-            gauss = cmath.exp(1j * math.pi * (4.0 * t * k * k + 8.0 * k * z_dir) - peak)
-            assert abs(gauss * (1.0 + u) / (1.0 - u)) < analytic.TAIL_EPS
+    # Im z = 0, the ends of the range the bound covers, where the peak is
+    # just inside a double, and Im z = Im tau / 2 (the NS sector's shift of a
+    # real z), where the largest term sits one step from the centre and the
+    # peak over real m passes every term by e^{pi Im tau}; each row covers
+    # s = Im z and s = -Im z.  The first omitted term is measured against
+    # the largest term summed.
+    MASSLESS_ROWS = (
+        (RHO, 0.0, 2, 2), (RHO, 0.999 * _far_im_z(RHO.imag), None, None), (RHO, 0.5 * RHO.imag, None, None),
+        (SMALL, 0.0, 61, 62), (SMALL, 0.999 * _far_im_z(SMALL.imag), None, None),
+        (10j, 5.0, None, None), (10j, 4.25, None, None), (14j, 7.0, None, None), (0.1 + 14j, 7.0, None, None),
+    )
+    MASSLESS_IDS = ("reduced", "reduced_far", "reduced_half_tau", "im_tau_1e-3", "im_tau_1e-3_far",
+                    "im_tau_10_half_tau", "im_tau_10_near_half_tau", "im_tau_14_half_tau", "tau_0.1+14i_half_tau")
 
-    @pytest.mark.parametrize("t, edge, count",
-                             ((RHO, 0.0, 2), (RHO, 0.999, None), (SMALL, 0.0, 62), (SMALL, 0.999, None)),
-                             ids=("reduced", "reduced_far", "im_tau_1e-3", "im_tau_1e-3_far"))
-    def test_massless_half_first_omitted_term(self, t, edge, count):
-        # with Y = e^{2 pi i eps w}, term m = k is eps Y^{4k+3} q^{2k^2+3k} / (1 + Y q^k)^2
-        # and term m = -k is eps Y^{1-4k} q^{2k^2-k} / (1 + Y^{-1} q^k)^2, here in
-        # units of the peak e^{4 pi (Im w)^2 / Im tau}
-        v = t.imag
-        w = complex(0.23, edge * _far_im_z(v))
-        peak = 4.0 * math.pi * w.imag ** 2 / v
-        k = analytic._massless_count(v, -abs(w.imag), True)
-        assert count is None or k == count
-        k += 1
-        for eps in (1, -1):
-            x = eps * w
-            for power, q_power, sign in ((4 * k + 3, 2 * k * k + 3 * k, 1), (1 - 4 * k, 2 * k * k - k, -1)):
-                num = cmath.exp(2j * math.pi * (x * power + t * q_power) - peak)
-                den = 1.0 + cmath.exp(2j * math.pi * (sign * x + t * k))
-                assert abs(num / (den * den)) < analytic.TAIL_EPS
+    @pytest.mark.parametrize("t, im_z, count, _", MASSLESS_ROWS, ids=MASSLESS_IDS)
+    def test_massless_compact_first_omitted_term(self, t, im_z, count, _):
+        z = complex(0.23, im_z)
+        up = analytic._massless_count(t.imag, im_z, False)
+        down = analytic._massless_count(t.imag, -im_z, False)
+        assert count is None or up == down == count
+        largest = max(_log_compact_term(m, z, t) for m in range(-down, up + 1))
+        for m in (up + 1, -down - 1):
+            assert _log_compact_term(m, z, t) - largest < math.log(analytic.TAIL_EPS)
+
+    @pytest.mark.parametrize("t, im_w, _, count", MASSLESS_ROWS, ids=MASSLESS_IDS)
+    def test_massless_half_first_omitted_term(self, t, im_w, _, count):
+        w = complex(0.23, im_w)
+        n = analytic._massless_count(t.imag, -abs(im_w), True)
+        assert count is None or n == count
+        largest = max(max(_log_half_terms(k, w, t)) for k in range(n + 1))
+        assert max(_log_half_terms(n + 1, w, t)) - largest < math.log(analytic.TAIL_EPS)
 
     @pytest.mark.parametrize("im_w", (-0.5, 0.5))
     def test_theta_first_omitted_term(self, im_w):
