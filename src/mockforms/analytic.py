@@ -15,7 +15,7 @@ travel as (log, value) pairs, whose rounding grows as Im tau falls
 (theta_00 is good to ~4e-14 relative at Im tau = 1e-3, ~2e-11 at 1e-5); a
 value past a double raises ValueOverflow.  Only the massless sum forms'
 q-series and R are still summed at tau.  The half-integer Bessel closed
-forms live in rademacher, next to the series that use them.
+forms live in rademacher, next to the series driver that uses them.
 
 Every kernel forms each term from the one before it by a running ratio,
 one complex multiply instead of one exp: the theta_00 sum, the Lerch sum,
@@ -156,14 +156,17 @@ def _theta_lattice(w: complex, t: complex) -> tuple[complex, complex]:
 
 
 def _scaled(log: complex, value: complex) -> complex:
-    """exp(log) * value, raising ValueOverflow instead of overflowing."""
+    """exp(log) * value, raising ValueOverflow instead of overflowing or returning a non-finite value."""
     if value == 0:
         return 0j
     exponent = log + cmath.log(value)
     try:
-        return cmath.exp(exponent)
+        result = cmath.exp(exponent)  # raises only for a finite exponent
     except OverflowError:
-        raise ValueOverflow(f"|value| = exp({exponent.real:.6g}) exceeds the range of a double") from None
+        result = math.inf
+    if not cmath.isfinite(result):
+        raise ValueOverflow(f"|value| = exp({exponent.real:.6g}) exceeds the range of a double")
+    return result
 
 
 def _budget(floor: int, needed: float, what: str, v: float) -> int:
@@ -460,12 +463,12 @@ def _completion_direct(z: complex, t: complex) -> complex:
     return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t)
 
 
-def _lerch(z: complex, t: complex, steps: list) -> complex:
-    """mu(z; tau) with steps = _reduce(tau): see lerch_sum."""
+def _lerch(z: complex, t: complex, steps: list) -> tuple[complex, complex]:
+    """(log, value) with mu(z; tau) = exp(log) * value, steps = _reduce(tau), log 0j after a walk: see lerch_sum."""
     if steps == [(0, t)]:  # tau is reduced already
-        return _scaled(*_lerch_direct(z, t))
+        return _lerch_direct(z, t)
     factor, z_red, t_red = _completion_walk(z, steps)
-    return factor * _completion_direct(z_red, t_red) + 0.5 * nonholomorphic_correction(t)
+    return 0j, factor * _completion_direct(z_red, t_red) + 0.5 * nonholomorphic_correction(t)
 
 
 def lerch_sum(z, tau) -> complex:
@@ -479,7 +482,8 @@ def lerch_sum(z, tau) -> complex:
     PoleAtArgument when z sits on the period lattice.
     """
     t = _tau(tau)
-    return _lerch(_z(z), t, _reduce(t))
+    log, value = _lerch(_z(z), t, _reduce(t))
+    return _scaled(log, value) if log else value  # exp(log(v)) would round a walked value v
 
 
 def lerch_completion(z, tau) -> complex:
@@ -688,7 +692,8 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
             raise UnsupportedSpec("the Lerch form is the isospin-0 massless character")
         w = shifted("Rtilde")
         log, value = _theta_sq_over_eta3("11", w, t, steps)
-        return _scaled(log, value * _lerch(w, t, steps))
+        mu_log, mu = _lerch(w, t, steps)  # mu alone may leave the range of a double where the product does not
+        return _scaled(log + mu_log, value * mu)
 
     if spec.kind == "massless_sum_form":
         # i theta_label(w)^2 / (theta_11(2w) eta^3) times the form's q-series

@@ -97,9 +97,7 @@ def cmd_rademacher(args: argparse.Namespace, out) -> int:
     biggest = max(args.c_max) * (2 if args.kind == "noncompact" else 1)
     partial = rademacher.exact_coefficient(args.kind, args.n, biggest)
     exact = characters.coeff_table(args.kind, args.n).values[args.n]
-    partials = {}
-    for terms in args.c_max:
-        partials[str(terms)] = math.fsum(t for _, t in partial.terms[:terms])
+    partials = {str(terms): math.fsum(t for _, t in partial.terms[:terms]) for terms in args.c_max}
     payload = {
         "kind": args.kind,
         "n": args.n,
@@ -119,12 +117,8 @@ def cmd_rademacher(args: argparse.Namespace, out) -> int:
 
 def cmd_shadow(args: argparse.Namespace, out) -> int:
     reference = shadow.shadow_reference_coefficients(8 * args.n_max + 1)
-    rows = []
-    for n in range(0, args.n_max + 1):
-        exponent = 8 * n + 1
-        computed = shadow.shadow_coefficient(n, args.c_max).value
-        rows.append({"exponent": exponent, "computed": computed,
-                     "reference": reference[exponent]})
+    rows = [{"exponent": 8 * n + 1, "computed": shadow.shadow_coefficient(n, args.c_max).value,
+             "reference": reference[8 * n + 1]} for n in range(args.n_max + 1)]
     _emit(args, {"c_max": args.c_max, "rows": rows},
           _table(["exponent", "computed", "reference"], rows), out)
     return 0

@@ -1,10 +1,10 @@
 """Dedekind sums, Kloosterman-type multiplier sums and exact coefficient series.
 
-The convergent series computed here have the shape
-
-    prefactor(n) * sum_{c} (1/c) I_{1/2}(pi sqrt(8n-1) / (2c)) K(n, c),
-
-where K(n, c) is a Kloosterman-type sum over residues d mod c, gcd(d, c) = 1,
+One driver, _series, forms every term of the convergent series computed
+here, pref / w(c) B(root / (k c)) K(n, c) over the moduli c: the k3 and
+noncompact coefficients (B = I_{1/2}), the partition numbers (I_{3/2}) and
+the shadow (J_{1/2}, shadow.shadow_coefficient); those Bessel closed forms
+live here too.  K(n, c) is a Kloosterman-type sum over the d mod c prime to c,
 with phase e^{-3 pi i s(d,c) + 2 pi i d n / c} built from the Dedekind sum
 s(d, c).  The same sum has a quadratic (Salie-type) form over the odd k in
 [1, 4c] with k^2 = 1 - 8n (mod 8c), and that is how every series here
@@ -17,10 +17,8 @@ series, for the 2-part, which carries (-4/k), and for each odd p^e a
 cosine sum over the roots of 1 - 8n mod p^e, one 2 cos when p does not
 divide 1 - 8n.  Those roots depend on p^e alone, so each is found once per
 series and kept in a memo that lives only for the call, and a c with a
-rootless prime power, K = 0, costs no sine.  Empty sums are common: 61 %
-of the 24 000 sums of the k3 and noncompact series for n <= 30 (400 and
-800 moduli), 45 % of the 10 800 of the k3 series at n = 11 (1200 moduli)
-and the shadow series for n <= 11 (800 moduli).  Euler's criterion tells
+rootless prime power, K = 0, costs no sine (61 % of the sums for n <= 30
+at 400 and 800 moduli).  Euler's criterion tells
 whether a prime power has roots; prime roots are closed forms, one power
 for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
 Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  What
@@ -33,11 +31,10 @@ partition series and the others share keys.  Per modulus and series that
 leaves one sine or cosine per prime power when no prime of c divides
 1 - 8n, instead of phi(c) exact Dedekind sums.  The sums are exactly
 real, returned as floats, and agree with a sum over the roots within
-rounding, not bit for bit.  The series, the shadow series and the
-partition-number series (12c, whose 3-part carries (d/3)) each call the
-kernel once, keep only those frames between calls and take no Bessel
-factor for an empty sum; kloosterman_quadratic and
-partition_multiplier_sum are the kernel on one modulus, and
+rounding, not bit for bit.  _series calls the kernel once per series
+(12c for partitions, whose 3-part carries (d/3)), and an empty sum takes
+no Bessel factor; kloosterman_quadratic and partition_multiplier_sum are
+the kernel on one modulus, and
 kloosterman_sum memoises kloosterman_quadratic per (c, n mod c) in
 DEFAULT_CACHE, a plain dict that lives as long as the process.
 
@@ -49,11 +46,6 @@ for c around 1e5.
 
 Summation over c is always in ascending order and totals use compensated
 summation (math.fsum), so results are reproducible bit-for-bit.
-
-The half-integer Bessel functions are closed forms and live here, next to
-the series that call them: I_{1/2} for the coefficient series, I_{3/2} for
-the partition series and J_{1/2} for the shadow series
-(shadow.shadow_coefficient).
 """
 
 from __future__ import annotations
@@ -339,12 +331,32 @@ def kloosterman_quadratic(n: int, c: int) -> float:
     k <-> 4c - k cancels the cosines, so the value is exactly real:
     (sqrt(c) / 2) sum (-4/k) sin(pi k / (2c)).  It is formed as a product
     over the prime powers of 4c, one sine or cosine sum each, so it agrees
-    with the sum over the roots k within rounding.  The series use the same
-    kernel, _multiplier_products, over all their moduli at once.
+    with the sum over the roots k within rounding.
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
     return _quadratic_sums(n, (c,))[0]
+
+
+def _partition_sums(n: int, moduli: Iterable[int]) -> list[float]:
+    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of the kernel."""
+    # the roots mod 24c are x and x + 12c for the roots x mod 12c: 2 Re(i^2 P(c))
+    return [-2.0 * product for product in _multiplier_products(1 - 24 * n, moduli, 12)]
+
+
+def partition_multiplier_sum(n: int, c: int) -> float:
+    """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
+
+    The pairing d <-> 24c - d cancels the sines, so the value is exactly
+    real: sum (12/d) cos(pi d / (6c)).  Every root has d^2 = 1 (mod 24), so
+    (12/d) = (-4/d)(d/3) is +1 for d = +-1 (mod 12) and -1 for d = +-5
+    (mod 12), never 0.  The kernel of kloosterman_quadratic forms it as a
+    product over the prime powers of 12c, with (d/3) on the 3-part, so it
+    agrees with the sum over the roots d within rounding.
+    """
+    if c < 1:
+        raise ValueError("modulus c must be positive")
+    return _partition_sums(n, (c,))[0]
 
 
 # -- Bessel closed forms -----------------------------------------------------
@@ -386,12 +398,34 @@ class RademacherPartial(namedtuple("RademacherPartial", "n kind terms cumulative
     __slots__ = ()
 
 
-def _moduli(kind: str, c_max: int) -> range:
-    if kind == "k3":
-        return range(1, c_max + 1)
-    if kind == "noncompact":
-        return range(2, c_max + 1, 2)
-    raise ValueError(f"unknown kind {kind!r}")
+def _series(kind: str, n: int, c_max: int) -> tuple[range, list[float]]:
+    """(moduli, terms) of kind's series: its moduli c <= c_max, ascending, and the term of each.
+
+    The one place that forms a series term, pref / w(c) * B(root / (k c)) * K(n, c), with
+    K = kloosterman_quadratic(+-n, c) or partition_multiplier_sum(n, c) from one pass of the kernel:
+
+        kind             moduli     K at  pref               w(c)       B        root            k
+        k3, noncompact   all, even  n     4 pi / (8n-1)^1/4  c          I_{1/2}  pi sqrt(8n-1)   2
+        shadow           all        -n    4 pi               c          J_{1/2}  pi sqrt(8n+1)   2
+        partition        all        n     pi / (24n-1)^3/4   sqrt(12c)  I_{3/2}  pi sqrt(24n-1)  6
+
+    An empty sum, K = +-0.0, is its own term and takes no Bessel factor.
+    The callers check n, c_max and kind.
+    """
+    partition, step = kind == "partition", 2 if kind == "noncompact" else 1
+    moduli = range(step, c_max + 1, step)
+    if partition:
+        x = 24.0 * n - 1.0
+        sums, pref, bessel, k = _partition_sums(n, moduli), math.pi / x ** 0.75, bessel_i_three_half, 6.0
+    elif kind == "shadow":
+        x = 8.0 * n + 1.0
+        sums, pref, bessel, k = _quadratic_sums(-n, moduli), 4.0 * math.pi, bessel_j_half, 2.0
+    else:
+        x = 8.0 * n - 1.0
+        sums, pref, bessel, k = _quadratic_sums(n, moduli), 4.0 * math.pi / x ** 0.25, bessel_i_half, 2.0
+    root = math.pi * math.sqrt(x)
+    return moduli, [pref / (math.sqrt(12.0 * c) if partition else c) * bessel(root / (k * c)) * s if s else s
+                    for c, s in zip(moduli, sums)]
 
 
 def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
@@ -404,13 +438,10 @@ def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:
     """
     if n < 1 or c_max < 1:
         raise ValueError("n and c_max must be positive")
-    pref = 4.0 * math.pi / (8.0 * n - 1.0) ** 0.25
-    root = math.pi * math.sqrt(8.0 * n - 1.0)
-    moduli = _moduli(kind, c_max)
-    # an empty sum is its own term: pref / c I_{1/2} > 0 keeps the sign of the zero
-    terms = [(c, pref / c * bessel_i_half(root / (2.0 * c)) * kloosterman if kloosterman else kloosterman)
-             for c, kloosterman in zip(moduli, _quadratic_sums(n, moduli))]
-    return RademacherPartial(n, kind, terms, math.fsum(t for _, t in terms))
+    if kind not in ("k3", "noncompact"):
+        raise ValueError(f"unknown kind {kind!r}")
+    moduli, terms = _series(kind, n, c_max)
+    return RademacherPartial(n, kind, list(zip(moduli, terms)), math.fsum(terms))
 
 
 def leading_asymptotic(kind: str, n: int) -> float:
@@ -433,40 +464,14 @@ def cardy_entropy(n: int) -> float:
     return 2.0 * math.pi * math.sqrt(n / 2.0)
 
 
-# -- partition-number calibration --------------------------------------------
-
-
-def _partition_sums(n: int, moduli: Iterable[int]) -> list[float]:
-    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of the kernel."""
-    # the roots mod 24c are x and x + 12c for the roots x mod 12c: 2 Re(i^2 P(c))
-    return [-2.0 * product for product in _multiplier_products(1 - 24 * n, moduli, 12)]
-
-
-def partition_multiplier_sum(n: int, c: int) -> float:
-    """sum over d mod 24c with d^2 = 1 - 24n (mod 24c) of (12/d) e^{d pi i/(6c)}.
-
-    The pairing d <-> 24c - d cancels the sines, so the value is exactly
-    real: sum (12/d) cos(pi d / (6c)).  Every root has d^2 = 1 (mod 24), so
-    (12/d) = (-4/d)(d/3) is +1 for d = +-1 (mod 12) and -1 for d = +-5
-    (mod 12), never 0.  The kernel of kloosterman_quadratic forms it as a
-    product over the prime powers of 12c, with (d/3) on the 3-part, so it
-    agrees with the sum over the roots d within rounding.
-    """
-    if c < 1:
-        raise ValueError("modulus c must be positive")
-    return _partition_sums(n, (c,))[0]
-
-
 def rademacher_partition(n: int, c_max: int = 20) -> float:
-    """Truncated exact series for the partition number p(n).
+    """Truncated exact series for the partition number p(n), summed from _series.
 
     This classical expansion calibrates the whole machinery: rounding the
-    c_max = 20 truncation recovers p(n) exactly for n up to at least 100.
+    c_max = 20 truncation recovers every p(n) with n < 236.  From there on
+    the terms' rounding in doubles, not truncation, can miss p(n) whatever
+    c_max is: 0.66 off at n = 236; 146 of the n < 400 miss at 20 and 100 moduli.
     """
     if n < 1 or c_max < 1:
         raise ValueError("n and c_max must be positive")
-    pref = math.pi / (24.0 * n - 1.0) ** 0.75
-    root = math.pi * math.sqrt(24.0 * n - 1.0)
-    moduli = range(1, c_max + 1)
-    return math.fsum(pref / math.sqrt(12.0 * c) * bessel_i_three_half(root / (6.0 * c)) * dsum
-                     for c, dsum in zip(moduli, _partition_sums(n, moduli)) if dsum)
+    return math.fsum(_series("partition", n, c_max)[1])

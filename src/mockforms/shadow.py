@@ -5,8 +5,8 @@ same weight-1/2 multiplier system that the exact coefficient series is built
 from, and its anti-holomorphic derivative is (up to normalisation) the cusp
 form 24 eta(8 tau)^3.  This module checks all of that numerically:
 
-* shadow_coefficient sums the convergent J-Bessel/Kloosterman series for the
-  q^{8n+1} coefficients of the derivative, to be compared against the exact
+* shadow_coefficient sums the J-Bessel series that rademacher._series forms for
+  the q^{8n+1} coefficients of the derivative, to be compared against the exact
   integer pattern 24, -72, 120, -168, ... at square exponents (2m+1)^2.
   shadow_reference_coefficients writes that pattern down from Jacobi's
   identity eta^3 = sum_m (-1)^m (2m+1) q^{(2m+1)^2/8}, in plain integers.
@@ -41,7 +41,7 @@ from .analytic import (
     lerch_completion,
     nonholomorphic_correction,
 )
-from .rademacher import _dedekind_euclid, _quadratic_sums, bessel_j_half
+from .rademacher import _dedekind_euclid, _series
 
 __all__ = [
     "ShadowCoeff",
@@ -73,11 +73,7 @@ def shadow_coefficient(n: int, c_max: int) -> ShadowCoeff:
     """
     if n < 0 or c_max < 1:
         raise ValueError("n must be nonnegative and c_max positive")
-    root = math.pi * math.sqrt(8.0 * n + 1.0)
-    moduli = range(1, c_max + 1)
-    terms = [4.0 * math.pi / c * bessel_j_half(root / (2.0 * c)) * kloosterman
-             for c, kloosterman in zip(moduli, _quadratic_sums(-n, moduli)) if kloosterman]
-    value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(terms)
+    value = (2.0 if n == 0 else 0.0) + (8.0 * n + 1.0) ** 0.25 * math.fsum(_series("shadow", n, c_max)[1])
     return ShadowCoeff(n=n, c_max=c_max, value=value)
 
 

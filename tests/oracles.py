@@ -323,12 +323,22 @@ def lambert_numerator_terms(label: int, limit: int):
             n += 1
 
 
-def lambert_quotient(label: int, n_terms: int) -> list[int]:
-    """First n_terms coefficients in x = q^{1/2} of q^{1/8} 8 N_label/theta_label."""
+def lambert_quotient(label: int, n_terms: int) -> tuple[int, ...]:
+    """First n_terms coefficients in x = q^{1/2} of q^{1/8} 8 N_label/theta_label.
+
+    Computed once per process for each label, n_terms and numerator
+    enumeration: a test that replaces lambert_numerator_terms gets a fresh
+    quotient from its replacement.
+    """
+    return _lambert_quotient(label, n_terms, lambert_numerator_terms)
+
+
+@lru_cache(maxsize=None)
+def _lambert_quotient(label: int, n_terms: int, numerator_terms) -> tuple[int, ...]:
     # 2 N_2 times 2 over T; 2 N_l times 4 q^{1/8} over theta_00 or theta_01
     shift, scale = (0, 2) if label == 2 else (3, 4)
     quot = [0] * n_terms
-    for u, c in lambert_numerator_terms(label, 12 * n_terms - shift):
+    for u, c in numerator_terms(label, 12 * n_terms - shift):
         k, off = divmod(u + shift, 12)
         if off:
             raise ArithmeticError(f"numerator term q^({Fraction(u, 24)}) of h_{label} is off the half-step lattice")
@@ -345,7 +355,7 @@ def lambert_quotient(label: int, n_terms: int) -> list[int]:
                 break
             acc -= d * quot[k - j]
         quot[k] = acc
-    return quot
+    return tuple(quot)
 
 
 def lambert_sigma(kind: str, n_terms: int) -> list[int]:

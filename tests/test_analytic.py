@@ -124,6 +124,19 @@ def test_z_that_is_not_finite_or_has_no_lattice_point_is_rejected(entry, z, t, e
         entry(z, t)
 
 
+# At z = 1e300i, tau = i the lattice index is finite but the log of the
+# lattice phase is not: the value is past a double and raises ValueOverflow
+# (it was inf + nan i or nan + nan i)
+@pytest.mark.parametrize("entry", (
+    lambda: jacobi_theta("00", 1e300j, 1j),
+    lambda: elliptic_genus("k3", 1e300j, 1j),
+    lambda: superconformal_character(CharSpec("massive", 1, F(5, 4), F(1, 2)), 1e300j, 1j),
+), ids=("jacobi_theta", "elliptic_genus", "massive_character"))
+def test_log_past_a_double_raises_value_overflow(entry):
+    with pytest.raises(ValueOverflow, match="exceeds the range of a double"):
+        entry()
+
+
 class TestTheta:
     def test_theta11_odd_vanishes_at_zero(self):
         for t in TAUS:
@@ -568,6 +581,15 @@ class TestCharacters:
         zero = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0, sector), z, t)
         mu = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0, sector), z, t)
         assert abs(zero - mu) <= 1e-9 * abs(mu)
+
+    # mu alone underflows here (y = e^{2 pi i w} at Im w = 170 and 900) while
+    # theta_11^2 / eta^3 is past a double: their logs add before one exp, so
+    # the mu form meets the sum form (it returned 0j while mu was scaled alone)
+    @pytest.mark.parametrize("sector, z, t", (("NS", 0.23, 340j), ("Rtilde", 0.23 + 400j, 1000j)))
+    def test_mu_form_where_mu_alone_underflows(self, sector, z, t):
+        zero = superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0, sector), z, t)
+        mu = superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0, sector), z, t)
+        assert abs(mu) > 0.2 and abs(zero - mu) <= 1e-9 * abs(mu)
 
     # The sum forms' terms pass a double (a Gaussian peak e^{4 pi (Im z)^2 / Im tau}
     # of e^{11310} at Im z = +-30, e^{1018} at Im z = 0.9): they raise

@@ -292,9 +292,11 @@ class TestCoeffTable:
 class TestLambertOracle:
     """The tables against the Lambert-sum oracle (tests/oracles.py), which shares no code with them.
 
-    Every n <= 10 000 of every kind is compared.  Budget: about 1.4 s for the
-    three oracle tables (0.67 s k3, 0.18 s noncompact, 0.49 s ale on Python
-    3.11, 2 CPUs) and 0.33 s for deep_table, which
+    Every n <= 10 000 of every kind is compared.  Each label's quotient is
+    divided once per process (oracles.lambert_quotient), so the k3 row pays
+    for all three labels and the other two reuse them: about 0.65 s for the
+    three oracle tables (1.8–2.4 s when each kind divided its own labels,
+    Python 3.11, 2 CPUs) and 0.33 s for deep_table, which
     test_ale_is_sixteenth_of_the_two_table_difference shares.
     """
 

@@ -58,3 +58,10 @@ def test_module_imports_only_lower_layers(name):
 def test_imports_inside_functions_are_seen():
     # cli imports analytic only inside its identities suite
     assert {"analytic", "characters", "errors", "qseries", "rademacher", "shadow"} <= package_imports(SRC / "cli.py")
+
+
+def test_shadow_takes_its_series_terms_from_the_driver():
+    # rademacher._series forms every series term; shadow imports no kernel or Bessel function of its own
+    names = {alias.name for node in ast.walk(ast.parse((SRC / "shadow.py").read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "rademacher" for alias in node.names}
+    assert names == {"_dedekind_euclid", "_series"}

@@ -1,6 +1,7 @@
 """Dedekind sums, Kloosterman sums and their memo, exact coefficient series."""
 
 import cmath
+import hashlib
 import math
 import random
 import subprocess
@@ -734,6 +735,38 @@ class TestEntropy:
                  40: 342322413552, 45: 1778826191324}
         ratios = [math.log(exact[n]) / cardy_entropy(n) for n in (10, 20, 30, 40, 45)]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+class TestSeriesDigest:
+    # sha256 over the repr of every term of the four series families,
+    # recorded before the three term loops became one driver: the k3 and
+    # noncompact (c, term) lists for n <= 30 and 45, 70, 100 at 400 and 800
+    # moduli, and the nonzero terms that p(n) for n < 260 at 20 moduli and
+    # the shadow for n <= 11 at 800 moduli hand to math.fsum
+    SERIES_DIGEST = "eed1a415c60293e34b4cfe6fa3cc4875bb8e870141b32e892bfa149d4f57a49b"
+
+    def test_every_term_is_pinned(self, monkeypatch):
+        digest = hashlib.sha256()
+        for kind in ("k3", "noncompact"):
+            for c_max in (400, 800):
+                for n in (*range(1, 31), 45, 70, 100):
+                    digest.update(repr(exact_coefficient(kind, n, c_max).terms).encode())
+        summed, fsum = [], math.fsum
+
+        def recording(terms):
+            terms = list(terms)
+            summed.append([t for t in terms if t])
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", recording)
+        for n in range(1, 260):
+            rademacher_partition(n, 20)
+        for n in range(12):
+            shadow.shadow_coefficient(n, 800)
+        monkeypatch.undo()
+        assert len(summed) == 259 + 12
+        digest.update(repr(summed).encode())
+        assert digest.hexdigest() == self.SERIES_DIGEST
 
 
 class TestPartitionSeries:
