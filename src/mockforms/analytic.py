@@ -5,8 +5,7 @@ point: _reduce walks tau into |Re tau| <= 1/2, |tau| >= 1, the transformation
 laws carry the value there (for mu_hat: Zwegers, Mock Theta Functions,
 arXiv:0807.4834, Prop. 1.4, Prop. 1.5 and Thm. 1.11), z goes into the period
 parallelogram, and the direct sums run where a few terms converge, so the
-cost does not depend on Im tau.  Each public call walks once and hands the
-word of _reduce to every evaluation it makes.  Jacobi thetas, and the
+cost does not depend on Im tau.  Each tau is walked once (see below).  Jacobi thetas, and the
 level-1 massive character q^{h-3/8} theta_10(z)^2 / eta^3 built on them,
 are theta_00 at shifted arguments; eta follows its own law along the word
 (e^{i pi n/12} per translation by n, 1/sqrt(-i s) per inversion s -> -1/s)
@@ -16,6 +15,18 @@ travel as (log, value) pairs, whose rounding grows as Im tau falls
 value past a double raises ValueOverflow.  Only the massless sum forms'
 q-series and R are still summed at tau.  The half-integer Bessel closed
 forms live in rademacher, next to the series driver that uses them.
+
+One record per tau: the first call at tau builds its record (_record),
+which holds the word of _reduce and what depends on tau alone: mu_hat's
+multiplier along the word, eta, and the term counts and R at the reduced
+point tau'.  Every later call at tau reads it instead of walking again.
+A record also keeps the evaluations made at tau: theta_label(z) as a
+(log, value) pair by label and exact z, and mu_hat(z'; tau') by exact z'.
+The module keeps the _RECORDS = 4 most recently used records and at most
+_VALUES = 16 entries per table, in memory only.  The table is empty at
+import, its keys tell -0.0 from 0.0, and an entry point that raises
+stores nothing (_atomic).  A kept value is exactly what the evaluation
+computes, so no result depends on what the table holds.
 
 Every kernel forms each term from the one before it by a running ratio,
 one complex multiply instead of one exp: the theta_00 sum, the Lerch sum,
@@ -45,7 +56,9 @@ the principal branch, argument in (-pi, pi].
 
 from __future__ import annotations
 
+import _thread
 import cmath
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
@@ -177,6 +190,114 @@ def _budget(floor: int, needed: float, what: str, v: float) -> int:
     return budget
 
 
+# -- one record per tau ------------------------------------------------------
+
+# Records kept: the tau, tau + 1 and -1/tau of one modular check, and one more.
+_RECORDS = 4
+# Entries kept per table of a record: a decomposition check at one (z, tau) needs 10.
+_VALUES = 16
+
+_records: dict = {}  # _exact(tau) -> _Record, least recently used first
+# (table, key, previous value or None) of each entry the entry point in progress stored
+_journal: list | None = None
+_lock = _thread.RLock()  # held by each entry point: the tables and the journal are shared by all threads
+
+
+def _exact(w: complex):
+    """A key equal only for bit-identical finite w: == alone does not tell -0.0 from 0.0."""
+    if w.real and w.imag:
+        return w
+    return w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag)
+
+
+class _Record(namedtuple("_Record", "tau steps factor lerch_count thetas reduced theta_logs theta_count eta")):
+    """What the evaluations at tau need that depends on tau alone, built once by _record.
+
+    steps is _reduce(tau), factor mu_hat's multiplier along the word
+    (_walk_factor) and lerch_count _lerch_count at the reduced point tau'.
+    The theta parts are None until a caller needs them (_theta_fields):
+    theta_logs holds 0.5 log(i/s) for each inverted step s (theta's law,
+    _theta_parts), theta_count is _theta_count at tau' and eta is eta(tau)
+    as a (log, value) pair.
+
+    Two tables keep the _VALUES most recently used evaluations each:
+    thetas holds theta_label(z; tau) as (log, value) pairs by label and
+    exact z (_theta), reduced holds R(tau') and mu_hat(z'; tau') by exact
+    z' (_mu_hat).  The latter depend on tau' alone, so every kept record
+    whose walk ends at the same tau' shares one reduced table: tau + 1 does
+    wherever tau + 1 - n rounds to the same point as tau - n (3 in 4 points
+    of the pointwise benchmark's pool).
+    """
+
+    __slots__ = ()
+
+
+def _kept(table: dict, key, bound: int, build, *args):
+    """table[key], built by build(*args) on a miss; table keeps the bound most recently used keys."""
+    value = table.pop(key, None)
+    if value is None:
+        value = build(*args)
+        if _journal is not None:
+            _journal.append((table, key, None))
+        if len(table) >= bound:
+            del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
+def _atomic(entry):
+    """An entry point, run under _lock, whose stores into the records and their tables are undone if it raises."""
+
+    @functools.wraps(entry)
+    def call(*args, **kwargs):
+        global _journal
+        with _lock:
+            outer, _journal = _journal, []
+            try:
+                return entry(*args, **kwargs)
+            except BaseException:
+                for table, key, previous in reversed(_journal):
+                    if previous is None:
+                        table.pop(key, None)
+                    else:
+                        table[key] = previous
+                raise
+            finally:
+                _journal = outer
+
+    return call
+
+
+def _theta_fields(steps: list) -> tuple:
+    """The theta parts of the record of the tau with steps = _reduce(tau): theta_logs, theta_count, eta."""
+    t_red = steps[-1][1]
+    return [0.5 * cmath.log(1j / s) for _, s in steps[:-1]], _theta_count(t_red.imag), _eta_parts(steps)
+
+
+def _build_record(t: complex, thetas: bool) -> _Record:
+    steps = _reduce(t)
+    t_red = steps[-1][1]
+    reduced = next((rec.reduced for rec in _records.values()
+                    if rec.steps[-1][1] == t_red and _exact(rec.steps[-1][1]) == _exact(t_red)), {})
+    return _Record(t, steps, _walk_factor(steps), _lerch_count(t_red.imag), {}, reduced,
+                   *(_theta_fields(steps) if thetas else (None, None, None)))
+
+
+def _record(t: complex, thetas: bool = True) -> _Record:
+    """The record of tau, with its theta parts if thetas, built or completed on first use.
+
+    mu_hat and R need no theta parts, so a tau that only they see (the
+    tau + 1 and -1/tau of a modular check) never builds them.
+    """
+    key = _exact(t)
+    rec = _kept(_records, key, _RECORDS, _build_record, t, thetas)
+    if thetas and rec.eta is None:
+        if _journal is not None:
+            _journal.append((_records, key, rec))
+        rec = _records[key] = _Record(*rec[:6], *_theta_fields(rec.steps))
+    return rec
+
+
 # -- theta functions -----------------------------------------------------
 
 
@@ -194,8 +315,8 @@ def _theta_count(v: float) -> int:
     return math.ceil(0.5 + math.sqrt(0.25 + need))
 
 
-def _theta00_sum(z: complex, t: complex) -> complex:
-    """sum_{|n| < N} exp(i pi (tau n^2 + 2 n z)) for |Im z| <= Im tau / 2, N from _theta_count.
+def _theta00_sum(z: complex, t: complex, count: int) -> complex:
+    """sum_{|n| < N} exp(i pi (tau n^2 + 2 n z)) for |Im z| <= Im tau / 2, N = count = _theta_count(Im tau).
 
     No term is larger than the n = 0 term, 1, so the sum is in units of its
     largest term.  Each term is the one before it times a running ratio:
@@ -210,7 +331,7 @@ def _theta00_sum(z: complex, t: complex) -> complex:
     b = cmath.exp(1j * math.pi * (t - 2.0 * z))
     ratio_a, ratio_b = a * q, b * q
     total = 1.0 + 0j
-    for _ in range(_theta_count(t.imag) - 1):
+    for _ in range(count - 1):
         total += a + b
         a *= ratio_a
         b *= ratio_b
@@ -234,8 +355,8 @@ def _theta00_argument(label: str, z: complex, t: complex) -> tuple[complex, comp
     return 0j, z
 
 
-def _theta_direct(z: complex, t: complex) -> tuple[complex, complex]:
-    """(log, value) with theta_00(z; tau) = exp(log) * value, summed at tau itself.
+def _theta_direct(z: complex, t: complex, count: int) -> tuple[complex, complex]:
+    """(log, value) with theta_00(z; tau) = exp(log) * value, summed at tau itself; count = _theta_count(Im tau).
 
     z is first moved into the period parallelogram by
     theta_00(z0 + a + b tau) = e^{-i pi b (b tau + 2 z0)} theta_00(z0), which
@@ -243,26 +364,33 @@ def _theta_direct(z: complex, t: complex) -> tuple[complex, complex]:
     term.
     """
     w, log = _theta_lattice(z, t)
-    return log, _theta00_sum(w, t)
+    return log, _theta00_sum(w, t, count)
 
 
-def _theta_parts(label: str, z: complex, t: complex, steps: list) -> tuple[complex, complex]:
+def _theta_parts(label: str, z: complex, rec: _Record) -> tuple[complex, complex]:
     """(log, value) with theta_label(z; tau) = exp(log) * value, summed at the reduced tau.
 
-    steps is _reduce(tau).  Along it: theta_00(z; tau + n) = theta_00(z + n/2; tau),
+    rec is the record of tau.  Along its word: theta_00(z; tau + n) = theta_00(z + n/2; tau),
     and, with z first reduced mod the lattice of tau,
     theta_00(z; tau) = sqrt(i/tau) e^{-i pi z^2/tau} theta_00(z/tau; -1/tau).
     """
-    log, w = _theta00_argument(label, z, t)
-    for n, s in steps[:-1]:
+    log, w = _theta00_argument(label, z, rec.tau)
+    steps = rec.steps
+    for (n, s), half_log in zip(steps, rec.theta_logs):  # the inverted steps
         w, more = _theta_lattice(w + 0.5 * (n % 2), s)
-        log += more + 0.5 * cmath.log(1j / s) - 1j * math.pi * w * w / s
+        log += more + half_log - 1j * math.pi * w * w / s
         w = w / s
     n, t_red = steps[-1]
-    more, value = _theta_direct(w + 0.5 * (n % 2), t_red)
+    more, value = _theta_direct(w + 0.5 * (n % 2), t_red, rec.theta_count)
     return log + more, value
 
 
+def _theta(rec: _Record, label: str, z: complex) -> tuple[complex, complex]:
+    """_theta_parts(label, z, rec), kept in the record by label and exact z."""
+    return _kept(rec.thetas, (label, _exact(z)), _VALUES, _theta_parts, label, z, rec)
+
+
+@_atomic
 def jacobi_theta(label: str, z, tau) -> complex:
     """Jacobi theta function theta_label(z; tau), label in {"11","10","00","01"}.
 
@@ -273,7 +401,8 @@ def jacobi_theta(label: str, z, tau) -> complex:
     range of a double.
     """
     t = _tau(tau)
-    return _scaled(*_theta_parts(label, _z(z), t, _reduce(t)))
+    z = _z(z)
+    return _scaled(*_theta(_record(t), label, z))
 
 
 def _eta_parts(steps: list) -> tuple[complex, complex]:
@@ -300,13 +429,15 @@ def _eta_parts(steps: list) -> tuple[complex, complex]:
     return log + 1j * math.pi * (shift + t_red) / 12.0, value
 
 
+@_atomic
 def dedekind_eta(tau) -> complex:
     """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), by its modular law from the reduced point."""
-    return _scaled(*_eta_parts(_reduce(_tau(tau))))
+    return _scaled(*_record(_tau(tau)).eta)
 
 
+@_atomic
 def _eta_cubed(t: complex) -> complex:
-    log, value = _eta_parts(_reduce(t))
+    log, value = _record(t).eta
     return _scaled(3.0 * log, value * value * value)
 
 
@@ -395,7 +526,7 @@ def _lerch_count(v: float) -> int:
     return math.ceil(math.sqrt(0.25 + need) - 0.5)
 
 
-def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
+def _lerch_direct(z: complex, t: complex, count: int) -> tuple[complex, complex]:
     """(log, value) with mu(z; tau) = exp(log) * value, summed at tau itself.
 
     With q = e^{2 pi i tau}, y = e^{2 pi i z} and t_n = (-1)^n q^{n(n+1)/2} y^n,
@@ -413,7 +544,7 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
 
     since t_n / (1 - q^n y) = t_{n-1} / (1 - q^{-n} / y).  The chains start
     at t_0 = 1 and t_{-2} = q/y^2, and each step multiplies u by -r after r
-    gains a factor q; each runs _lerch_count(Im tau) steps.  Together they
+    gains a factor q; each runs count = _lerch_count(Im tau) steps.  Together they
     run over every t_n but t_{-1}, so S = -1/y + C with C the sum of the
     chain, and mu = q^{-1/8} y A / (y C - 1): y stays in the log, so a y
     that underflows costs neither A nor the result's scale.  The starting
@@ -428,7 +559,7 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
     y = cmath.exp(2j * math.pi * z)
     if abs(1.0 - y) < POLE_EPS:
         raise PoleAtArgument(f"Lerch denominator vanishes at n = 0, z = {z}")
-    steps = range(_lerch_count(t.imag))
+    steps = range(count)
     appell, chain = 0j, 0j
     for u, r in ((1.0 + 0j, y), (cmath.exp(2j * math.pi * (t - 2.0 * z)), cmath.exp(2j * math.pi * (t - z)))):
         for _ in steps:
@@ -442,35 +573,55 @@ def _lerch_direct(z: complex, t: complex) -> tuple[complex, complex]:
     return 2j * math.pi * (z - 0.125 * t), appell / theta
 
 
-def _completion_walk(z: complex, steps: list) -> tuple[complex, complex, complex]:
-    """(factor, z', tau') with mu_hat(z; tau) = factor * mu_hat(z'; tau'), steps = _reduce(tau).
+_EIGHTHS = tuple(cmath.exp(-0.25j * math.pi * k) for k in range(8))  # e^{-i pi k/4}
+
+
+def _walk_factor(steps: list) -> complex:
+    """The factor with mu_hat(z; tau) = factor * mu_hat(z'; tau') along steps = _reduce(tau).
 
     mu_hat(z; tau + n) = e^{-i pi n/4} mu_hat(z; tau), mu_hat is invariant
     under z -> z + 1 and z -> z + tau, and
     mu_hat(z; tau) = -sqrt(i/tau) mu_hat(z/tau; -1/tau)
-    (Zwegers, Mock Theta Functions, Thm. 1.11, at u = v).
+    (Zwegers, Mock Theta Functions, Thm. 1.11, at u = v); z' is _walk(z, steps).
     """
     factor = 1.0 + 0j
     for n, s in steps[:-1]:
-        factor *= -cmath.exp(-0.25j * math.pi * (n % 8)) * cmath.sqrt(1j / s)
+        factor *= -_EIGHTHS[n % 8] * cmath.sqrt(1j / s)
+    return factor * _EIGHTHS[steps[-1][0] % 8]
+
+
+def _walk(z: complex, steps: list) -> complex:
+    """z' of _walk_factor: z reduced mod the lattice of each inverted step s, then divided by s."""
+    for _, s in steps[:-1]:
         z = _lattice_point(z, s)[0] / s
-    n, t_red = steps[-1]
-    return factor * cmath.exp(-0.25j * math.pi * (n % 8)), z, t_red
+    return z
 
 
-def _completion_direct(z: complex, t: complex) -> complex:
-    """mu(z; tau) - R(tau)/2 by the direct sums at tau itself."""
-    return _scaled(*_lerch_direct(z, t)) - 0.5 * nonholomorphic_correction(t)
+def _correction(rec: _Record) -> complex:
+    """R(tau') at the reduced point of rec, kept in the record."""
+    return _kept(rec.reduced, "R", _VALUES, nonholomorphic_correction, rec.steps[-1][1])
 
 
-def _lerch(z: complex, t: complex, steps: list) -> tuple[complex, complex]:
-    """(log, value) with mu(z; tau) = exp(log) * value, steps = _reduce(tau), log 0j after a walk: see lerch_sum."""
-    if steps == [(0, t)]:  # tau is reduced already
-        return _lerch_direct(z, t)
-    factor, z_red, t_red = _completion_walk(z, steps)
-    return 0j, factor * _completion_direct(z_red, t_red) + 0.5 * nonholomorphic_correction(t)
+def _completion_reduced(z: complex, rec: _Record) -> complex:
+    """mu_hat(z; tau') = mu(z; tau') - R(tau')/2 by the direct sums at the reduced point tau' of rec."""
+    return _scaled(*_lerch_direct(z, rec.steps[-1][1], rec.lerch_count)) - 0.5 * _correction(rec)
 
 
+def _mu_hat(rec: _Record, z: complex) -> complex:
+    """mu_hat(z'; tau') for z' = _walk(z, rec.steps), by the direct sums, kept in the record by exact z'."""
+    z = _walk(z, rec.steps)
+    return _kept(rec.reduced, _exact(z), _VALUES, _completion_reduced, z, rec)
+
+
+def _lerch(z: complex, rec: _Record) -> tuple[complex, complex]:
+    """(log, value) with mu(z; tau) = exp(log) * value, rec the record of tau, log 0j after a walk: see lerch_sum."""
+    t = rec.tau
+    if rec.steps == [(0, t)]:  # tau is reduced already
+        return _lerch_direct(z, t, rec.lerch_count)
+    return 0j, rec.factor * _mu_hat(rec, z) + 0.5 * nonholomorphic_correction(t)
+
+
+@_atomic
 def lerch_sum(z, tau) -> complex:
     """The Appell/Lerch sum
 
@@ -482,17 +633,19 @@ def lerch_sum(z, tau) -> complex:
     PoleAtArgument when z sits on the period lattice.
     """
     t = _tau(tau)
-    log, value = _lerch(_z(z), t, _reduce(t))
+    log, value = _lerch(_z(z), _record(t, thetas=False))
     return _scaled(log, value) if log else value  # exp(log(v)) would round a walked value v
 
 
+@_atomic
 def lerch_completion(z, tau) -> complex:
     """mu(z; tau) - R(tau)/2, the modular completion of the Lerch sum.
 
-    Evaluated by the direct sums at the reduced point (see _completion_walk).
+    Evaluated by the direct sums at the reduced point (see _walk_factor).
     """
-    factor, z, t = _completion_walk(_z(z), _reduce(_tau(tau)))
-    return factor * _completion_direct(z, t)
+    z = _z(z)
+    rec = _record(_tau(tau), thetas=False)
+    return rec.factor * _mu_hat(rec, z)
 
 
 # -- superconformal characters -------------------------------------------------
@@ -541,10 +694,10 @@ class CharSpec(namedtuple("CharSpec", "kind k h ell sector")):
         return super().__new__(cls, kind, k, h, ell, sector)
 
 
-def _theta_sq_over_eta3(label: str, z: complex, t: complex, steps: list) -> tuple[complex, complex]:
-    """(log, value) with theta_label(z)^2 / eta^3 = exp(log) * value, steps = _reduce(tau)."""
-    th_log, th = _theta_parts(label, z, t, steps)
-    eta_log, eta = _eta_parts(steps)
+def _theta_sq_over_eta3(label: str, z: complex, rec: _Record) -> tuple[complex, complex]:
+    """(log, value) with theta_label(z)^2 / eta^3 = exp(log) * value, rec the record of tau."""
+    th_log, th = _theta(rec, label, z)
+    eta_log, eta = rec.eta
     return 2.0 * th_log - 3.0 * eta_log, th * th / (eta * eta * eta)
 
 
@@ -594,7 +747,9 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
     m < 0 are written with u = y^{-1} q^{-m}, as -(1 + u)/(1 - u), so that
     u shrinks along the chain.  The centre term comes first, then
     m = 1, 2, ... and m = -1, -2, ..., _massless_count(Im tau, +-Im z) of
-    each.
+    each.  Each chain's pole guard runs before its sum and stops at the
+    first |u| < 1 - 2 POLE_EPS: u shrinks by |q| < 1 per term, so from there
+    on |1 - u| > 2 POLE_EPS and no later denominator can vanish.
     """
     i_pi = 1j * math.pi
     q = cmath.exp(2.0 * i_pi * t)
@@ -613,11 +768,16 @@ def _massless_compact_sum(z: complex, t: complex) -> complex:
         g = cmath.exp(i_pi * (4.0 * t + 8.0 * z_dir))
         ratio = cmath.exp(i_pi * (12.0 * t + 8.0 * z_dir))
         u = cmath.exp(i_pi * (2.0 * t + 2.0 * z_dir))
-        for _ in range(_massless_count(t.imag, z_dir.imag, False)):
-            den = 1.0 - u
-            if abs(den) < POLE_EPS * max(1.0, abs(u)):
+        count = _massless_count(t.imag, z_dir.imag, False)
+        v = u
+        for _ in range(count):
+            if abs(v) < 1.0 - 2.0 * POLE_EPS:
+                break
+            if abs(1.0 - v) < POLE_EPS * max(1.0, abs(v)):
                 raise PoleAtArgument(f"massless denominator vanishes at z = {z}")
-            total += sign * g * (1.0 + u) / den
+            v *= q
+        for _ in range(count):
+            total += sign * g * (1.0 + u) / (1.0 - u)
             g *= ratio
             ratio *= q4
             u *= q
@@ -637,7 +797,9 @@ def _massless_half_sum(w: complex, t: complex) -> complex:
     factor q.  The centre terms come first, then k = 1, 2, ... for m = k and
     for m = -k, each the sum of its two eps terms;
     _massless_count(Im tau, -|Im w|) of each, the larger of the two chains'
-    counts.
+    counts.  The pole guard runs on each of the four chains of u before the
+    sum, up to its first |u| < 1 - 2 POLE_EPS, past which |1 + u| > 2 POLE_EPS
+    (see _massless_compact_sum).
     """
     i_pi = 1j * math.pi
     q = cmath.exp(2.0 * i_pi * t)
@@ -655,17 +817,23 @@ def _massless_half_sum(w: complex, t: complex) -> complex:
                        (eps * cmath.exp(i_pi * (2.0 * t - 3.0 * x)), cmath.exp(i_pi * (10.0 * t - 4.0 * x)),
                         cmath.exp(i_pi * (2.0 * t - x)))))
     count = _massless_count(t.imag, -abs(w.imag), True)
+    for _, _, u in (*starts[0], *starts[1]):
+        for _ in range(count):
+            if abs(u) < 1.0 - 2.0 * POLE_EPS:
+                break
+            if abs(1.0 + u) < POLE_EPS:
+                raise PoleAtArgument(f"massless denominator vanishes at w = {w}")
+            u *= q
     for (num_a, ratio_a, u_a), (num_b, ratio_b, u_b) in zip(*starts):  # m = k, then m = -k
         for _ in range(count):
             den_a, den_b = 1.0 + u_a, 1.0 + u_b
-            if abs(den_a) < POLE_EPS or abs(den_b) < POLE_EPS:
-                raise PoleAtArgument(f"massless denominator vanishes at w = {w}")
             total += num_a / (den_a * den_a) + num_b / (den_b * den_b)
             num_a, ratio_a, u_a = num_a * ratio_a, ratio_a * q4, u_a * q
             num_b, ratio_b, u_b = num_b * ratio_b, ratio_b * q4, u_b * q
     return total
 
 
+@_atomic
 def superconformal_character(spec: CharSpec, z, tau) -> complex:
     """Evaluate a level-1 N=4 character.
 
@@ -677,7 +845,7 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
     """
     z = _z(z)
     t = _tau(tau)
-    steps = _reduce(t)
+    rec = _record(t)
 
     def shifted(base: str) -> complex:
         try:
@@ -691,8 +859,8 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
         if spec.ell != 0:
             raise UnsupportedSpec("the Lerch form is the isospin-0 massless character")
         w = shifted("Rtilde")
-        log, value = _theta_sq_over_eta3("11", w, t, steps)
-        mu_log, mu = _lerch(w, t, steps)  # mu alone may leave the range of a double where the product does not
+        log, value = _theta_sq_over_eta3("11", w, rec)
+        mu_log, mu = _lerch(w, rec)  # mu alone may leave the range of a double where the product does not
         return _scaled(log + mu_log, value * mu)
 
     if spec.kind == "massless_sum_form":
@@ -707,15 +875,15 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
             total = complex(math.inf)
         if not cmath.isfinite(total):
             raise ValueOverflow(f"massless character sum exceeds the range of a double at Im tau = {t.imag:.3g}")
-        th2_log, th2 = _theta_parts("11", 2.0 * w, t, steps)
+        th2_log, th2 = _theta(rec, "11", 2.0 * w)
         if abs(th2) < POLE_EPS:  # in units of its largest term
             raise PoleAtArgument(f"theta_11(2z) vanishes at z = {w}")
-        log, value = _theta_sq_over_eta3(label, w, t, steps)
+        log, value = _theta_sq_over_eta3(label, w, rec)
         return _scaled(log - th2_log, 1j * value / th2 * total)
 
     # massive
     w = shifted("R")
-    log, value = _theta_sq_over_eta3("10", w, t, steps)
+    log, value = _theta_sq_over_eta3("10", w, rec)
     h = spec.h
     # h - 3/8 as one correctly rounded int / int division, no Fraction arithmetic
     return _scaled(log + 2j * math.pi * t * ((8 * h.numerator - 3 * h.denominator) / (8 * h.denominator)), value)
@@ -724,12 +892,13 @@ def superconformal_character(spec: CharSpec, z, tau) -> complex:
 # -- elliptic genera and the two-argument kernel ------------------------------
 
 
-def _theta_quotient_sq(label: str, z: complex, t: complex, steps: list) -> complex:
-    num_log, num = _theta_parts(label, z, t, steps)
-    den_log, den = _theta_parts(label, 0j, t, steps)
+def _theta_quotient_sq(label: str, z: complex, rec: _Record) -> complex:
+    num_log, num = _theta(rec, label, z)
+    den_log, den = _theta(rec, label, 0j)
     return _scaled(2.0 * (num_log - den_log), (num / den) ** 2)
 
 
+@_atomic
 def elliptic_genus(variant: str, z, tau) -> complex:
     """Elliptic genus as a sum of squared theta quotients.
 
@@ -738,10 +907,10 @@ def elliptic_genus(variant: str, z, tau) -> complex:
     """
     z = _z(z)
     t = _tau(tau)
-    steps = _reduce(t)
-    pair = _theta_quotient_sq("00", z, t, steps) + _theta_quotient_sq("01", z, t, steps)
+    rec = _record(t)
+    pair = _theta_quotient_sq("00", z, rec) + _theta_quotient_sq("01", z, rec)
     if variant == "k3":
-        return 8.0 * (_theta_quotient_sq("10", z, t, steps) + pair)
+        return 8.0 * (_theta_quotient_sq("10", z, rec) + pair)
     if variant == "decompactified":
         return 8.0 * pair
     raise UnknownName(f"no elliptic genus variant {variant!r}")
@@ -755,19 +924,19 @@ def _difference(first: tuple[complex, complex], second: tuple[complex, complex])
     return log2, cmath.exp(log1 - log2) * v1 - v2
 
 
+@_atomic
 def lerch_difference(z, w, tau) -> complex:
     """theta_11(z)^2 / eta^3 * (mu(z; tau) - mu(w; tau)).
 
     Vanishes at w = z; at w equal to a half-period it collapses to a squared
     theta quotient.  R depends only on tau, so mu(z) - mu(w) is
     mu_hat(z) - mu_hat(w), which is the walk's factor times mu(z') - mu(w')
-    at the reduced point (see _completion_walk): no R is summed at all.
+    at the reduced point (see _walk_factor): no R is summed at all.
     """
     z, w = _z(z), _z(w, "w")
-    t = _tau(tau)
-    steps = _reduce(t)
-    log, value = _theta_sq_over_eta3("11", z, t, steps)
-    factor, z_red, t_red = _completion_walk(z, steps)
-    w_red = _completion_walk(w, steps)[1]
-    mu_log, mu = _difference(_lerch_direct(z_red, t_red), _lerch_direct(w_red, t_red))
-    return _scaled(log + mu_log, value * factor * mu)
+    rec = _record(_tau(tau))
+    log, value = _theta_sq_over_eta3("11", z, rec)
+    steps, count = rec.steps, rec.lerch_count
+    t_red = steps[-1][1]
+    mu_log, mu = _difference(_lerch_direct(_walk(z, steps), t_red, count), _lerch_direct(_walk(w, steps), t_red, count))
+    return _scaled(log + mu_log, value * rec.factor * mu)

@@ -141,8 +141,9 @@ def cmd_pofn(args: argparse.Namespace, out) -> int:
 def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
     import cmath
 
-    from .analytic import (CharSpec, _completion_direct, _lerch_direct, _scaled, _theta_direct, dedekind_eta,
-                           jacobi_theta, lerch_completion, nonholomorphic_correction, superconformal_character)
+    from .analytic import (CharSpec, _lerch_count, _lerch_direct, _scaled, _theta_count, _theta_direct,
+                           dedekind_eta, jacobi_theta, lerch_completion, nonholomorphic_correction,
+                           superconformal_character)
     from .rademacher import _dedekind_euclid
     from fractions import Fraction
 
@@ -168,10 +169,12 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
         worst["genus_at_zero"] = max(worst["genus_at_zero"],
                                      characters.identity_check("genus_at_zero", 0.0, t))
         half_periods = (0.5 + 0j, 0.5 * (1.0 + t), 0.5 * t)
-        shat = 8.0 * (sum(_scaled(*_lerch_direct(w, t)) for w in half_periods)
-                      - 1.5 * nonholomorphic_correction(t))
+        count = _lerch_count(t.imag)
+        correction = nonholomorphic_correction(t)
+        shat = 8.0 * (sum(_scaled(*_lerch_direct(w, t, count)) for w in half_periods) - 1.5 * correction)
         # eta = q^{1/24} theta_00((tau + 1)/2; 3 tau), summed at 3 tau itself
-        eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct(0.5 * (t + 1.0), 3.0 * t))
+        t3 = 3.0 * t
+        eta = cmath.exp(1j * math.pi * t / 12.0) * _scaled(*_theta_direct(0.5 * (t + 1.0), t3, _theta_count(t3.imag)))
         worst["completion_S"] = max(worst["completion_S"],
                                     abs(shadow.multiplicity_completion(-1 / t) + cmath.sqrt(t / 1j) * shat))
         worst["completion_T"] = max(worst["completion_T"],
@@ -196,7 +199,7 @@ def _suite_identities(tol: float) -> list[tuple[str, float, float]]:
             mu_form = superconformal_character(
                 CharSpec("massless_mu_form", 1, Fraction(1, 4), 0), z, t)
             worst["massless_forms"] = max(worst["massless_forms"], abs(sum_form - mu_form))
-            mh = _completion_direct(z, t)
+            mh = _scaled(*_lerch_direct(z, t, count)) - 0.5 * correction
             worst["mu_hat_T"] = max(worst["mu_hat_T"],
                                     abs(lerch_completion(z, t + 1) - cmath.exp(-0.25j * math.pi) * mh))
             worst["mu_hat_S"] = max(worst["mu_hat_S"],

@@ -32,14 +32,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from .analytic import (
-    _completion_walk,
+    _atomic,
+    _correction,
     _eta_cubed_terms,
-    _reduce,
+    _record,
     _scaled,
     _tau,
     dedekind_eta,
     lerch_completion,
-    nonholomorphic_correction,
 )
 from .rademacher import _dedekind_euclid, _series
 
@@ -97,25 +97,27 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
 _A_HEAD = (90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136)
 
 
+@_atomic
 def multiplicity_completion(tau) -> complex:
     """8 sum of mu_hat over the half-periods 1/2, (1 + tau)/2, tau/2.
 
     Evaluated at the SL2(Z)-reduced point tau', with the multiplier of
-    mu_hat (analytic._completion_walk), which carries the half-periods of
-    tau to those of tau'.  There
+    mu_hat (analytic._walk_factor), which carries the half-periods of
+    tau to those of tau'; both, and R(tau'), come from tau's record.  There
 
         8 sum_w mu_hat(w; tau') = q'^{-1/8} (2 - sum_{n>=1} A_n q'^n) - 12 R(tau')
 
     with the exact multiplicities A_n; ten terms leave a tail below 1.0e-20
     (|q'| <= e^{-pi sqrt 3}), far below the 2 they are subtracted from.
     """
-    factor, _, t_red = _completion_walk(0j, _reduce(_tau(tau)))
+    rec = _record(_tau(tau), thetas=False)
+    t_red = rec.steps[-1][1]
     q = cmath.exp(2j * math.pi * t_red)
     series = 0j
     for a in reversed(_A_HEAD):
         series = (series + a) * q
     holomorphic = _scaled(-0.25j * math.pi * t_red, 2.0 - series)
-    return factor * (holomorphic - 12.0 * nonholomorphic_correction(t_red))
+    return rec.factor * (holomorphic - 12.0 * _correction(rec))
 
 
 def multiplier_system(gamma: tuple[int, int, int, int]) -> complex:

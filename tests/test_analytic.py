@@ -1,9 +1,14 @@
 """Numerical evaluation: theta/eta, Lerch sum, completion, characters, genus."""
 
 import cmath
+import hashlib
 import math
+import random
+import subprocess
 import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +26,7 @@ from mockforms.analytic import (
     nonholomorphic_correction,
     superconformal_character,
 )
+from mockforms.characters import decomposition_residual, identity_check
 from mockforms.errors import (
     BesselOverflow,
     MockformsError,
@@ -465,7 +471,24 @@ class TestBesselHalf:
                 bessel(-1.0)
 
 
+# Points where a massless sum form's denominator vanishes past the centre
+# term: (ell, sector, z, tau) and the term whose 1 - u (ell = 0) or 1 + u
+# (ell = 1/2) is 0, counted from the first term of its chain
+IN_CHAIN_POLES = {
+    "compact_first": (F(0), "Rtilde", lambda t: -t, 0.1 + 0.8j),  # m = 1
+    "compact_second": (F(0), "Rtilde", lambda t: -2 * t, 0.1 + 0.05j),  # m = 2
+    "half_first": (F(1, 2), "R", lambda t: 0.5 - t, 0.1 + 0.8j),  # m = 1, eps = 1
+    "half_third": (F(1, 2), "R", lambda t: 0.5 - 3 * t, 0.2 + 0.1j),  # m = 3, eps = 1
+}
+
+
 class TestCharacters:
+    @pytest.mark.parametrize("ell, sector, z, t", IN_CHAIN_POLES.values(), ids=IN_CHAIN_POLES.keys())
+    def test_pole_past_the_centre_term_raises(self, ell, sector, z, t):
+        # the chains' own guard, not the centre term's ("at m = 0, ...")
+        with pytest.raises(PoleAtArgument, match="^massless denominator vanishes at [zw] = "):
+            superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), ell, sector), z(t), t)
+
     def test_sum_form_equals_mu_form(self):
         for z in ZS:
             for t in (0.1 + 1.3j, 0.35 + 1.8j):
@@ -740,6 +763,7 @@ ONE_WALK = {
     "massless_half": lambda t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), F(1, 2)), 0.2, t),
     "elliptic_genus": lambda t: elliptic_genus("k3", 0.2, t),
     "multiplicity_completion": multiplicity_completion,
+    "recursion_identity": lambda t: identity_check("recursion", 0.2, t),  # eta^3 from the record too
 }
 
 
@@ -747,7 +771,8 @@ class TestOneWalk:
     @pytest.mark.parametrize("t", (0.3 + 0.01j, 0.1 + 1.2j), ids=("off_domain", "in_domain"))
     @pytest.mark.parametrize("entry", ONE_WALK.values(), ids=ONE_WALK.keys())
     def test_each_call_walks_once(self, monkeypatch, entry, t):
-        # every theta, eta and Lerch sum of one call shares the call's word
+        # every theta, eta and Lerch sum of a call shares the word kept in
+        # tau's record, and a second call at tau walks no more
         walked = []
         reduce = analytic._reduce
 
@@ -756,7 +781,9 @@ class TestOneWalk:
             return reduce(tau)
 
         monkeypatch.setattr(analytic, "_reduce", counted)
-        monkeypatch.setattr("mockforms.shadow._reduce", counted)
+        monkeypatch.setattr(analytic, "_records", {})
+        entry(t)
+        assert walked == [t]
         entry(t)
         assert walked == [t]
 
@@ -779,6 +806,162 @@ class TestDeterminism:
         assert dedekind_eta(t) == dedekind_eta(t)
         assert lerch_sum(z, t) == lerch_sum(z, t)
         assert nonholomorphic_correction(t) == nonholomorphic_correction(t)
+
+
+def record_digest_calls() -> list:
+    """Seeded public calls that read tau's record, as thunks, over (z, tau) points with +-0.0 real parts too."""
+    rng = random.Random("tau-record-digest")
+    points = []
+    for _ in range(24):
+        v = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+        points.append((complex(rng.uniform(0.05, 0.45), v * rng.uniform(-0.4, 0.4)), complex(rng.uniform(-0.5, 0.5), v)))
+    points += [(complex(0.0, 0.1), complex(0.0, 0.7)), (complex(-0.0, 0.1), complex(-0.0, 0.7)),
+               (complex(-0.0, -0.05), complex(0.0, 1.3)), (complex(0.0, 0.02), complex(-0.0, 0.05)),
+               (0j, 0.1 + 0.8j), (-0.1 - 0.8j, 0.1 + 0.8j)]  # poles: on the lattice, and in a sum form's chain
+    specs = [CharSpec(kind, 1, h, ell, sector) for kind, h, ell in CHARACTER_KINDS.values() for sector in ("Rtilde", "NS")]
+    calls = []
+    for z, t in points:
+        calls += [lambda z=z, t=t, label=label, w=w: jacobi_theta(label, w, t)
+                  for label in ("11", "10", "00", "01") for w in (z, 0.0)]
+        calls += [lambda z=z, t=t, s=s: lerch_completion(z, t + s) for s in (0, 1)]
+        calls += [lambda z=z, t=t, v=v: elliptic_genus(v, z, t) for v in ("k3", "decompactified")]
+        calls += [lambda z=z, t=t, spec=spec: superconformal_character(spec, z, t) for spec in specs]
+        calls += [lambda t=t, u=u: multiplicity_completion(u(t)) for u in (lambda t: t, lambda t: -1 / t, lambda t: t + 1)]
+        calls += [lambda t=t: dedekind_eta(t), lambda z=z, t=t: lerch_sum(z, t),
+                  lambda z=z, t=t: lerch_difference(z, 0.3, t)]
+    return calls
+
+
+def outcome(call) -> str:
+    try:
+        return repr(call())
+    except MockformsError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def digest(outcomes: list) -> str:
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+class TestRecord:
+    """The record per tau (analytic._record): what every evaluation at tau needs that depends on tau alone."""
+
+    # recorded before the record existed, when every call walked on its own
+    DIGEST = "1f5d755855ac109879967b5ba600d408061d205ac7eed41118ef82cbb39c6284"
+
+    def test_empty_warm_and_reversed_tables_give_the_recorded_values(self, monkeypatch):
+        calls = record_digest_calls()
+        monkeypatch.setattr(analytic, "_records", {})
+        assert digest([outcome(call) for call in calls]) == self.DIGEST
+        # warm: each call after the same call has filled tau's record
+        assert digest([outcome(call) for call in calls for _ in range(2)][1::2]) == self.DIGEST
+        assert digest([outcome(call) for call in reversed(calls)][::-1]) == self.DIGEST
+
+    def test_threads_read_and_grow_the_table_safely(self, monkeypatch):
+        # the entry points share the table and the journal: eight threads
+        # over the same few tau, switching every microsecond, must each get
+        # the one-thread values, leave no journal behind and keep the bounds
+        calls = record_digest_calls()
+        expected = [outcome(call) for call in calls]
+        monkeypatch.setattr(analytic, "_records", {})
+        results = {}
+
+        def worker(k):
+            order = list(range(len(calls)))
+            random.Random(k).shuffle(order)
+            results[k] = {i: outcome(calls[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all([got[i] for i in range(len(calls))] == expected for got in results.values()) and len(results) == 8
+        assert analytic._journal is None and len(analytic._records) <= analytic._RECORDS
+
+    def test_import_leaves_the_table_empty(self):
+        # checked in a fresh interpreter, not this one
+        src = str(Path(analytic.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms; "
+                "from mockforms import analytic; print(len(analytic._records), analytic._journal)")
+        result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "None"]
+
+    def test_the_table_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_records", {})
+        for k in range(3 * analytic._RECORDS):
+            t = complex(0.1, 0.5 + 0.1 * k)
+            for j in range(3 * analytic._VALUES):
+                lerch_completion(complex(0.01 * j, 0.1), t)
+                rec = analytic._record(t)
+                assert len(rec.thetas) <= analytic._VALUES and len(rec.reduced) <= analytic._VALUES
+            assert len(analytic._records) <= analytic._RECORDS
+        assert analytic._journal is None
+
+    RAISING = {
+        "unknown_label": lambda t: jacobi_theta("xx", 0.2, t),
+        "unknown_variant": lambda t: elliptic_genus("nope", 0.2, t),  # raised after the thetas
+        "lerch_pole": lambda t: lerch_completion(0.0, t),
+        "mu_form_pole": lambda t: superconformal_character(CharSpec("massless_mu_form", 1, F(1, 4), 0), 0.0, t),
+        "theta_overflow": lambda t: jacobi_theta("00", 1e300j, t),  # raised by _scaled after the theta
+        "in_chain_pole": lambda t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), -t, t),
+    }
+
+    # a warm record without its theta parts, and one with them
+    WARM = {"mu_hat_only": lambda t: lerch_completion(0.3, t), "theta": lambda t: jacobi_theta("01", 0.3, t)}
+
+    @pytest.mark.parametrize("t", (1j, 0.1 + 0.8j, 0.3 + 0.01j), ids=("reduced", "one_inversion", "small_im_tau"))
+    @pytest.mark.parametrize("warm", WARM.values(), ids=WARM.keys())
+    @pytest.mark.parametrize("call", RAISING.values(), ids=RAISING.keys())
+    def test_a_call_that_raises_stores_nothing(self, monkeypatch, call, warm, t):
+        monkeypatch.setattr(analytic, "_records", {})
+        with pytest.raises(MockformsError):
+            call(t)
+        assert analytic._records == {} and analytic._journal is None
+        warm(t)
+        kept = {key: (rec, list(rec.thetas), list(rec.reduced)) for key, rec in analytic._records.items()}
+        with pytest.raises(MockformsError):
+            call(t)
+        assert {key: (rec, list(rec.thetas), list(rec.reduced)) for key, rec in analytic._records.items()} == kept
+        assert analytic._journal is None
+
+    def test_decomposition_builds_each_theta_once(self, monkeypatch):
+        # the genus's three theta constants and theta_label(z), theta_11 at
+        # z and 2z for the isospin-0 form, theta_11(2w) and theta_10(w) at the
+        # R-sector w for the isospin-1/2 form; the twelve massive characters
+        # read the latter theta_10(w) (22 sums when each call walked alone)
+        sums = count_theta00_sums(monkeypatch)
+        assert decomposition_residual(0.2, 1.5j, 12) < 1e-6
+        assert len(sums) == 10
+
+    def test_genus_over_a_z_grid_builds_the_theta_constants_once(self, monkeypatch):
+        # theta_label(z) for three labels per z, the three constants once
+        # (six sums per z when each call walked alone)
+        sums = count_theta00_sums(monkeypatch)
+        t = 0.1 + 0.05j
+        for k in range(8):
+            elliptic_genus("k3", complex(0.05 * k, 0.01), t)
+        assert len(sums) == 3 * 8 + 3
+
+
+def count_theta00_sums(monkeypatch) -> list:
+    """The arguments of each theta_00 kernel call from here on, with an empty table."""
+    sums = []
+    kernel = analytic._theta00_sum
+
+    def counted(*args):
+        sums.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(analytic, "_theta00_sum", counted)
+    monkeypatch.setattr(analytic, "_records", {})
+    return sums
 
 
 # The reduced point with the smallest Im tau (|tau| = 1, Re tau = 1/2): where
@@ -905,9 +1088,11 @@ class TestTruncation:
         assert 2.0 * math.erfc(x) * abs(cmath.exp(-1j * math.pi * t * (m + 0.5) ** 2)) < analytic.TAIL_EPS
 
     KERNELS = {
-        "theta00": ("_theta_count", lambda: analytic._theta00_sum(complex(0.3, -0.5 * RHO.imag), RHO)),
-        "lerch": ("_lerch_count", lambda: analytic._lerch_direct(complex(0.3, 0.5 * RHO.imag), RHO)[1]),
-        "lerch_real_z": ("_lerch_count", lambda: analytic._lerch_direct(0.3 + 0j, RHO)[1]),
+        "theta00": ("_theta_count",
+                    lambda: analytic._theta00_sum(complex(0.3, -0.5 * RHO.imag), RHO, analytic._theta_count(RHO.imag))),
+        "lerch": ("_lerch_count",
+                  lambda: analytic._lerch_direct(complex(0.3, 0.5 * RHO.imag), RHO, analytic._lerch_count(RHO.imag))[1]),
+        "lerch_real_z": ("_lerch_count", lambda: analytic._lerch_direct(0.3 + 0j, RHO, analytic._lerch_count(RHO.imag))[1]),
         "correction": ("_correction_count", lambda: nonholomorphic_correction(RHO)),
         "correction_im_tau_1e-3": ("_correction_count", lambda: nonholomorphic_correction(SMALL)),
         "massless_compact": ("_massless_count",
