@@ -16,27 +16,32 @@ partition sums): one sine of a 2-adic root of 1 - 8n, lifted once per
 series, for the 2-part, which carries (-4/k), and for each odd p^e a
 cosine sum over the roots of 1 - 8n mod p^e, one 2 cos when p does not
 divide 1 - 8n.  Those roots depend on p^e alone, so each is found once per
-series and kept in a memo that lives only for the call, and a c with a
-rootless prime power, K = 0, costs no sine (61 % of the sums for n <= 30
-at 400 and 800 moduli).  Euler's criterion tells
-whether a prime power has roots; prime roots are closed forms, one power
-for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8), with
-Tonelli-Shanks only for p = 1 (mod 8); Hensel lifting reaches p^e.  What
-does not depend on n, the factorisation of mc = 4c (12c for partitions)
-and one modular inverse per prime power, is found on a modulus's first
-use in the process and kept in _crt_frames, keyed by mc, for as long as
-the process lives: about 310 bytes per modulus (tracemalloc), 370 KB for
-the 1200 moduli of a k3 series at c_max = 1200.  4 (3c) = 12c, so the
-partition series and the others share keys.  Per modulus and series that
-leaves one sine or cosine per prime power when no prime of c divides
-1 - 8n, instead of phi(c) exact Dedekind sums.  The sums are exactly
-real, returned as floats, and agree with a sum over the roots within
-rounding, not bit for bit.  _series calls the kernel once per series
-(12c for partitions, whose 3-part carries (d/3)), and an empty sum takes
-no Bessel factor; kloosterman_quadratic and partition_multiplier_sum are
-the kernel on one modulus, and
-kloosterman_sum memoises kloosterman_quadratic per (c, n mod c) in
-DEFAULT_CACHE, a plain dict that lives as long as the process.
+series and kept in a memo that lives only for the call: one int, the root
+below p^e / 2, when p does not divide 1 - 8n, else the list of them.  A c
+with a rootless prime power, K = 0, costs no sine (61 % of the sums for
+n <= 30 at 400 and 800 moduli).  A root mod p is one power, checked by
+squaring it, and the check also tells whether there is a root:
+a^{(p+1)/4} for p = 3 (mod 4), Atkin's formula for p = 5 (mod 8); only
+p = 1 (mod 8) takes Euler's criterion and then Tonelli-Shanks.  Newton
+(Hensel) steps lift it to p^e.  The partition sums' 3-part, which carries
+(d/3), is a sine like the 2-part: 1 - 24n = 1 (mod 3), so its 3-adic root
+is lifted once per series, one Newton step per power of 3, as the 2-adic
+one is, and no power of 3 is rooted.  What does not depend on n, the
+factorisation of mc = 4c (12c for partitions) and one modular inverse
+per prime power, is found on a modulus's first use in the process and
+kept in _crt_frames, keyed by mc, for as long as the process lives:
+about 310 bytes per modulus (tracemalloc), 370 KB for the 1200 moduli of
+a k3 series at c_max = 1200.  4 (3c) = 12c, so the partition series and
+the others share keys.  Per modulus and series that leaves one sine or
+cosine per prime power when no prime of c divides 1 - 8n, instead of
+phi(c) exact Dedekind sums.  The sums are exactly real, returned as
+floats, and agree with a sum over the roots within rounding, not bit for
+bit.  _series reads the kernel's P(c) in one pass per series and forms
+each term there, the Bessel closed form included; an empty sum takes no
+Bessel factor.  kloosterman_quadratic and partition_multiplier_sum are
+the kernel on one modulus, and kloosterman_sum memoises
+kloosterman_quadratic per (c, n mod c) in DEFAULT_CACHE, a plain dict
+that lives as long as the process.
 
 The Dedekind-phase form (multiplier_phases) is kept as the reference the
 quadratic form is checked against.  Its phase is reduced modulo 2 in exact
@@ -176,42 +181,56 @@ def kloosterman_sum(n: int, c: int) -> float:
 # -- square roots modulo m ----------------------------------------------------
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A root of x^2 = a (mod p) for an odd prime p and a quadratic residue a, p not dividing a.
+def _sqrt_mod_prime(a: int, p: int, e: int = 1) -> int | None:
+    """A root y of y^2 = a (mod p^e) for an odd prime p not dividing a; None if a is not a square mod p.
 
-    One power for p = 3 (mod 4) and Atkin's formula for p = 5 (mod 8);
-    Tonelli-Shanks, with its search for a non-residue, only for p = 1 (mod 8).
+    The root mod p is one power for p = 3 (mod 4) and Atkin's formula for
+    p = 5 (mod 8), each checked by squaring it: the check also tells
+    whether a is a square.  Only p = 1 (mod 8) takes Euler's criterion and
+    then Tonelli-Shanks, with its search for a non-residue.  Newton
+    (Hensel) steps, each of which doubles the precision, lift the root to
+    p^e; the other root is p^e - y.
     """
+    u = a % p
     if p & 3 == 3:
-        return pow(a, (p + 1) >> 2, p)
-    if p & 7 == 5:
-        b = pow(2 * a, (p - 5) >> 3, p)
-        return a * b * (2 * a * b * b - 1) % p
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 3  # 2 is a square for p = 1 (mod 8), so the least non-residue is an odd prime
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 2
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+        y = pow(u, (p + 1) >> 2, p)
+    elif p & 7 == 5:
+        b = pow(2 * u, (p - 5) >> 3, p)
+        y = u * b * (2 * u * b * b - 1) % p
+    elif pow(u, (p - 1) >> 1, p) != 1:
+        return None
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 3  # 2 is a square for p = 1 (mod 8), so the least non-residue is an odd prime
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 2
+        c, t, y = pow(z, q, p), pow(u, q, p), pow(u, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, y = t * c % p, y * b % p
+    if y * y % p != u:
+        return None
+    if e > 1:
+        q = p ** e
+        for _ in range((e - 1).bit_length()):
+            y = (y - (y * y - a) * pow(2 * y, -1, q)) % q
+    return y
 
 
 def _prime_power_roots(a: int, p: int, e: int) -> list[int] | None:
     """Every x mod p^e with x^2 = a (mod p^e), p an odd prime, in no set order; None if there is none.
 
     With a = p^{2h} u (mod p^e), u a unit, the roots are x = p^h y with
-    y^2 = u (mod p^{e-2h}); Euler's criterion on u decides whether there
-    are any before a root is taken.  u = 0 when p^e divides a.
+    y^2 = u (mod p^{e-2h}), y and p^{e-2h} - y from _sqrt_mod_prime.
+    u = 0 when p^e divides a.
     """
     pe = p ** e
     a %= pe
@@ -221,19 +240,31 @@ def _prime_power_roots(a: int, p: int, e: int) -> list[int] | None:
     while a % p == 0:
         a //= p
         v += 1
-    if v % 2 or pow(a, (p - 1) >> 1, p) != 1:
-        return None
     h, k = v // 2, e - v  # x = p^h y with y^2 = a (mod p^k), two roots y
+    y = None if v % 2 else _sqrt_mod_prime(a, p, k)
+    if y is None:
+        return None
     q = p ** k
-    y = _sqrt_mod_prime(a % p, p)
-    if k > 1:
-        for _ in range(k.bit_length()):  # Newton (Hensel) steps double the precision
-            y = (y - (y * y - a) * pow(2 * y, -1, q)) % q
     if h == 0:
         return [y, q - y]
     # y is free mod p^{k+h} = p^{e-h}
     ph = p ** h
     return [ph * (z + t * q) % pe for z in (y, q - y) for t in range(ph)]
+
+
+def _half_roots(a: int, p: int, e: int) -> int | list[int] | None:
+    """The roots y < p^e / 2 of y^2 = a (mod p^e), p an odd prime, as _multiplier_products keeps them.
+
+    One int when p does not divide a, its pair being p^e - y; otherwise the
+    list of them from _prime_power_roots, in its order.  None if there is
+    no root.
+    """
+    q = p ** e
+    if a % p:
+        y = _sqrt_mod_prime(a, p, e)
+        return y if y is None or 2 * y < q else q - y
+    roots = _prime_power_roots(a, p, e)
+    return None if roots is None else [y for y in roots if 2 * y < q]
 
 
 # The n-independent part of the kernel, mc -> (q2, (mc/q2)^{-1} mod q2,
@@ -270,28 +301,39 @@ def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
     sum per part:
     - 2^v, v >= 2, with the roots +-r of a 2-adic root r lifted once per
       call, gives 2i (-4/r) sin(2 pi r w / 2^v);
-    - for m = 12, 3^f with the roots +-t gives 2i (t/3) sin(2 pi t w / 3^f);
+    - for m = 12, 3^f with the roots +-t of a 3-adic root t = 1 (mod 3),
+      lifted once per call like r, gives 2i (t/3) sin(2 pi t w / 3^f);
     - any other p^e gives sum_y cos(2 pi y w / p^e) over its roots y, one
       2 cos per pair +-y.
     Each angle is reduced to [-pi, pi], so a factor does not depend on
     which root of a pair +-y stands for it.  The parts and their w come
-    from _crt_frames.  One memo per call, p^e -> the roots y < p^e / 2 or
-    None, serves every c; a c with a rootless part gives 0.0 before any
-    sine is taken.
+    from _crt_frames.  One memo per call, q -> the roots y < q / 2 (one int
+    when p does not divide a, see _half_roots) or None, serves every c; a
+    c with a rootless part gives 0.0 before any sine is taken.
     """
     sin, cos, tau = math.sin, math.cos, 2 * math.pi
     r, bound = 1, 8  # r^2 = a (mod bound), lifted a bit at a time as the moduli need
-    memo: dict[int, list[int] | None] = {}
+    t, power = 1, 3  # t^2 = a (mod power) for m = 12, lifted a power of 3 at a time
+    three = 3 if m == 12 else 0  # the prime whose part is lifted, not rooted
+    memo: dict[int, int | list[int] | None] = {}
     frames = _crt_frames
     products = []
     for c in moduli:
         mc = m * c
         q2, w2, parts = frames.get(mc) or _crt_frame(mc)
         for q, p, e, _ in parts:
-            if q not in memo:
-                roots = _prime_power_roots(a, p, e)
-                memo[q] = None if roots is None else [y for y in roots if 2 * y < q]
-            if memo[q] is None:
+            try:
+                roots = memo[q]
+            except KeyError:
+                if p == three:
+                    while power < q:  # one Newton step; 1 / (2t) = 2t (mod 3)
+                        t += (a - t * t) // power * 2 * t % 3 * power
+                        power *= 3
+                    y = t % q
+                    roots = memo[q] = y if 2 * y < q else q - y
+                else:
+                    roots = memo[q] = _half_roots(a, p, e)
+            if roots is None:
                 products.append(0.0)
                 break
         else:
@@ -302,13 +344,17 @@ def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
             k = r * w2 % q2
             value = (2.0 if r & 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q2 else k - q2) / q2)
             for q, p, _, w in parts:
-                if m == 12 and p == 3:
-                    [t] = memo[q]
-                    k = t * w % q
-                    value *= (2.0 if t % 3 == 1 else -2.0) * sin(tau * (k if 2 * k < q else k - q) / q)
+                roots = memo[q]
+                if type(roots) is int:
+                    k = roots * w % q
+                    angle = tau * (k if 2 * k < q else k - q) / q
+                    if p == three:
+                        value *= (2.0 if roots % 3 == 1 else -2.0) * sin(angle)
+                    else:
+                        value *= 2.0 * cos(angle)
                     continue
                 factor = 0.0
-                for y in memo[q]:
+                for y in roots:
                     k = y * w % q
                     factor += 2.0 * cos(tau * (k if 2 * k < q else k - q) / q) if y else 1.0
                 value *= factor
@@ -401,31 +447,46 @@ class RademacherPartial(namedtuple("RademacherPartial", "n kind terms cumulative
 def _series(kind: str, n: int, c_max: int) -> tuple[range, list[float]]:
     """(moduli, terms) of kind's series: its moduli c <= c_max, ascending, and the term of each.
 
-    The one place that forms a series term, pref / w(c) * B(root / (k c)) * K(n, c), with
-    K = kloosterman_quadratic(+-n, c) or partition_multiplier_sum(n, c) from one pass of the kernel:
+    The one place that forms a series term, pref / w(c) * B(root / (k c)) * K(n, c), in one
+    pass over the kernel's P(c): K = sqrt(c)/2 P(c) = kloosterman_quadratic(+-n, c), or
+    K = -2 P(c) = partition_multiplier_sum(n, c), and B's closed form is evaluated in the pass:
 
         kind             moduli     K at  pref               w(c)       B        root            k
         k3, noncompact   all, even  n     4 pi / (8n-1)^1/4  c          I_{1/2}  pi sqrt(8n-1)   2
         shadow           all        -n    4 pi               c          J_{1/2}  pi sqrt(8n+1)   2
         partition        all        n     pi / (24n-1)^3/4   sqrt(12c)  I_{3/2}  pi sqrt(24n-1)  6
 
-    An empty sum, K = +-0.0, is its own term and takes no Bessel factor.
-    The callers check n, c_max and kind.
+    An empty sum, K = +-0.0, is its own term and takes no Bessel factor.  A B
+    past the range of a double raises BesselOverflow as bessel_i_half and
+    bessel_i_three_half do.  The callers check n, c_max and kind.
     """
-    partition, step = kind == "partition", 2 if kind == "noncompact" else 1
+    partition, shadow, step = kind == "partition", kind == "shadow", 2 if kind == "noncompact" else 1
     moduli = range(step, c_max + 1, step)
     if partition:
-        x = 24.0 * n - 1.0
-        sums, pref, bessel, k = _partition_sums(n, moduli), math.pi / x ** 0.75, bessel_i_three_half, 6.0
-    elif kind == "shadow":
-        x = 8.0 * n + 1.0
-        sums, pref, bessel, k = _quadratic_sums(-n, moduli), 4.0 * math.pi, bessel_j_half, 2.0
+        x, a, m = 24.0 * n - 1.0, 1 - 24 * n, 12
+        pref, k = math.pi / x ** 0.75, 6.0
+    elif shadow:
+        x, a, m = 8.0 * n + 1.0, 1 + 8 * n, 4
+        pref, k = 4.0 * math.pi, 2.0
     else:
-        x = 8.0 * n - 1.0
-        sums, pref, bessel, k = _quadratic_sums(n, moduli), 4.0 * math.pi / x ** 0.25, bessel_i_half, 2.0
+        x, a, m = 8.0 * n - 1.0, 1 - 8 * n, 4
+        pref, k = 4.0 * math.pi / x ** 0.25, 2.0
     root = math.pi * math.sqrt(x)
-    return moduli, [pref / (math.sqrt(12.0 * c) if partition else c) * bessel(root / (k * c)) * s if s else s
-                    for c, s in zip(moduli, sums)]
+    sqrt, sin, sinh, cosh, pi = math.sqrt, math.sin, math.sinh, math.cosh, math.pi
+    terms = []
+    try:
+        for c, product in zip(moduli, _multiplier_products(a, moduli, m)):
+            s = -2.0 * product if partition else sqrt(c) / 2 * product
+            if s:
+                y = root / (k * c)
+                if partition:
+                    s = pref / sqrt(12.0 * c) * (sqrt(2.0 / (pi * y)) * (cosh(y) - sinh(y) / y)) * s
+                else:
+                    s = pref / c * (sqrt(2.0 / (pi * y)) * (sin(y) if shadow else sinh(y))) * s
+            terms.append(s)
+    except OverflowError:
+        raise BesselOverflow(f"{'I_3/2' if partition else 'I_1/2'}({y}) exceeds the range of a double") from None
+    return moduli, terms
 
 
 def exact_coefficient(kind: str, n: int, c_max: int) -> RademacherPartial:

@@ -194,6 +194,10 @@ class TestRademacher:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: I_1/2(") and "Traceback" not in captured.err
+        assert main(["pofn", "--n", "80000", "--c-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: I_3/2(725.5195567562288) exceeds the range of a double\n"
 
 
 class TestVerify:

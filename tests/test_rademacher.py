@@ -32,6 +32,7 @@ from mockforms.rademacher import (
     rademacher_partition,
 )
 from mockforms.rademacher import (
+    _half_roots,
     _multiplier_products,
     _partition_sums,
     _prime_power_roots,
@@ -299,17 +300,24 @@ class TestKloostermanQuadratic:
             assert abs(got - product_scan_value(a, c, m)) <= bound, (a, c, m)
 
     def test_prime_roots_by_residue_class(self):
-        # Tonelli-Shanks (p = 1 mod 8), Atkin (p = 5 mod 8), one power (p = 3 mod 4)
+        # Tonelli-Shanks (p = 1 mod 8), Atkin (p = 5 mod 8), one power (p = 3 mod 4):
+        # squares and non-residues of every class; None exactly when a is not a square mod p
         seen = set()
         for p in range(3, 2000, 2):
             if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
                 continue
             seen.add(p % 8)
-            for x in (1, 2, 3, p // 2, p // 3 + 1, p - 1):
-                a = x * x % p
-                if a:
-                    r = _sqrt_mod_prime(a, p)
-                    assert 0 <= r < p and r * r % p == a, (a, p)
+            squares = {x * x % p for x in range(1, p)}
+            non_residues = [a for a in range(1, p) if a not in squares]
+            targets = {x * x % p for x in (1, 2, 3, p // 2, p // 3 + 1, p - 1)} - {0}
+            targets |= set(non_residues[:3] + non_residues[-3:])
+            assert targets - squares
+            for a in targets:
+                r = _sqrt_mod_prime(a, p)
+                if a in squares:
+                    assert r is not None and 0 <= r < p and r * r % p == a, (a, p)
+                else:
+                    assert r is None, (a, p)
         assert seen == {1, 3, 5, 7}
 
     def test_empty_root_sets_take_no_root(self, monkeypatch):
@@ -319,9 +327,9 @@ class TestKloostermanQuadratic:
 
         def counted(a, p, e):
             calls.append(p)
-            return _prime_power_roots(a, p, e)
+            return _half_roots(a, p, e)
 
-        monkeypatch.setattr(rademacher, "_prime_power_roots", counted)
+        monkeypatch.setattr(rademacher, "_half_roots", counted)
         for p in (17, 41, 13, 29, 7, 23):
             for m in (4, 12):
                 for shape in (1, 2, 8):
@@ -469,17 +477,37 @@ class TestSeriesKernel:
 
         def counted(a, p, e):
             rooted[p, e] = rooted.get((p, e), 0) + 1
-            return _prime_power_roots(a, p, e)
+            return _half_roots(a, p, e)
 
-        monkeypatch.setattr(rademacher, "_prime_power_roots", counted)
-        for series, c_max in ((lambda: exact_coefficient("k3", 11, 1200), 1200),
-                              (lambda: shadow.shadow_coefficient(3, 800), 800),
-                              (lambda: rademacher_partition(37, 200), 200)):
+        monkeypatch.setattr(rademacher, "_half_roots", counted)
+        by_series = {}
+        for name, series, c_max in (("k3", lambda: exact_coefficient("k3", 11, 1200), 1200),
+                                    ("shadow", lambda: shadow.shadow_coefficient(3, 800), 800),
+                                    ("partition", lambda: rademacher_partition(37, 200), 200)):
             rooted.clear()
             series()
             assert rooted and max(rooted.values()) == 1
             assert all(p % 2 == 1 and p ** e <= 12 * c_max for p, e in rooted)
-        assert (3, 5) in rooted  # 243 divides 12c for c = 81, 162
+            by_series[name] = dict(rooted)
+        assert by_series["k3"][3, 5] == 1  # 243 divides 4c for c = 243, 486, 729, 972
+        # the partition kernel lifts its 3-part (up to 243, which divides 12c for c = 81, 162) instead of rooting it
+        assert all(p != 3 for p, _ in by_series["partition"])
+
+    # sha256 over the repr of the kernel's P(c) lists, recorded before the
+    # roots came from one checked power and the partition 3-part from one
+    # lift: the k3, noncompact and shadow targets 1 - 8n (n in [-11, 100]
+    # and two deep n) at 1200 moduli, reaching 3^5 and the p | a branches,
+    # and the partition targets 1 - 24n (n in [1, 400] and four deep n) at
+    # 300 moduli, reaching 3^5 in 12c for c = 81, 162
+    KERNEL_DIGEST = "96ebd7ad2b6f9fa6ed7396ce3896b6cd0244332b9f3467f1a741dddc2e675cf2"
+
+    def test_every_product_is_pinned(self):
+        digest = hashlib.sha256()
+        for n in (*range(-11, 101), 1 + 9 * 27, 26 + 3 ** 6):
+            digest.update(repr(_multiplier_products(1 - 8 * n, range(1, 1201), 4)).encode())
+        for n in (*range(1, 401), 26 + 3 ** 6, 26 + 25 * 24, 51 + 49 * 24, 1 + 25 * 3 * 24):
+            digest.update(repr(_multiplier_products(1 - 24 * n, range(1, 301), 12)).encode())
+        assert digest.hexdigest() == self.KERNEL_DIGEST
 
     def test_walk_order_does_not_change_the_root_sets(self):
         # the memo is filled in the order the moduli come: a descending and a
@@ -715,10 +743,14 @@ class TestBesselClosedForms:
         assert math.isfinite(bessel_j_half(800.0))
 
     def test_exact_coefficient_overflow_is_typed(self, monkeypatch):
-        # the c = 1 argument pi sqrt(8n - 1)/2 passes 710.47 just above n = 25573
+        # the c = 1 argument pi sqrt(8n - 1)/2 passes 710.47 just above n = 25573;
+        # the partition one, pi sqrt(24n - 1)/6, at n = 76717
         monkeypatch.setattr(rademacher, "DEFAULT_CACHE", {})
         with pytest.raises(BesselOverflow):
             exact_coefficient("k3", 26000, 3)
+        with pytest.raises(BesselOverflow) as caught:
+            rademacher_partition(80000, 3)
+        assert str(caught.value) == "I_3/2(725.5195567562288) exceeds the range of a double"
 
 
 class TestEntropy:
