@@ -18,15 +18,18 @@ forms live in rademacher, next to the series driver that uses them.
 
 One record per tau: the first call at tau builds its record (_record),
 which holds the word of _reduce and what depends on tau alone: mu_hat's
-multiplier along the word, eta, and the term counts and R at the reduced
-point tau'.  Every later call at tau reads it instead of walking again.
-A record also keeps the evaluations made at tau: theta_label(z) as a
-(log, value) pair by label and exact z, and mu_hat(z'; tau') by exact z'.
-The module keeps the _RECORDS = 4 most recently used records and at most
-_VALUES = 16 entries per table, in memory only.  The table is empty at
-import, its keys tell -0.0 from 0.0, and an entry point that raises
-stores nothing (_atomic).  A kept value is exactly what the evaluation
-computes, so no result depends on what the table holds.
+multiplier along the word, eta, the theta logs along the word, and the
+term counts at the reduced point tau', all built with the record.  Every
+later call at tau reads it instead of walking again.  A record also keeps
+the evaluations made at tau in two tables of its own: theta_label(z) as a
+(log, value) pair by label and exact z, and R(tau') and mu_hat(z'; tau')
+by exact z'.  The module keeps the _RECORDS = 4 most recently used records
+and at most _VALUES = 16 entries per table, in memory only.  The table is
+empty at import, its keys tell -0.0 from 0.0, and _kept, the one function
+that reads or writes a table, takes the lock.  A kept value is exactly
+what the evaluation computes, so no result depends on what the table
+holds; a call that raises may leave entries behind, each of them exactly
+what the evaluation computes.
 
 Every kernel forms each term from the one before it by a running ratio,
 one complex multiply instead of one exp: the theta_00 sum, the Lerch sum,
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import _thread
 import cmath
-import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
@@ -198,9 +200,7 @@ _RECORDS = 4
 _VALUES = 16
 
 _records: dict = {}  # _exact(tau) -> _Record, least recently used first
-# (table, key, previous value or None) of each entry the entry point in progress stored
-_journal: list | None = None
-_lock = _thread.RLock()  # held by each entry point: the tables and the journal are shared by all threads
+_lock = _thread.RLock()  # held by _kept; reentrant, because a build may call _kept again
 
 
 def _exact(w: complex):
@@ -215,87 +215,42 @@ class _Record(namedtuple("_Record", "tau steps factor lerch_count thetas reduced
 
     steps is _reduce(tau), factor mu_hat's multiplier along the word
     (_walk_factor) and lerch_count _lerch_count at the reduced point tau'.
-    The theta parts are None until a caller needs them (_theta_fields):
-    theta_logs holds 0.5 log(i/s) for each inverted step s (theta's law,
-    _theta_parts), theta_count is _theta_count at tau' and eta is eta(tau)
-    as a (log, value) pair.
+    The theta parts are built with the record: theta_logs holds
+    0.5 log(i/s) for each inverted step s (theta's law, _theta_parts),
+    theta_count is _theta_count at tau' and eta is eta(tau) as a
+    (log, value) pair.
 
-    Two tables keep the _VALUES most recently used evaluations each:
-    thetas holds theta_label(z; tau) as (log, value) pairs by label and
-    exact z (_theta), reduced holds R(tau') and mu_hat(z'; tau') by exact
-    z' (_mu_hat).  The latter depend on tau' alone, so every kept record
-    whose walk ends at the same tau' shares one reduced table: tau + 1 does
-    wherever tau + 1 - n rounds to the same point as tau - n (3 in 4 points
-    of the pointwise benchmark's pool).
+    Two tables of the record's own keep the _VALUES most recently used
+    evaluations each: thetas holds theta_label(z; tau) as (log, value)
+    pairs by label and exact z (_theta), reduced holds R(tau') and
+    mu_hat(z'; tau') by exact z' (_mu_hat).
     """
 
     __slots__ = ()
 
 
 def _kept(table: dict, key, bound: int, build, *args):
-    """table[key], built by build(*args) on a miss; table keeps the bound most recently used keys."""
-    value = table.pop(key, None)
-    if value is None:
-        value = build(*args)
-        if _journal is not None:
-            _journal.append((table, key, None))
-        if len(table) >= bound:
-            del table[next(iter(table))]
-    table[key] = value
-    return value
+    """table[key], built by build(*args) on a miss; table keeps the bound most recently used keys, under _lock."""
+    with _lock:
+        value = table.pop(key, None)
+        if value is None:
+            value = build(*args)
+            if len(table) >= bound:
+                del table[next(iter(table))]
+        table[key] = value
+        return value
 
 
-def _atomic(entry):
-    """An entry point, run under _lock, whose stores into the records and their tables are undone if it raises."""
-
-    @functools.wraps(entry)
-    def call(*args, **kwargs):
-        global _journal
-        with _lock:
-            outer, _journal = _journal, []
-            try:
-                return entry(*args, **kwargs)
-            except BaseException:
-                for table, key, previous in reversed(_journal):
-                    if previous is None:
-                        table.pop(key, None)
-                    else:
-                        table[key] = previous
-                raise
-            finally:
-                _journal = outer
-
-    return call
-
-
-def _theta_fields(steps: list) -> tuple:
-    """The theta parts of the record of the tau with steps = _reduce(tau): theta_logs, theta_count, eta."""
-    t_red = steps[-1][1]
-    return [0.5 * cmath.log(1j / s) for _, s in steps[:-1]], _theta_count(t_red.imag), _eta_parts(steps)
-
-
-def _build_record(t: complex, thetas: bool) -> _Record:
+def _build_record(t: complex) -> _Record:
     steps = _reduce(t)
     t_red = steps[-1][1]
-    reduced = next((rec.reduced for rec in _records.values()
-                    if rec.steps[-1][1] == t_red and _exact(rec.steps[-1][1]) == _exact(t_red)), {})
-    return _Record(t, steps, _walk_factor(steps), _lerch_count(t_red.imag), {}, reduced,
-                   *(_theta_fields(steps) if thetas else (None, None, None)))
+    return _Record(t, steps, _walk_factor(steps), _lerch_count(t_red.imag), {}, {},
+                   [0.5 * cmath.log(1j / s) for _, s in steps[:-1]], _theta_count(t_red.imag), _eta_parts(steps))
 
 
-def _record(t: complex, thetas: bool = True) -> _Record:
-    """The record of tau, with its theta parts if thetas, built or completed on first use.
-
-    mu_hat and R need no theta parts, so a tau that only they see (the
-    tau + 1 and -1/tau of a modular check) never builds them.
-    """
-    key = _exact(t)
-    rec = _kept(_records, key, _RECORDS, _build_record, t, thetas)
-    if thetas and rec.eta is None:
-        if _journal is not None:
-            _journal.append((_records, key, rec))
-        rec = _records[key] = _Record(*rec[:6], *_theta_fields(rec.steps))
-    return rec
+def _record(t: complex) -> _Record:
+    """The record of tau, built on first use."""
+    return _kept(_records, _exact(t), _RECORDS, _build_record, t)
 
 
 # -- theta functions -----------------------------------------------------
@@ -390,7 +345,6 @@ def _theta(rec: _Record, label: str, z: complex) -> tuple[complex, complex]:
     return _kept(rec.thetas, (label, _exact(z)), _VALUES, _theta_parts, label, z, rec)
 
 
-@_atomic
 def jacobi_theta(label: str, z, tau) -> complex:
     """Jacobi theta function theta_label(z; tau), label in {"11","10","00","01"}.
 
@@ -429,13 +383,11 @@ def _eta_parts(steps: list) -> tuple[complex, complex]:
     return log + 1j * math.pi * (shift + t_red) / 12.0, value
 
 
-@_atomic
 def dedekind_eta(tau) -> complex:
     """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), by its modular law from the reduced point."""
     return _scaled(*_record(_tau(tau)).eta)
 
 
-@_atomic
 def _eta_cubed(t: complex) -> complex:
     log, value = _record(t).eta
     return _scaled(3.0 * log, value * value * value)
@@ -621,7 +573,6 @@ def _lerch(z: complex, rec: _Record) -> tuple[complex, complex]:
     return 0j, rec.factor * _mu_hat(rec, z) + 0.5 * nonholomorphic_correction(t)
 
 
-@_atomic
 def lerch_sum(z, tau) -> complex:
     """The Appell/Lerch sum
 
@@ -633,18 +584,17 @@ def lerch_sum(z, tau) -> complex:
     PoleAtArgument when z sits on the period lattice.
     """
     t = _tau(tau)
-    log, value = _lerch(_z(z), _record(t, thetas=False))
+    log, value = _lerch(_z(z), _record(t))
     return _scaled(log, value) if log else value  # exp(log(v)) would round a walked value v
 
 
-@_atomic
 def lerch_completion(z, tau) -> complex:
     """mu(z; tau) - R(tau)/2, the modular completion of the Lerch sum.
 
     Evaluated by the direct sums at the reduced point (see _walk_factor).
     """
     z = _z(z)
-    rec = _record(_tau(tau), thetas=False)
+    rec = _record(_tau(tau))
     return rec.factor * _mu_hat(rec, z)
 
 
@@ -833,7 +783,6 @@ def _massless_half_sum(w: complex, t: complex) -> complex:
     return total
 
 
-@_atomic
 def superconformal_character(spec: CharSpec, z, tau) -> complex:
     """Evaluate a level-1 N=4 character.
 
@@ -898,7 +847,6 @@ def _theta_quotient_sq(label: str, z: complex, rec: _Record) -> complex:
     return _scaled(2.0 * (num_log - den_log), (num / den) ** 2)
 
 
-@_atomic
 def elliptic_genus(variant: str, z, tau) -> complex:
     """Elliptic genus as a sum of squared theta quotients.
 
@@ -924,7 +872,6 @@ def _difference(first: tuple[complex, complex], second: tuple[complex, complex])
     return log2, cmath.exp(log1 - log2) * v1 - v2
 
 
-@_atomic
 def lerch_difference(z, w, tau) -> complex:
     """theta_11(z)^2 / eta^3 * (mu(z; tau) - mu(w; tau)).
 

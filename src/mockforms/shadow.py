@@ -32,7 +32,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from .analytic import (
-    _atomic,
     _correction,
     _eta_cubed_terms,
     _record,
@@ -97,7 +96,6 @@ def shadow_reference_coefficients(max_exponent: int) -> dict[int, int]:
 _A_HEAD = (90, 462, 1540, 4554, 11592, 27830, 61686, 131100, 265650, 521136)
 
 
-@_atomic
 def multiplicity_completion(tau) -> complex:
     """8 sum of mu_hat over the half-periods 1/2, (1 + tau)/2, tau/2.
 
@@ -110,7 +108,7 @@ def multiplicity_completion(tau) -> complex:
     with the exact multiplicities A_n; ten terms leave a tail below 1.0e-20
     (|q'| <= e^{-pi sqrt 3}), far below the 2 they are subtracted from.
     """
-    rec = _record(_tau(tau), thetas=False)
+    rec = _record(_tau(tau))
     t_red = rec.steps[-1][1]
     q = cmath.exp(2j * math.pi * t_red)
     series = 0j

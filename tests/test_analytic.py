@@ -843,6 +843,12 @@ def digest(outcomes: list) -> str:
     return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
 
 
+def tables_within_bounds() -> bool:
+    """Whether at most _RECORDS records are kept, each with at most _VALUES entries per table."""
+    return len(analytic._records) <= analytic._RECORDS and all(
+        len(rec.thetas) <= analytic._VALUES and len(rec.reduced) <= analytic._VALUES for rec in analytic._records.values())
+
+
 class TestRecord:
     """The record per tau (analytic._record): what every evaluation at tau needs that depends on tau alone."""
 
@@ -858,9 +864,9 @@ class TestRecord:
         assert digest([outcome(call) for call in reversed(calls)][::-1]) == self.DIGEST
 
     def test_threads_read_and_grow_the_table_safely(self, monkeypatch):
-        # the entry points share the table and the journal: eight threads
-        # over the same few tau, switching every microsecond, must each get
-        # the one-thread values, leave no journal behind and keep the bounds
+        # the entry points share the table, and only _kept holds the lock:
+        # eight threads over the same few tau, switching every microsecond,
+        # must each get the one-thread values and keep every bound
         calls = record_digest_calls()
         expected = [outcome(call) for call in calls]
         monkeypatch.setattr(analytic, "_records", {})
@@ -883,15 +889,15 @@ class TestRecord:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all([got[i] for i in range(len(calls))] == expected for got in results.values()) and len(results) == 8
-        assert analytic._journal is None and len(analytic._records) <= analytic._RECORDS
+        assert tables_within_bounds()
 
     def test_import_leaves_the_table_empty(self):
         # checked in a fresh interpreter, not this one
         src = str(Path(analytic.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms; "
-                "from mockforms import analytic; print(len(analytic._records), analytic._journal)")
+                "from mockforms import analytic; print(len(analytic._records))")
         result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["0", "None"]
+        assert result.stdout.split() == ["0"]
 
     def test_the_table_stays_bounded(self, monkeypatch):
         monkeypatch.setattr(analytic, "_records", {})
@@ -902,7 +908,6 @@ class TestRecord:
                 rec = analytic._record(t)
                 assert len(rec.thetas) <= analytic._VALUES and len(rec.reduced) <= analytic._VALUES
             assert len(analytic._records) <= analytic._RECORDS
-        assert analytic._journal is None
 
     RAISING = {
         "unknown_label": lambda t: jacobi_theta("xx", 0.2, t),
@@ -913,23 +918,27 @@ class TestRecord:
         "in_chain_pole": lambda t: superconformal_character(CharSpec("massless_sum_form", 1, F(1, 4), 0), -t, t),
     }
 
-    # a warm record without its theta parts, and one with them
+    # a warm call that keeps mu_hat and R at the reduced point, and one that keeps a theta
     WARM = {"mu_hat_only": lambda t: lerch_completion(0.3, t), "theta": lambda t: jacobi_theta("01", 0.3, t)}
 
     @pytest.mark.parametrize("t", (1j, 0.1 + 0.8j, 0.3 + 0.01j), ids=("reduced", "one_inversion", "small_im_tau"))
     @pytest.mark.parametrize("warm", WARM.values(), ids=WARM.keys())
     @pytest.mark.parametrize("call", RAISING.values(), ids=RAISING.keys())
-    def test_a_call_that_raises_stores_nothing(self, monkeypatch, call, warm, t):
+    def test_a_call_that_raises_leaves_only_exact_values(self, monkeypatch, call, warm, t):
+        # what a call kept before it raised is a pure function of its exact
+        # key: the same error follows on a cold and on a warm table, and the
+        # warm call's value is the one an empty table gives, bit for bit
         monkeypatch.setattr(analytic, "_records", {})
-        with pytest.raises(MockformsError):
+        expected = repr(warm(t))
+        monkeypatch.setattr(analytic, "_records", {})
+        with pytest.raises(MockformsError) as cold:
             call(t)
-        assert analytic._records == {} and analytic._journal is None
-        warm(t)
-        kept = {key: (rec, list(rec.thetas), list(rec.reduced)) for key, rec in analytic._records.items()}
-        with pytest.raises(MockformsError):
+        assert repr(warm(t)) == expected
+        with pytest.raises(MockformsError) as again:
             call(t)
-        assert {key: (rec, list(rec.thetas), list(rec.reduced)) for key, rec in analytic._records.items()} == kept
-        assert analytic._journal is None
+        assert (type(again.value), str(again.value)) == (type(cold.value), str(cold.value))
+        assert repr(warm(t)) == expected
+        assert tables_within_bounds()
 
     def test_decomposition_builds_each_theta_once(self, monkeypatch):
         # the genus's three theta constants and theta_label(z), theta_11 at
