@@ -19,17 +19,17 @@ forms live in rademacher, next to the series driver that uses them.
 One record per tau: the first call at tau builds its record (_record),
 which holds the word of _reduce and what depends on tau alone: mu_hat's
 multiplier along the word, eta, the theta logs along the word, and the
-term counts at the reduced point tau', all built with the record.  Every
-later call at tau reads it instead of walking again.  A record also keeps
-the evaluations made at tau in two tables of its own: theta_label(z) as a
-(log, value) pair by label and exact z, and R(tau') and mu_hat(z'; tau')
-by exact z'.  The module keeps the _RECORDS = 4 most recently used records
-and at most _VALUES = 16 entries per table, in memory only.  The table is
-empty at import, its keys tell -0.0 from 0.0, and _kept, the one function
-that reads or writes a table, takes the lock.  A kept value is exactly
-what the evaluation computes, so no result depends on what the table
-holds; a call that raises may leave entries behind, each of them exactly
-what the evaluation computes.
+term counts at the reduced point tau'.  Every later call at tau reads it
+instead of walking again.  Three more caches keep evaluations, each keyed
+by the exact point its value depends on: theta_label(z; tau) as a
+(log, value) pair by tau, label and z; mu_hat(z'; tau') by the reduced
+point tau' and z', which the walks of tau and tau + 1 share wherever they
+end at the same tau'; and R by the point it is summed at, tau' for mu_hat
+and tau for a walked Lerch sum.  All four are functools.lru_cache tables
+with a finite maxsize, 132 entries together, in memory only; they are
+empty at import and their keys tell -0.0 from 0.0 (_exact).  A kept value
+is exactly what the evaluation computes, so no result depends on what the
+caches hold; a call that raises caches nothing for its own key.
 
 Every kernel forms each term from the one before it by a running ratio,
 one complex multiply instead of one exp: the theta_00 sum, the Lerch sum,
@@ -59,8 +59,8 @@ the principal branch, argument in (-pi, pi].
 
 from __future__ import annotations
 
-import _thread
 import cmath
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
@@ -192,15 +192,16 @@ def _budget(floor: int, needed: float, what: str, v: float) -> int:
     return budget
 
 
-# -- one record per tau ------------------------------------------------------
+# -- the caches ---------------------------------------------------------------
 
-# Records kept: the tau, tau + 1 and -1/tau of one modular check, and one more.
+# Cache sizes, 132 entries together: the records of the tau, tau + 1 and
+# -1/tau of one modular check and one more; 16 thetas per record (a
+# decomposition check at one (z, tau) needs 10); and 16 more values per
+# record, 12 mu_hat and 4 R (R is summed at tau and at its reduced point).
 _RECORDS = 4
-# Entries kept per table of a record: a decomposition check at one (z, tau) needs 10.
-_VALUES = 16
-
-_records: dict = {}  # _exact(tau) -> _Record, least recently used first
-_lock = _thread.RLock()  # held by _kept; reentrant, because a build may call _kept again
+_THETAS = 64
+_MU_HATS = 48
+_CORRECTIONS = 16
 
 
 def _exact(w: complex):
@@ -210,47 +211,37 @@ def _exact(w: complex):
     return w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag)
 
 
-class _Record(namedtuple("_Record", "tau steps factor lerch_count thetas reduced theta_logs theta_count eta")):
+def _point(key) -> complex:
+    """The w of key = _exact(w)."""
+    return key if type(key) is complex else key[0]
+
+
+class _Record(namedtuple("_Record", "tau steps factor lerch_count theta_logs theta_count eta")):
     """What the evaluations at tau need that depends on tau alone, built once by _record.
 
     steps is _reduce(tau), factor mu_hat's multiplier along the word
     (_walk_factor) and lerch_count _lerch_count at the reduced point tau'.
-    The theta parts are built with the record: theta_logs holds
-    0.5 log(i/s) for each inverted step s (theta's law, _theta_parts),
-    theta_count is _theta_count at tau' and eta is eta(tau) as a
-    (log, value) pair.
-
-    Two tables of the record's own keep the _VALUES most recently used
-    evaluations each: thetas holds theta_label(z; tau) as (log, value)
-    pairs by label and exact z (_theta), reduced holds R(tau') and
-    mu_hat(z'; tau') by exact z' (_mu_hat).
+    theta_logs holds 0.5 log(i/s) for each inverted step s (theta's law,
+    _theta_parts), theta_count is _theta_count at tau' and eta is eta(tau)
+    as a (log, value) pair.
     """
 
     __slots__ = ()
 
 
-def _kept(table: dict, key, bound: int, build, *args):
-    """table[key], built by build(*args) on a miss; table keeps the bound most recently used keys, under _lock."""
-    with _lock:
-        value = table.pop(key, None)
-        if value is None:
-            value = build(*args)
-            if len(table) >= bound:
-                del table[next(iter(table))]
-        table[key] = value
-        return value
-
-
-def _build_record(t: complex) -> _Record:
+@functools.lru_cache(maxsize=_RECORDS)
+def _record_at(key) -> _Record:
+    """The record of tau for key = _exact(tau)."""
+    t = _point(key)
     steps = _reduce(t)
     t_red = steps[-1][1]
-    return _Record(t, steps, _walk_factor(steps), _lerch_count(t_red.imag), {}, {},
+    return _Record(t, steps, _walk_factor(steps), _lerch_count(t_red.imag),
                    [0.5 * cmath.log(1j / s) for _, s in steps[:-1]], _theta_count(t_red.imag), _eta_parts(steps))
 
 
 def _record(t: complex) -> _Record:
     """The record of tau, built on first use."""
-    return _kept(_records, _exact(t), _RECORDS, _build_record, t)
+    return _record_at(_exact(t))
 
 
 # -- theta functions -----------------------------------------------------
@@ -340,9 +331,15 @@ def _theta_parts(label: str, z: complex, rec: _Record) -> tuple[complex, complex
     return log + more, value
 
 
+@functools.lru_cache(maxsize=_THETAS)
+def _theta_at(t_key, label: str, z_key) -> tuple[complex, complex]:
+    """_theta_parts at the tau of t_key = _exact(tau) and the z of z_key = _exact(z)."""
+    return _theta_parts(label, _point(z_key), _record_at(t_key))
+
+
 def _theta(rec: _Record, label: str, z: complex) -> tuple[complex, complex]:
-    """_theta_parts(label, z, rec), kept in the record by label and exact z."""
-    return _kept(rec.thetas, (label, _exact(z)), _VALUES, _theta_parts, label, z, rec)
+    """_theta_parts(label, z, rec), from its cache."""
+    return _theta_at(_exact(rec.tau), label, _exact(z))
 
 
 def jacobi_theta(label: str, z, tau) -> complex:
@@ -549,20 +546,27 @@ def _walk(z: complex, steps: list) -> complex:
     return z
 
 
-def _correction(rec: _Record) -> complex:
-    """R(tau') at the reduced point of rec, kept in the record."""
-    return _kept(rec.reduced, "R", _VALUES, nonholomorphic_correction, rec.steps[-1][1])
+@functools.lru_cache(maxsize=_CORRECTIONS)
+def _correction_at(key) -> complex:
+    """nonholomorphic_correction at the tau of key = _exact(tau)."""
+    return nonholomorphic_correction(_point(key))
 
 
-def _completion_reduced(z: complex, rec: _Record) -> complex:
-    """mu_hat(z; tau') = mu(z; tau') - R(tau')/2 by the direct sums at the reduced point tau' of rec."""
-    return _scaled(*_lerch_direct(z, rec.steps[-1][1], rec.lerch_count)) - 0.5 * _correction(rec)
+def _correction(t: complex) -> complex:
+    """R(tau), from its cache."""
+    return _correction_at(_exact(t))
+
+
+@functools.lru_cache(maxsize=_MU_HATS)
+def _mu_hat_at(t_key, z_key) -> complex:
+    """mu_hat(z; tau) = mu(z; tau) - R(tau)/2 by the direct sums, for a reduced tau of t_key and z of z_key."""
+    t = _point(t_key)
+    return _scaled(*_lerch_direct(_point(z_key), t, _lerch_count(t.imag))) - 0.5 * _correction_at(t_key)
 
 
 def _mu_hat(rec: _Record, z: complex) -> complex:
-    """mu_hat(z'; tau') for z' = _walk(z, rec.steps), by the direct sums, kept in the record by exact z'."""
-    z = _walk(z, rec.steps)
-    return _kept(rec.reduced, _exact(z), _VALUES, _completion_reduced, z, rec)
+    """mu_hat(z'; tau') for z' = _walk(z, rec.steps) at the reduced point tau' of rec, from its cache."""
+    return _mu_hat_at(_exact(rec.steps[-1][1]), _exact(_walk(z, rec.steps)))
 
 
 def _lerch(z: complex, rec: _Record) -> tuple[complex, complex]:
@@ -570,7 +574,7 @@ def _lerch(z: complex, rec: _Record) -> tuple[complex, complex]:
     t = rec.tau
     if rec.steps == [(0, t)]:  # tau is reduced already
         return _lerch_direct(z, t, rec.lerch_count)
-    return 0j, rec.factor * _mu_hat(rec, z) + 0.5 * nonholomorphic_correction(t)
+    return 0j, rec.factor * _mu_hat(rec, z) + 0.5 * _correction(t)
 
 
 def lerch_sum(z, tau) -> complex:

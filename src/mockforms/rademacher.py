@@ -38,8 +38,8 @@ phi(c) exact Dedekind sums.  The sums are exactly real, returned as
 floats, and agree with a sum over the roots within rounding, not bit for
 bit.  _series reads the kernel's P(c) in one pass per series and forms
 each term there, the Bessel closed form included; an empty sum takes no
-Bessel factor.  kloosterman_quadratic and partition_multiplier_sum are
-the kernel on one modulus, and kloosterman_sum memoises
+Bessel factor.  kloosterman_quadratic and partition_multiplier_sum call
+the kernel on their one modulus, and kloosterman_sum memoises
 kloosterman_quadratic per (c, n mod c) in DEFAULT_CACHE, a plain dict
 that lives as long as the process.
 
@@ -362,12 +362,6 @@ def _multiplier_products(a: int, moduli: Iterable[int], m: int) -> list[float]:
     return products
 
 
-def _quadratic_sums(n: int, moduli: Iterable[int]) -> list[float]:
-    """kloosterman_quadratic(n, c) for each c of moduli, in order, in one pass of the kernel."""
-    moduli = list(moduli)  # sum (-4/k) sin(2 pi k / 4c) = Im(i P(c)) = P(c)
-    return [math.sqrt(c) / 2 * product for c, product in zip(moduli, _multiplier_products(1 - 8 * n, moduli, 4))]
-
-
 def kloosterman_quadratic(n: int, c: int) -> float:
     """kloosterman_sum(n, c) in its quadratic form:
 
@@ -381,13 +375,8 @@ def kloosterman_quadratic(n: int, c: int) -> float:
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    return _quadratic_sums(n, (c,))[0]
-
-
-def _partition_sums(n: int, moduli: Iterable[int]) -> list[float]:
-    """partition_multiplier_sum(n, c) for each c of moduli, in order, in one pass of the kernel."""
-    # the roots mod 24c are x and x + 12c for the roots x mod 12c: 2 Re(i^2 P(c))
-    return [-2.0 * product for product in _multiplier_products(1 - 24 * n, moduli, 12)]
+    # sum (-4/k) sin(2 pi k / 4c) = Im(i P(c)) = P(c)
+    return math.sqrt(c) / 2 * _multiplier_products(1 - 8 * n, (c,), 4)[0]
 
 
 def partition_multiplier_sum(n: int, c: int) -> float:
@@ -402,7 +391,8 @@ def partition_multiplier_sum(n: int, c: int) -> float:
     """
     if c < 1:
         raise ValueError("modulus c must be positive")
-    return _partition_sums(n, (c,))[0]
+    # the roots mod 24c are x and x + 12c for the roots x mod 12c: 2 Re(i^2 P(c))
+    return -2.0 * _multiplier_products(1 - 24 * n, (c,), 12)[0]
 
 
 # -- Bessel closed forms -----------------------------------------------------

@@ -101,7 +101,8 @@ def multiplicity_completion(tau) -> complex:
 
     Evaluated at the SL2(Z)-reduced point tau', with the multiplier of
     mu_hat (analytic._walk_factor), which carries the half-periods of
-    tau to those of tau'; both, and R(tau'), come from tau's record.  There
+    tau to those of tau'; both come from tau's record, and R(tau') from
+    its cache.  There
 
         8 sum_w mu_hat(w; tau') = q'^{-1/8} (2 - sum_{n>=1} A_n q'^n) - 12 R(tau')
 
@@ -115,7 +116,7 @@ def multiplicity_completion(tau) -> complex:
     for a in reversed(_A_HEAD):
         series = (series + a) * q
     holomorphic = _scaled(-0.25j * math.pi * t_red, 2.0 - series)
-    return rec.factor * (holomorphic - 12.0 * _correction(rec))
+    return rec.factor * (holomorphic - 12.0 * _correction(t_red))
 
 
 def multiplier_system(gamma: tuple[int, int, int, int]) -> complex:

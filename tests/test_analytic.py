@@ -781,7 +781,7 @@ class TestOneWalk:
             return reduce(tau)
 
         monkeypatch.setattr(analytic, "_reduce", counted)
-        monkeypatch.setattr(analytic, "_records", {})
+        clear_caches()
         entry(t)
         assert walked == [t]
         entry(t)
@@ -843,33 +843,43 @@ def digest(outcomes: list) -> str:
     return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
 
 
+def analytic_caches() -> list:
+    """The lru_cache tables of analytic: the records and the kept evaluations."""
+    return [value for value in vars(analytic).values() if hasattr(value, "cache_info")]
+
+
+def clear_caches() -> None:
+    """Empty every analytic cache."""
+    for cache in analytic_caches():
+        cache.cache_clear()
+
+
 def tables_within_bounds() -> bool:
-    """Whether at most _RECORDS records are kept, each with at most _VALUES entries per table."""
-    return len(analytic._records) <= analytic._RECORDS and all(
-        len(rec.thetas) <= analytic._VALUES and len(rec.reduced) <= analytic._VALUES for rec in analytic._records.values())
+    """Whether every analytic cache holds at most its maxsize entries."""
+    return all(info.currsize <= info.maxsize for info in (cache.cache_info() for cache in analytic_caches()))
 
 
 class TestRecord:
-    """The record per tau (analytic._record): what every evaluation at tau needs that depends on tau alone."""
+    """The record per tau (analytic._record) and the caches of the evaluations made with it."""
 
     # recorded before the record existed, when every call walked on its own
     DIGEST = "1f5d755855ac109879967b5ba600d408061d205ac7eed41118ef82cbb39c6284"
 
-    def test_empty_warm_and_reversed_tables_give_the_recorded_values(self, monkeypatch):
+    def test_empty_warm_and_reversed_tables_give_the_recorded_values(self):
         calls = record_digest_calls()
-        monkeypatch.setattr(analytic, "_records", {})
+        clear_caches()
         assert digest([outcome(call) for call in calls]) == self.DIGEST
         # warm: each call after the same call has filled tau's record
         assert digest([outcome(call) for call in calls for _ in range(2)][1::2]) == self.DIGEST
         assert digest([outcome(call) for call in reversed(calls)][::-1]) == self.DIGEST
 
-    def test_threads_read_and_grow_the_table_safely(self, monkeypatch):
-        # the entry points share the table, and only _kept holds the lock:
-        # eight threads over the same few tau, switching every microsecond,
-        # must each get the one-thread values and keep every bound
+    def test_threads_read_and_grow_the_table_safely(self):
+        # the entry points share the caches: eight threads over the same few
+        # tau, switching every microsecond, must each get the one-thread
+        # values and keep every bound
         calls = record_digest_calls()
         expected = [outcome(call) for call in calls]
-        monkeypatch.setattr(analytic, "_records", {})
+        clear_caches()
         results = {}
 
         def worker(k):
@@ -894,20 +904,27 @@ class TestRecord:
     def test_import_leaves_the_table_empty(self):
         # checked in a fresh interpreter, not this one
         src = str(Path(analytic.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms; "
-                "from mockforms import analytic; print(len(analytic._records))")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import mockforms; from mockforms import analytic; "
+                "print(*[value.cache_info().currsize for value in vars(analytic).values() if hasattr(value, 'cache_info')])")
         result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["0"]
+        assert result.stdout.split() == ["0"] * len(analytic_caches())
 
-    def test_the_table_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_records", {})
+    def test_every_cache_is_bounded(self):
+        # four caches, each with a finite maxsize, 132 entries at most together
+        sizes = [cache.cache_info().maxsize for cache in analytic_caches()]
+        assert len(sizes) == 4 and None not in sizes and sum(sizes) <= 4 * (1 + 16 + 16)
+
+    def test_the_table_stays_bounded(self):
+        clear_caches()
         for k in range(3 * analytic._RECORDS):
             t = complex(0.1, 0.5 + 0.1 * k)
-            for j in range(3 * analytic._VALUES):
-                lerch_completion(complex(0.01 * j, 0.1), t)
-                rec = analytic._record(t)
-                assert len(rec.thetas) <= analytic._VALUES and len(rec.reduced) <= analytic._VALUES
-            assert len(analytic._records) <= analytic._RECORDS
+            for j in range(48):
+                z = complex(0.01 * j, 0.1)
+                lerch_completion(z, t)
+                lerch_sum(z, t)
+                jacobi_theta("00", z, t)
+                assert tables_within_bounds()
+        assert all(info.currsize == info.maxsize for info in (cache.cache_info() for cache in analytic_caches()))
 
     RAISING = {
         "unknown_label": lambda t: jacobi_theta("xx", 0.2, t),
@@ -924,13 +941,13 @@ class TestRecord:
     @pytest.mark.parametrize("t", (1j, 0.1 + 0.8j, 0.3 + 0.01j), ids=("reduced", "one_inversion", "small_im_tau"))
     @pytest.mark.parametrize("warm", WARM.values(), ids=WARM.keys())
     @pytest.mark.parametrize("call", RAISING.values(), ids=RAISING.keys())
-    def test_a_call_that_raises_leaves_only_exact_values(self, monkeypatch, call, warm, t):
+    def test_a_call_that_raises_leaves_only_exact_values(self, call, warm, t):
         # what a call kept before it raised is a pure function of its exact
         # key: the same error follows on a cold and on a warm table, and the
         # warm call's value is the one an empty table gives, bit for bit
-        monkeypatch.setattr(analytic, "_records", {})
+        clear_caches()
         expected = repr(warm(t))
-        monkeypatch.setattr(analytic, "_records", {})
+        clear_caches()
         with pytest.raises(MockformsError) as cold:
             call(t)
         assert repr(warm(t)) == expected
@@ -945,32 +962,50 @@ class TestRecord:
         # z and 2z for the isospin-0 form, theta_11(2w) and theta_10(w) at the
         # R-sector w for the isospin-1/2 form; the twelve massive characters
         # read the latter theta_10(w) (22 sums when each call walked alone)
-        sums = count_theta00_sums(monkeypatch)
+        sums = count_calls(monkeypatch, "_theta00_sum")
         assert decomposition_residual(0.2, 1.5j, 12) < 1e-6
         assert len(sums) == 10
 
     def test_genus_over_a_z_grid_builds_the_theta_constants_once(self, monkeypatch):
         # theta_label(z) for three labels per z, the three constants once
         # (six sums per z when each call walked alone)
-        sums = count_theta00_sums(monkeypatch)
+        sums = count_calls(monkeypatch, "_theta00_sum")
         t = 0.1 + 0.05j
         for k in range(8):
             elliptic_genus("k3", complex(0.05 * k, 0.01), t)
         assert len(sums) == 3 * 8 + 3
 
+    def test_walked_lerch_sums_sum_r_at_tau_once(self, monkeypatch):
+        # R depends on tau alone: a walked Lerch sum adds R(tau), and a
+        # second one at the same tau and another z reads it from the cache
+        summed = count_calls(monkeypatch, "nonholomorphic_correction")
+        t = 0.3 + 0.01j
+        lerch_sum(0.13 + 0.001j, t)
+        lerch_sum(0.37 + 0.002j, t)
+        assert summed.count((t,)) == 1
 
-def count_theta00_sums(monkeypatch) -> list:
-    """The arguments of each theta_00 kernel call from here on, with an empty table."""
-    sums = []
-    kernel = analytic._theta00_sum
+    def test_tau_and_tau_plus_one_share_mu_hat_at_their_reduced_point(self, monkeypatch):
+        # both walks end at the same tau' and z', where mu_hat is summed once
+        t, z = 0.25 + 0.01j, 0.13 + 0.001j
+        assert analytic._exact(analytic._reduce(t)[-1][1]) == analytic._exact(analytic._reduce(t + 1)[-1][1])
+        sums = count_calls(monkeypatch, "_lerch_direct")
+        lerch_completion(z, t)
+        lerch_completion(z, t + 1)
+        assert len(sums) == 1
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """The arguments of each call of analytic's function name from here on, with empty caches."""
+    calls = []
+    function = getattr(analytic, name)
 
     def counted(*args):
-        sums.append(args)
-        return kernel(*args)
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(analytic, "_theta00_sum", counted)
-    monkeypatch.setattr(analytic, "_records", {})
-    return sums
+    monkeypatch.setattr(analytic, name, counted)
+    clear_caches()
+    return calls
 
 
 # The reduced point with the smallest Im tau (|tau| = 1, Re tau = 1/2): where

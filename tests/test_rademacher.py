@@ -34,15 +34,26 @@ from mockforms.rademacher import (
 from mockforms.rademacher import (
     _half_roots,
     _multiplier_products,
-    _partition_sums,
     _prime_power_roots,
-    _quadratic_sums,
     _sqrt_mod_prime,
 )
 
 from oracles import dedekind_phase_sum, k3_series_truncation
 
 F = Fraction
+
+
+def quadratic_pass(n: int, moduli) -> list[float]:
+    """kloosterman_quadratic(n, c) for each c of moduli, in one pass of the kernel, as _series forms it."""
+    moduli = list(moduli)
+    return [math.sqrt(c) / 2 * product for c, product in zip(moduli, _multiplier_products(1 - 8 * n, moduli, 4))]
+
+
+def partition_pass(n: int, moduli) -> list[float]:
+    """partition_multiplier_sum(n, c) for each c of moduli, in one pass of the kernel, as _series forms it."""
+    return [-2.0 * product for product in _multiplier_products(1 - 24 * n, moduli, 12)]
+
+
 KRONECKER_12 = {1: 1, 11: 1, 5: -1, 7: -1}  # (12/d) by d mod 12, zero elsewhere
 
 # Odd primes of each class of closed-form root: p = 1 (mod 8), 5 (mod 8), 3 (mod 4)
@@ -216,7 +227,7 @@ class TestKloosterman:
     def test_even_family_matches_full_sum(self):
         # the noncompact series has the k3 multiplier sums, and terms, at every even modulus
         for n, m in ((1, 7), (4, 30), (9, 60), (30, 400)):
-            assert _quadratic_sums(n, range(2, 2 * m + 1, 2)) == _quadratic_sums(n, range(1, 2 * m + 1))[1::2]
+            assert quadratic_pass(n, range(2, 2 * m + 1, 2)) == quadratic_pass(n, range(1, 2 * m + 1))[1::2]
             k3 = exact_coefficient("k3", n, 2 * m).terms
             assert exact_coefficient("noncompact", n, 2 * m).terms == k3[1::2], (n, m)
 
@@ -410,7 +421,7 @@ class TestSeriesKernel:
         scans = {c: odd_roots_by_square(c) for c in range(1, 201)}
         # the k3 and noncompact series (n <= 30) and the shadow series (-n for n <= 11)
         for n in list(range(1, 31)) + list(range(0, -12, -1)):
-            got = _quadratic_sums(n, range(1, 201))
+            got = quadratic_pass(n, range(1, 201))
             for c, value in zip(range(1, 201), got):
                 ks = scans[c].get((1 - 8 * n) % (8 * c), ())
                 bound = rounding_bound(math.sqrt(c) / 2, len(ks), prime_count(4 * c))
@@ -421,7 +432,7 @@ class TestSeriesKernel:
         branches = set()
         for n in list(range(-11, 61)) + [8, 26, 1 + 9 * 27, 26 + 3 ** 6]:
             a = 1 - 8 * n
-            got = _quadratic_sums(n, DEEP_MODULI)
+            got = quadratic_pass(n, DEEP_MODULI)
             for c, value in zip(DEEP_MODULI, got):
                 ks = scans[c].get(a % (8 * c), ())
                 bound = rounding_bound(math.sqrt(c) / 2, len(ks), prime_count(4 * c))
@@ -441,7 +452,7 @@ class TestSeriesKernel:
         moduli = list(range(1, 61)) + [512, 243, 441, 17 * 41]
         scans = {c: residue_roots_by_square(24 * c) for c in moduli}
         for n in list(range(1, 201)) + [1 + 9 * 27, 26 + 3 ** 6]:
-            got = _partition_sums(n, moduli)
+            got = partition_pass(n, moduli)
             for c, value in zip(moduli, got):
                 roots = len(scans[c].get((1 - 24 * n) % (24 * c), ())) // 2
                 bound = rounding_bound(2, roots, prime_count(12 * c))
@@ -455,7 +466,7 @@ class TestSeriesKernel:
         branches = set()
         for n in list(range(1, 121)) + [26, 26 + 25 * 24, 51 + 49 * 24, 1 + 25 * 3 * 24]:
             a = 1 - 24 * n
-            got = _partition_sums(n, moduli)
+            got = partition_pass(n, moduli)
             for c, value in zip(moduli, got):
                 roots = len(scans[c].get(a % (24 * c), ())) // 2
                 bound = rounding_bound(2, roots, prime_count(12 * c))
@@ -576,26 +587,26 @@ class TestCrtFrames:
         cold = {}
         for n in (1, 2, 11, 37):
             monkeypatch.setattr(rademacher, "_crt_frames", {})
-            cold["partition", n] = _partition_sums(n, moduli)
+            cold["partition", n] = partition_pass(n, moduli)
             monkeypatch.setattr(rademacher, "_crt_frames", {})
-            cold["k3", n] = _quadratic_sums(n, tripled)
+            cold["k3", n] = quadratic_pass(n, tripled)
         monkeypatch.setattr(rademacher, "_crt_frames", {})
-        _partition_sums(5, moduli)
+        partition_pass(5, moduli)
         with monkeypatch.context() as patched:
             patched.setattr(rademacher, "_crt_frame", no_frames)
             for n in (1, 2, 11, 37):
-                assert _quadratic_sums(n, tripled) == cold["k3", n], n
+                assert quadratic_pass(n, tripled) == cold["k3", n], n
         monkeypatch.setattr(rademacher, "_crt_frames", {})
-        _quadratic_sums(5, tripled)
+        quadratic_pass(5, tripled)
         monkeypatch.setattr(rademacher, "_crt_frame", no_frames)
         for n in (1, 2, 11, 37):
-            assert _partition_sums(n, moduli) == cold["partition", n], n
+            assert partition_pass(n, moduli) == cold["partition", n], n
 
     def test_single_modulus_calls_equal_the_pass(self, monkeypatch):
         moduli = list(range(1, 121)) + list(DEEP_MODULI)
         for n in range(-11, 31):
             monkeypatch.setattr(rademacher, "_crt_frames", {})
-            quadratic, partition = _quadratic_sums(n, moduli), _partition_sums(n, moduli)
+            quadratic, partition = quadratic_pass(n, moduli), partition_pass(n, moduli)
             assert [kloosterman_quadratic(n, c) for c in moduli] == quadratic, n  # warm
             assert [partition_multiplier_sum(n, c) for c in moduli] == partition, n
             for k, c in enumerate(moduli):
@@ -669,8 +680,8 @@ class TestExactCoefficient:
         for n in (1, 2, 11):
             partial = exact_coefficient("noncompact", n, 1)
             assert partial.terms == [] and partial.cumulative == 0.0
-            assert _quadratic_sums(n, range(2, 2, 2)) == []
-            assert _partition_sums(n, ()) == []
+            assert quadratic_pass(n, range(2, 2, 2)) == []
+            assert partition_pass(n, ()) == []
 
     def test_leading_terms(self):
         for n, (_, lead, _, _) in REFERENCE_K3_TABLE.items():
