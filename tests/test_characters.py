@@ -55,6 +55,47 @@ def perturb_parts(monkeypatch, change):
     monkeypatch.setattr(characters, "_eisenstein_parts", parts)
 
 
+def direct_sigma(k):
+    return sum(d for d in range(1, k + 1) if k % d == 0)
+
+
+def direct_f(n_terms):
+    """F_2^(2) = sum_{r > s > 0, r - s odd} (-1)^r s q^{rs/2} below q^n_terms, by the double sum."""
+    f = [0] * n_terms
+    for s in range(1, n_terms):
+        for r in range(s + 1, 2 * n_terms // s + 1, 2):
+            if r * s // 2 < n_terms:
+                f[r * s // 2] += (-1) ** r * s
+    return f
+
+
+class TestEisensteinParts:
+    """_eisenstein_parts against the definitions of sigma, E_2(2 tau) and F."""
+
+    def test_sigma_is_the_divisor_sum(self):
+        e2, _, _ = characters._eisenstein_parts(3000)
+        assert e2[0] == 1
+        # every k < 3 000, among them every square d^2 and every prime
+        assert e2[1:] == [-24 * direct_sigma(k) for k in range(1, 3000)]
+        # and every shorter list, the ones that end just past a square among them
+        for n_terms in range(1, 400):
+            assert characters._eisenstein_parts(n_terms)[0] == e2[:n_terms]
+
+    def test_e2_double_vanishes_at_odd_powers(self):
+        for n_terms in (1, 2, 3, 4, 401, 3000):
+            e2, e2_double, _ = characters._eisenstein_parts(n_terms)
+            assert len(e2_double) == n_terms
+            assert e2_double[1::2] == [0] * (n_terms // 2)
+            assert e2_double[::2] == e2[:(n_terms + 1) // 2]
+
+    def test_f_is_the_double_sum(self):
+        exact = direct_f(400)
+        for n_terms in range(1, 401):
+            e2, e2_double, f = characters._eisenstein_parts(n_terms)
+            assert f == exact[:n_terms]
+            assert len(e2) == n_terms
+
+
 def fraction_table(kind, n_max):
     """The tables by exact Fraction long division: 8 sum N_label/theta_label as QSeries."""
     t = FracExp(24 * (n_max + 2))
@@ -146,6 +187,15 @@ class TestMultiplicitySeries:
             coeff_table("ale", 6)
         with pytest.raises(NonIntegralCoefficient, match="not divisible by 6"):
             multiplicity_series("ale", 8)
+
+    def test_the_first_numerator_fault_is_named(self, monkeypatch):
+        def two_faults(e2, e2_double, f):
+            e2[5] += 1
+            e2[9] += 1
+
+        perturb_parts(monkeypatch, two_faults)
+        with pytest.raises(NonIntegralCoefficient, match="noncompact numerator at q\\^5 is not divisible by 3"):
+            coeff_table("noncompact", 12)
 
     def test_odd_half_steps_must_cancel(self, monkeypatch):
         # the Lambert oracle's check: without label 4 the odd powers of q^{1/2} from label 3 survive
@@ -274,6 +324,26 @@ class TestCoeffTable:
         with pytest.raises(SignViolation, match="n = 3"):
             CoeffTable("noncompact", {1: -6, 3: 28}, 3)
         assert CoeffTable("noncompact", {1: -6, 3: -28}, 3).values == {1: -6, 3: -28}
+
+    def test_noncompact_names_the_first_break(self):
+        # a 0 breaks the pattern at odd and at even n alike
+        with pytest.raises(SignViolation, match="n = 2$"):
+            CoeffTable("noncompact", {5: 86, 1: -6, 2: 0, 3: -28}, 5)
+        with pytest.raises(SignViolation, match="n = 1$"):
+            CoeffTable("noncompact", {1: 0, 2: -14}, 2)
+        with pytest.raises(SignViolation, match="n = 2$"):
+            CoeffTable("noncompact", {1: -6, 2: 0}, 2)
+
+    @pytest.mark.parametrize("kind, name", [("k3", "compact"), ("ale", "ALE")])
+    def test_positivity_names_the_first_n(self, kind, name):
+        values = dict(zip(range(1, 11), COMPACT_TABLE))
+        with pytest.raises(SignViolation, match=f"^{name} multiplicities must be positive, not at n = 4$"):
+            CoeffTable(kind, {**values, 4: 0, 7: -5}, 10)
+        # the smaller n, whatever order the table was built in
+        with pytest.raises(SignViolation, match="not at n = 3$"):
+            CoeffTable(kind, {9: -1, 3: -2, 1: 5}, 9)
+        with pytest.raises(SignViolation, match="not at n = 2$"):
+            CoeffTable(kind, {1: 5, 2: 0}, 2)
 
     def test_sign_violations_have_their_own_type(self):
         # a sign or positivity break is not an integrality failure

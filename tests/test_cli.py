@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from mockforms import cli
+from mockforms.characters import coeff_table
 from mockforms.cli import main
+from mockforms.rademacher import cardy_entropy
 
 
 def run(capsys, *argv):
@@ -102,6 +105,24 @@ class TestCoeffs:
         assert (n, exact) == ("1", "90")
         assert float(log_exact) == pytest.approx(4.49981, abs=1e-4)
         assert float(entropy) == pytest.approx(4.44288, abs=1e-4)
+
+    @pytest.mark.parametrize("kind", ["k3", "noncompact", "ale"])
+    def test_entropy_columns_bit_for_bit(self, capsys, kind):
+        # the columns against math.log and rademacher.cardy_entropy, whose formula cmd_coeffs inlines
+        values = coeff_table(kind, 300).values
+        logs = [math.log(abs(values[n])) for n in range(1, 301)]
+        entropies = [cardy_entropy(n) for n in range(1, 301)]
+        code, out = run(capsys, "coeffs", "--kind", kind, "--n-max", "300", "--entropy")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 301))
+        assert [row["exact"] for row in rows] == [str(values[n]) for n in range(1, 301)]
+        assert [row["log_exact"] for row in rows] == logs
+        assert [row["entropy"] for row in rows] == entropies
+        code, out = run(capsys, "--format", "csv", "coeffs", "--kind", kind, "--n-max", "300", "--entropy")
+        assert code == 0
+        assert out.splitlines() == ["n,exact,log_exact,entropy"] + [
+            f"{n},{values[n]},{format(x, '.6g')},{format(y, '.6g')}" for n, x, y in zip(range(1, 301), logs, entropies)]
 
     def test_bad_n_max(self, capsys):
         assert main(["coeffs", "--kind", "k3", "--n-max", "0"]) == 2
